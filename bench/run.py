@@ -10,13 +10,28 @@ rounds).  Wall time is spawn to reap, CPU time and peak RSS come from
 ``os.wait4`` for that child alone.  Each child's exit code and stdout are
 judged by the checks in ``workloads.py``.
 
-With ``--trace 0`` the end-to-end metrics are reported: the fastest
-``wall_s`` and ``cpu_s`` and the median ``peak_rss_mib`` over the workload's
-children, and the fastest ``setup_s`` over ``--help`` children (interpreter
-start, imports and argparse), four per round.  Times are minima because
-contention from other work on a shared host only adds time, so the fastest
-sample is the one it disturbed least; ``bench/baseline.json`` has the spread
-of each metric over ten runs at the seed.
+With ``--trace 0`` every round also runs two ``--help`` children and one
+``reference.py`` child, a fixed pure-Python job of about 0.5 s that uses
+nothing from braidrat.  The end-to-end metrics are ``wall_per_ref`` and
+``cpu_per_ref``, the upper quartile (75th percentile) of the wall and CPU
+time of the workload's children divided by the upper quartile of the wall
+and CPU time of the reference children of the same run; ``peak_rss_mib``,
+the median over the workload's children; and ``setup_s``, the median over
+the ``--help`` children (interpreter start, imports and argparse).  The
+table shows the medians of the raw ``wall_s`` and ``cpu_s`` too.
+
+Why relative times: on a shared host the speed of a vCPU jumps between a
+contended and an uncontended state about 1.6 times faster, each lasting
+seconds, and the share of uncontended time changes from one 40 s run to the
+next.  A run's fastest sample then depends on whether it caught an
+uncontended stretch, and its median on which state held more than half of
+the run; both moved by 15-30% between runs of the same code.  The upper
+quartile stays in the contended state unless a run was mostly uncontended,
+and the reference children, interleaved with the workload's, run in the
+same states, so dividing by theirs cancels changes in how slow that state
+is.  Each workload takes about 1 s, so a run has twenty to thirty samples
+of it.  ``bench/baseline.json`` has the spread of each metric over ten runs
+at the seed.
 
 With ``--trace 1`` each round runs one untraced and one traced child
 (``tracer.py``) per workload.  Per-layer times are medians over the traced
@@ -50,6 +65,7 @@ import time
 from collections import Counter
 from pathlib import Path
 
+import reference
 from workloads import WORKLOADS, Judgment, judge
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -57,49 +73,51 @@ OUT = ROOT / "bench" / "out"
 CHILD_TIMEOUT_S = 150.0
 LAST_ROUND_END_S = 150.0  # no round is started that would end later
 MIN_ROUNDS = 3
-SETUP_PER_ROUND = 4
+SETUP_PER_ROUND = 2
 
-END_TO_END = {"wall_s": "s", "cpu_s": "s", "peak_rss_mib": "MiB", "setup_s": "s"}
+END_TO_END = {
+    "wall_per_ref": "ratio", "cpu_per_ref": "ratio", "peak_rss_mib": "MiB", "setup_s": "s",
+}
 
 _SWEEP = "support-sweep"
 _ALL = "all workloads"
 # Per-layer metric -> (unit, the end-to-end metric and workload it should move).
 PER_LAYER = {
     "process.startup_s": ("s", f"setup_s, {_ALL}"),
-    "process.teardown_s": ("s", f"wall_s and peak_rss_mib, {_SWEEP}"),
+    "process.teardown_s": ("s", f"wall_per_ref and peak_rss_mib, {_SWEEP}"),
     "cli.self_s": ("s", f"setup_s, {_ALL}"),
     "cli.stdout_bytes": ("bytes", f"setup_s, {_ALL}"),
-    "operations.psi_cache.entries": ("count", f"wall_s and peak_rss_mib, {_SWEEP}"),
-    "operations.psi_cache.miss_ratio": ("ratio", f"wall_s and peak_rss_mib, {_SWEEP}"),
-    "ambient.self_s": ("s", f"wall_s, {_SWEEP} and extract-compare"),
-    "ambient.tensor_mul.calls": ("count", f"wall_s, {_SWEEP}"),
-    "ambient.tensor_mul.pair_products": ("count", f"wall_s, {_SWEEP}"),
-    "ambient.elem_mul.term_products": ("count", f"wall_s, {_SWEEP} and extract-compare"),
-    "ambient.tensor.calls": ("count", "wall_s, extract-compare"),
-    "ambient.tensor_components.terms_in": ("count", "wall_s, extract-compare"),
-    "operations.self_s": ("s", f"wall_s, {_SWEEP}"),
-    "operations.coproduct.calls": ("count", f"wall_s, {_SWEEP}"),
-    "operations.coproduct.terms_in": ("count", f"wall_s, {_SWEEP}"),
-    "operations.coproduct.terms_out": ("count", f"wall_s, {_SWEEP}"),
-    "operations.sq.calls": ("count", "wall_s, extract-compare"),
-    "families.self_s": ("s", "wall_s, extract-compare"),
-    "families.embed.calls": ("count", "wall_s, extract-compare"),
-    "families.embed.terms_out": ("count", "wall_s, extract-compare"),
-    "coalgebra.self_s": ("s", "wall_s, extract-compare"),
-    "coalgebra.extract.self_s": ("s", "wall_s, extract-compare"),
-    "coalgebra.coassoc_check.self_s": ("s", "wall_s, extract-compare"),
-    "coalgebra.steenrod_matrix.self_s": ("s", "wall_s, extract-compare"),
-    "coalgebra.invariants.self_s": ("s", "wall_s, extract-compare"),
-    "coalgebra.basis_size": ("count", "wall_s, extract-compare"),
-    "coalgebra.iso_search.self_s": ("s", "wall_s and decided_ratio, iso-search"),
-    "coalgebra.iso_search.candidates": ("count", "wall_s and decided_ratio, iso-search"),
-    "coalgebra.verify_map.calls": ("count", "wall_s and decided_ratio, iso-search"),
-    "coalgebra.verify_map.accept_ratio": ("ratio", "wall_s and decided_ratio, iso-search"),
-    "gf2.rank.calls": ("count", "wall_s and decided_ratio, iso-search"),
-    "gf2.rank.rows": ("count", "wall_s and decided_ratio, iso-search"),
-    "gf2.self_s": ("s", "wall_s, extract-compare"),
-    "gf2.solve.calls": ("count", "wall_s, extract-compare"),
-    "gf2.solve.rows": ("count", "wall_s, extract-compare"),
+    "operations.psi_cache.entries": ("count", f"wall_per_ref and peak_rss_mib, {_SWEEP}"),
+    "operations.psi_cache.miss_ratio": ("ratio", f"wall_per_ref and peak_rss_mib, {_SWEEP}"),
+    "ambient.self_s": ("s", f"wall_per_ref, {_SWEEP} and extract-compare"),
+    "ambient.tensor_mul.calls": ("count", f"wall_per_ref, {_SWEEP}"),
+    "ambient.tensor_mul.pair_products": ("count", f"wall_per_ref, {_SWEEP}"),
+    "ambient.elem_mul.term_products": ("count", f"wall_per_ref, {_SWEEP} and extract-compare"),
+    "ambient.tensor.calls": ("count", "wall_per_ref, extract-compare"),
+    "ambient.tensor_components.terms_in": ("count", "wall_per_ref, extract-compare"),
+    "operations.self_s": ("s", f"wall_per_ref, {_SWEEP}"),
+    "operations.coproduct.calls": ("count", f"wall_per_ref, {_SWEEP}"),
+    "operations.coproduct.terms_in": ("count", f"wall_per_ref, {_SWEEP}"),
+    "operations.coproduct.terms_out": ("count", f"wall_per_ref, {_SWEEP}"),
+    "operations.sq.calls": ("count", "wall_per_ref, extract-compare"),
+    "families.self_s": ("s", "wall_per_ref, extract-compare"),
+    "families.embed.calls": ("count", "wall_per_ref, extract-compare"),
+    "families.embed.terms_out": ("count", "wall_per_ref, extract-compare"),
+    "coalgebra.self_s": ("s", "wall_per_ref, extract-compare"),
+    "coalgebra.extract.self_s": ("s", "wall_per_ref, extract-compare"),
+    "coalgebra.coassoc_check.self_s": ("s", "wall_per_ref, extract-compare"),
+    "coalgebra.steenrod_matrix.self_s": ("s", "wall_per_ref, extract-compare"),
+    "coalgebra.invariants.self_s": ("s", "wall_per_ref, extract-compare"),
+    "coalgebra.basis_size": ("count", "wall_per_ref, extract-compare"),
+    "coalgebra.iso_search.self_s": ("s", "wall_per_ref and decided_ratio, iso-search"),
+    "coalgebra.iso_search.candidates": ("count", "wall_per_ref and decided_ratio, iso-search"),
+    "coalgebra.verify_map.calls": ("count", "wall_per_ref and decided_ratio, iso-search"),
+    "coalgebra.verify_map.accept_ratio": ("ratio", "wall_per_ref and decided_ratio, iso-search"),
+    "gf2.rank.calls": ("count", "wall_per_ref and decided_ratio, iso-search"),
+    "gf2.rank.rows": ("count", "wall_per_ref and decided_ratio, iso-search"),
+    "gf2.self_s": ("s", "wall_per_ref, extract-compare"),
+    "gf2.solve.calls": ("count", "wall_per_ref, extract-compare"),
+    "gf2.solve.rows": ("count", "wall_per_ref, extract-compare"),
     "trace.overhead_s": ("s", "none; traced minus untraced median wall_s"),
     "verdict.decided_ratio": ("ratio", f"decided verdicts over invocations, {_ALL}"),
 }
@@ -181,6 +199,10 @@ def run_job(kind: str, name: str | None, env: dict) -> dict:
         sample = spawn(cli_argv("--help"), env)
         ok = sample["exit"] == 0 and sample["stdout"].startswith(b"usage: braidrat")
         verdict = Judgment(ok, False, "help printed" if ok else "help failed")
+    elif kind == "reference":
+        sample = spawn([sys.executable, str(ROOT / "bench" / "reference.py")], env)
+        ok = sample["exit"] == 0 and sample["stdout"].strip() == reference.DIGEST.encode()
+        verdict = Judgment(ok, False, "reference ran" if ok else "reference failed")
     else:
         wl = WORKLOADS[name]
         args = ("--format", "json", *wl.args)
@@ -213,7 +235,10 @@ def run_rounds(names: list[str], seed: int, seconds: float, trace: bool, env: di
     rounds, longest = 0, 0.0
     while rounds < MIN_ROUNDS or time.monotonic() - start + longest <= min(seconds, LAST_ROUND_END_S):
         jobs = [("plain", n) for n in names]
-        jobs += [("traced", n) for n in names] if trace else [("setup", None)] * SETUP_PER_ROUND
+        if trace:
+            jobs += [("traced", n) for n in names]
+        else:
+            jobs += [("setup", None)] * SETUP_PER_ROUND + [("reference", None)]
         rng.shuffle(jobs)
         t_round = time.monotonic()
         samples += [run_job(kind, name, env) for kind, name in jobs]
@@ -292,16 +317,21 @@ def summarize(samples: list[dict], name: str, trace: bool) -> tuple[dict, list[s
     decided = sum(s["decided"] for s in mine) / len(mine)
     metrics: dict[str, tuple] = {}
     if not trace:
-        # Contention from other work on the host only ever adds time.
+        ref = [s for s in samples if s["kind"] == "reference"]
         for key in ("wall_s", "cpu_s"):
-            values = [s[key] for s in plain]
-            metrics[key] = describe(values, min(values))
+            metrics[key] = describe([s[key] for s in plain])
+            # Upper quartiles: each lies in the contended state unless most of
+            # the run was uncontended, and the reference shares that state.
+            ref_q3 = statistics.quantiles([s[key] for s in ref], n=4)[2]
+            per_ref = [s[key] / ref_q3 for s in plain]
+            metrics[key[:-2] + "_per_ref"] = describe(
+                per_ref, statistics.quantiles(per_ref, n=4)[2])
         metrics["peak_rss_mib"] = describe([s["peak_rss_mib"] for s in plain])
-        setup = [s["wall_s"] for s in samples if s["kind"] == "setup"]
-        metrics["setup_s"] = describe(setup, min(setup))
+        metrics["setup_s"] = describe([s["wall_s"] for s in samples if s["kind"] == "setup"])
         metrics["failed_ratio"] = (failed, f"n={len(mine)}")
         metrics["decided_ratio"] = (decided, f"n={len(mine)}")
-        units = dict(END_TO_END, failed_ratio="ratio", decided_ratio="ratio")
+        units = dict(END_TO_END, wall_s="s", cpu_s="s", failed_ratio="ratio",
+                     decided_ratio="ratio")
     else:
         traced = [s for s in mine if s["kind"] == "traced" and "trace" in s]
         per_sample = [layer_metrics(s) for s in traced]

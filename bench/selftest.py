@@ -108,9 +108,11 @@ class OutputChecks(unittest.TestCase):
         wrong = judge(wl, 0, json.dumps({"verdict": {"kind": "yes"}}).encode())
         self.assertTrue(good.ok)
         setup = fake_sample(None, workloads.Judgment(True, False, "help printed"))
-        clean, _ = run.summarize([setup] + [fake_sample(wl.name, good)] * 2, wl.name, trace=False)
-        dirty, _ = run.summarize([setup, fake_sample(wl.name, good), fake_sample(wl.name, wrong)],
-                                 wl.name, trace=False)
+        ref = dict(setup, kind="reference")
+        clean, _ = run.summarize([setup, ref, ref] + [fake_sample(wl.name, good)] * 2, wl.name,
+                                 trace=False)
+        dirty, _ = run.summarize([setup, ref, ref, fake_sample(wl.name, good),
+                                  fake_sample(wl.name, wrong)], wl.name, trace=False)
         self.assertEqual(clean["failed_ratio"][0], 0)
         self.assertEqual(dirty["failed_ratio"][0], 0.5)
 
