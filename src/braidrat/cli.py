@@ -13,13 +13,12 @@ reached), 1 falsification or inconclusive verdict, 2 usage or internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from . import gf2
 from .ambient import GeneratorLimitError
 from .coalgebra import (
     DEFAULT_ISO_BUDGET,
@@ -36,7 +35,7 @@ from .coalgebra import (
 from .families import DEFAULT_K_BOUND, Family, basis, embed, top_class
 from .operations import DEFAULT_MAX_GEN
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -52,11 +51,7 @@ def _matrix_json(rows: tuple[int, ...], ncols: int) -> list[list[int]]:
 
 
 def _verdict_json(v: IsoVerdict) -> dict:
-    out: dict = {
-        "kind": v.kind,
-        "search_space": v.search_space,
-        "tried": v.tried,
-    }
+    out: dict = {"kind": v.kind, "tried": v.tried}
     if v.reason is not None:
         out["reason"] = v.reason
     if v.invariant is not None:
@@ -82,6 +77,16 @@ def _parse_spec(spec: str) -> tuple[Family, int]:
         return Family(name), int(num)
     except (ValueError, KeyError):
         raise ValueError(f"bad component spec {spec!r}; expected e.g. braid:6 or rat:3")
+
+
+def _status(ok: bool, undecided: bool) -> str:
+    return "ok" if ok else "INCONCLUSIVE" if undecided else "FALSIFIED"
+
+
+def _result(statuses: list[str]) -> str:
+    if "FALSIFIED" in statuses:
+        return "RESULT: FAIL"
+    return "RESULT: inconclusive" if "INCONCLUSIVE" in statuses else "RESULT: pass"
 
 
 def _emit(payload: dict, lines: list[str], config: RunConfig) -> None:
@@ -141,6 +146,7 @@ def _cmd_theorem_main(args, config: RunConfig) -> int:
         raise ValueError("need 1 <= --from <= --to")
     reports = []
     lines = []
+    statuses = []
     all_conform = True
     for k in range(args.from_k, args.to_k + 1):
         rep = theorem_main(
@@ -159,7 +165,8 @@ def _cmd_theorem_main(args, config: RunConfig) -> int:
         if rep.iso is not None:
             entry["iso"] = _verdict_json(rep.iso)
         reports.append(entry)
-        status = "ok" if rep.conforms else "FALSIFIED"
+        status = _status(rep.conforms, rep.undecided)
+        statuses.append(status)
         extra = ""
         if rep.branch == "generic":
             w = rep.checks["witness_dim"]
@@ -179,7 +186,7 @@ def _cmd_theorem_main(args, config: RunConfig) -> int:
             f"k={k}  branch={rep.branch}  |S(x)|={len(rep.support_x)}  "
             f"|S(y)|={len(rep.support_y)}  distinct={rep.distinct}{extra}  [{status}]"
         )
-    lines.append("RESULT: " + ("pass" if all_conform else "FAIL"))
+    lines.append(_result(statuses))
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "theorem-main",
@@ -228,8 +235,6 @@ def _cmd_iso(args, config: RunConfig) -> int:
     fam_b, k_b = _parse_spec(args.b)
     ca = extract_coalgebra(fam_a, k_a, max_gen=config.max_gen, k_bound=config.k_bound)
     cb = extract_coalgebra(fam_b, k_b, max_gen=config.max_gen, k_bound=config.k_bound)
-    space = math.prod(gf2.gl_order(n) for n in ca.dims)
-    print(f"search space: up to {space} candidate maps", file=sys.stderr)
     steenrod = None
     if args.steenrod:
         steenrod = (
@@ -249,7 +254,7 @@ def _cmd_iso(args, config: RunConfig) -> int:
         "verdict": _verdict_json(verdict),
     }
     lines = [
-        f"iso {args.a} vs {args.b}  (search space {verdict.search_space})",
+        f"iso {args.a} vs {args.b}  ({verdict.tried} search nodes)",
         f"  verdict: {verdict.kind}"
         + (f"  [{verdict.invariant} differs]" if verdict.invariant else "")
         + (f"  ({verdict.reason})" if verdict.reason else ""),
@@ -290,20 +295,16 @@ def _cmd_steenrod(args, config: RunConfig) -> int:
 def _cmd_braid_conf(args, config: RunConfig) -> int:
     reports = []
     lines = []
-    ok = True
+    statuses = []
     for k in range(1, args.max_k + 1):
         rep = check_braid_conf(
             k, budget=config.iso_budget, max_gen=config.max_gen, k_bound=config.k_bound
         )
-        ok = ok and rep.isomorphic
-        reports.append(
-            {"k": k, "route": rep.route, "verdict": _verdict_json(rep.verdict)}
-        )
-        lines.append(
-            f"k={k}  route={rep.route}  isomorphic={rep.isomorphic}"
-            f"  [{'ok' if rep.isomorphic else 'FALSIFIED'}]"
-        )
-    lines.append("RESULT: " + ("pass" if ok else "FAIL"))
+        statuses.append(_status(rep.isomorphic, rep.verdict.kind == "inconclusive"))
+        reports.append({"k": k, "verdict": _verdict_json(rep.verdict)})
+        lines.append(f"k={k}  isomorphic={rep.isomorphic}  [{statuses[-1]}]")
+    ok = all(status == "ok" for status in statuses)
+    lines.append(_result(statuses))
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "braid-conf",
@@ -316,46 +317,51 @@ def _cmd_braid_conf(args, config: RunConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Global flags are accepted before or after the subcommand.  They have no
+    # parser defaults, so a flag given in one position is not reset by the
+    # other; RunConfig supplies the value of a flag given in neither.
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--format", dest="fmt", choices=("text", "json"))
+    common.add_argument("--max-gen", type=int, help="largest allowed generator index")
+    common.add_argument("--k-bound", type=int,
+                        help="largest allowed weight for basis enumeration")
+    common.add_argument("--iso-budget", type=int,
+                        help="maximum number of search nodes for isomorphism search")
     parser = argparse.ArgumentParser(
         prog="braidrat",
         description="Weight-graded mod-2 homology coalgebra calculator and verifier.",
+        parents=[common],
     )
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--max-gen", type=int, default=DEFAULT_MAX_GEN,
-                        help="largest allowed generator index")
-    parser.add_argument("--k-bound", type=int, default=DEFAULT_K_BOUND,
-                        help="largest allowed weight for basis enumeration")
-    parser.add_argument("--iso-budget", type=int, default=DEFAULT_ISO_BUDGET,
-                        help="maximum number of candidate maps for isomorphism search")
     sub = parser.add_subparsers(dest="command", required=True)
+    add = functools.partial(sub.add_parser, parents=[common])
 
-    p = sub.add_parser("basis", help="list a weight-graded basis with embeddings")
+    p = add("basis", help="list a weight-graded basis with embeddings")
     p.add_argument("--family", choices=("braid", "rat", "conf"), required=True)
     p.add_argument("--k", type=int, required=True)
     p.set_defaults(handler=_cmd_basis)
 
-    p = sub.add_parser("s-set", help="coproduct support of the top class")
+    p = add("s-set", help="coproduct support of the top class")
     p.add_argument("--family", choices=("braid", "rat"), required=True)
     p.add_argument("--k", type=int, required=True)
     p.set_defaults(handler=_cmd_s_set)
 
-    p = sub.add_parser("theorem-main", help="compare top-class supports over a range of k")
+    p = add("theorem-main", help="compare top-class supports over a range of k")
     p.add_argument("--from", dest="from_k", type=int, required=True)
     p.add_argument("--to", dest="to_k", type=int, required=True)
     p.set_defaults(handler=_cmd_theorem_main)
 
-    p = sub.add_parser("lemma-braid", help="verify multiplication by g on odd components")
+    p = add("lemma-braid", help="verify multiplication by g on odd components")
     p.add_argument("--max-k", type=int, required=True)
     p.set_defaults(handler=_cmd_lemma_braid)
 
-    p = sub.add_parser("iso", help="decide coalgebra isomorphism of two components")
+    p = add("iso", help="decide coalgebra isomorphism of two components")
     p.add_argument("--a", required=True, help="component spec, e.g. braid:6")
     p.add_argument("--b", required=True, help="component spec, e.g. rat:3")
     p.add_argument("--steenrod", action="store_true",
                    help="require the witness to intertwine the dual Steenrod action")
     p.set_defaults(handler=_cmd_iso)
 
-    p = sub.add_parser("steenrod", help="dual Steenrod matrices in the family basis")
+    p = add("steenrod", help="dual Steenrod matrices in the family basis")
     p.add_argument("--family", choices=("braid", "rat", "conf"), required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--j", type=int, default=1)
@@ -363,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="enable dual operations with j >= 2")
     p.set_defaults(handler=_cmd_steenrod)
 
-    p = sub.add_parser("braid-conf", help="verify the braid/configuration correspondence")
+    p = add("braid-conf", help="verify the braid/configuration correspondence")
     p.add_argument("--max-k", type=int, required=True)
     p.set_defaults(handler=_cmd_braid_conf)
 
@@ -373,17 +379,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = RunConfig(
-        max_gen=args.max_gen,
-        k_bound=args.k_bound,
-        iso_budget=args.iso_budget,
-        fmt=args.format,
-    )
+    config = RunConfig(**{
+        f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)
+    })
     start = time.perf_counter()
     try:
         code = args.handler(args, config)
     except (ValueError, GeneratorLimitError, SpanError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # an internal fault: exit 2, never a falsification
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     print(f"elapsed {time.perf_counter() - start:.3f}s", file=sys.stderr)
     return code

@@ -2,28 +2,32 @@
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 
-def rank(rows: Sequence[int]) -> int:
-    """Rank of the span of the given bit-vectors."""
-    pivots: dict[int, int] = {}
-    r = 0
-    for row in rows:
-        row = _reduce(row, pivots)
-        if row:
-            pivots[row.bit_length() - 1] = row
-            r += 1
-    return r
-
-
-def _reduce(vec: int, pivots: dict[int, int]) -> int:
+def _reduce_pair(vec: int, combo: int, pivots: dict[int, tuple[int, int]]) -> tuple[int, int]:
     while vec:
         top = vec.bit_length() - 1
         if top not in pivots:
             break
-        vec ^= pivots[top]
-    return vec
+        pr, pc = pivots[top]
+        vec ^= pr
+        combo ^= pc
+    return vec, combo
+
+
+def _eliminate(rows: Sequence[int]) -> tuple[dict[int, tuple[int, int]], list[int]]:
+    """Pivots (top bit -> (reduced row, combination of rows)) and the
+    combinations of rows that reduce to zero, in row order."""
+    pivots: dict[int, tuple[int, int]] = {}
+    null: list[int] = []
+    for i, row in enumerate(rows):
+        vec, combo = _reduce_pair(row, 1 << i, pivots)
+        if vec:
+            pivots[vec.bit_length() - 1] = (vec, combo)
+        else:
+            null.append(combo)
+    return pivots, null
 
 
 def solve(rows: Sequence[int], target: int) -> int | None:
@@ -32,61 +36,26 @@ def solve(rows: Sequence[int], target: int) -> int | None:
     The returned combination is the one produced by elimination in row
     order, so it is deterministic for a fixed input order.
     """
-    pivots: dict[int, tuple[int, int]] = {}
-
-    def reduce_pair(vec: int, combo: int) -> tuple[int, int]:
-        while vec:
-            top = vec.bit_length() - 1
-            if top not in pivots:
-                break
-            pr, pc = pivots[top]
-            vec ^= pr
-            combo ^= pc
-        return vec, combo
-
-    for i, row in enumerate(rows):
-        vec, combo = reduce_pair(row, 1 << i)
-        if vec:
-            pivots[vec.bit_length() - 1] = (vec, combo)
-    vec, combo = reduce_pair(target, 0)
+    vec, combo = _reduce_pair(target, 0, _eliminate(rows)[0])
     return combo if vec == 0 else None
+
+
+def kernel(rows: Sequence[int]) -> list[int]:
+    """A basis of the combinations x with XOR over {rows[i] : bit i of x} == 0.
+
+    It has len(rows) - rank(rows) elements, and the highest bit of each
+    element is distinct, so they are independent.
+    """
+    return _eliminate(rows)[1]
+
+
+def rank(rows: Sequence[int]) -> int:
+    """Rank of the span of the given bit-vectors."""
+    return len(_eliminate(rows)[0])
 
 
 def is_invertible(rows: Sequence[int], n: int) -> bool:
     return len(rows) == n and rank(rows) == n
-
-
-def gl_order(n: int) -> int:
-    """Number of invertible n x n matrices over GF(2)."""
-    out = 1
-    for i in range(n):
-        out *= (1 << n) - (1 << i)
-    return out
-
-
-def invertible_matrices(n: int) -> Iterator[tuple[int, ...]]:
-    """All invertible n x n matrices, rows as ints, in lexicographic row order."""
-    if n == 0:
-        yield ()
-        return
-    rows: list[int] = []
-    spans: list[frozenset[int]] = [frozenset({0})]
-
-    def rec() -> Iterator[tuple[int, ...]]:
-        if len(rows) == n:
-            yield tuple(rows)
-            return
-        span = spans[-1]
-        for r in range(1, 1 << n):
-            if r in span:
-                continue
-            rows.append(r)
-            spans.append(span | frozenset(s ^ r for s in span))
-            yield from rec()
-            spans.pop()
-            rows.pop()
-
-    yield from rec()
 
 
 def mat_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:

@@ -3,12 +3,15 @@
 The oracles deliberately avoid the code paths they check: the recursive
 Cartan splitter peels one generator copy at a time instead of using closed
 forms, the top-class support for the braid family comes from subset sums,
-and the family-level structure constants are obtained by multiplying out
-generator coproducts term by term with no elimination step.
+the family-level structure constants are obtained by multiplying out
+generator coproducts term by term with no elimination step, and
+isomorphisms are counted by enumerating every invertible per-degree map.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from collections import Counter
 
@@ -20,7 +23,11 @@ from braidrat.ambient import (
     monomial,
     q_gen,
 )
-from braidrat.coalgebra import _basis_by_dim
+from braidrat.coalgebra import (
+    _basis_by_dim,
+    verify_coalgebra_map,
+    verify_steenrod_intertwining,
+)
 from braidrat.families import Family, FamilyMonomial, family_monomial
 
 # ---------------------------------------------------------------------------
@@ -159,6 +166,47 @@ def brute_force_delta(family: Family, k: int):
                 frozenset(per_degree[d][a].get(s, set())) for a in range(len(row))
             )
     return delta
+
+
+# ---------------------------------------------------------------------------
+# Brute-force isomorphism count: every tuple of per-degree invertible
+# matrices, with no elimination, kernel or search.
+
+
+def _rank(rows) -> int:
+    pivots: dict[int, int] = {}
+    for row in rows:
+        while row and row.bit_length() in pivots:
+            row ^= pivots[row.bit_length()]
+        if row:
+            pivots[row.bit_length()] = row
+    return len(pivots)
+
+
+def _gl_count(n: int) -> int:
+    out = 1
+    for i in range(n):
+        out *= (1 << n) - (1 << i)
+    return out
+
+
+def brute_force_isomorphism_count(a, b, steenrod=None, *, limit: int = 3000):
+    """Number of isomorphisms a -> b (intertwining the dual Steenrod action
+    when ``steenrod`` is given), or None when more than ``limit`` invertible
+    maps would have to be checked."""
+    dims = a.dims
+    if dims != b.dims or math.prod(_gl_count(n) for n in dims) > limit:
+        return None
+    per_degree = [
+        [m for m in itertools.product(range(1 << n), repeat=n) if _rank(m) == n]
+        for n in dims
+    ]
+    return sum(
+        1
+        for phi in itertools.product(*per_degree)
+        if verify_coalgebra_map(a, b, phi)
+        and (steenrod is None or verify_steenrod_intertwining(*steenrod, phi))
+    )
 
 
 # ---------------------------------------------------------------------------

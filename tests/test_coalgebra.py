@@ -4,8 +4,9 @@ the verification routines."""
 import pytest
 
 from braidrat.coalgebra import (
+    DEFAULT_ISO_BUDGET,
     GradedCoalgebra,
-    check_braid_conf,
+    _search_isomorphism,
     check_lemma_braid,
     coalgebra_invariants,
     coalgebras_isomorphic,
@@ -20,7 +21,7 @@ from braidrat.ambient import element, monomial, tensor_components
 from braidrat.families import Family, family_monomial, top_class, embed
 from braidrat.operations import coproduct
 
-from helpers import braid_top_support, brute_force_delta
+from helpers import braid_top_support, brute_force_delta, brute_force_isomorphism_count
 
 
 def test_extract_braid_weight_two():
@@ -152,7 +153,6 @@ def test_iso_yes_with_verified_witness():
     cb = extract_coalgebra(Family.RAT, 3)
     v = coalgebras_isomorphic(ca, cb)
     assert v.kind == "yes"
-    assert v.search_space == 6
     assert verify_coalgebra_map(ca, cb, v.witness)
 
 
@@ -187,6 +187,27 @@ def test_iso_budget_exhaustion_is_inconclusive():
     assert v.tried == 1
 
 
+def test_iso_search_agrees_with_brute_force_count():
+    # the invariant gate is bypassed, so pairs that differ only in their
+    # invariants reach the exhaustive 'no' path of the search
+    comps = [
+        (extract_coalgebra(fam, k), steenrod_matrix(fam, k))
+        for fam, top in ((Family.RAT, 8), (Family.CONF, 8), (Family.BRAID, 16))
+        for k in range(1, top + 1)
+    ]
+    kinds = []
+    for i, (ca, sq_a) in enumerate(comps):
+        for cb, sq_b in comps[i:]:
+            for sq in (None, (sq_a, sq_b)):
+                count = brute_force_isomorphism_count(ca, cb, sq)
+                if count is None:
+                    continue
+                v = _search_isomorphism(ca, cb, DEFAULT_ISO_BUDGET, sq)
+                assert v.kind == ("yes" if count else "no"), (ca.labels, cb.labels, sq)
+                kinds.append(v.kind)
+    assert len(kinds) == 82 and kinds.count("no") == 12
+
+
 def test_steenrod_matrices_reference_values():
     sq_braid = steenrod_matrix(Family.BRAID, 6)
     sq_rat = steenrod_matrix(Family.RAT, 3)
@@ -214,17 +235,18 @@ def test_steenrod_extended_operations_matrix():
 
 
 def test_iso_witness_steenrod_distinction():
-    # two coalgebra witnesses exist at this size; only one respects the
-    # dual Steenrod action, and the constrained search finds it
+    # two coalgebra isomorphisms exist at this size; only one respects the
+    # dual Steenrod action, and the constrained search finds one that does
     ca = extract_coalgebra(Family.BRAID, 6)
     cb = extract_coalgebra(Family.RAT, 3)
     sq = (steenrod_matrix(Family.BRAID, 6), steenrod_matrix(Family.RAT, 3))
-    plain = coalgebras_isomorphic(ca, cb)
+    plain = ((1,), (1,), (1,), (2, 3), (1,))
+    assert verify_coalgebra_map(ca, cb, plain)
+    assert not verify_steenrod_intertwining(sq[0], sq[1], plain)
     constrained = coalgebras_isomorphic(ca, cb, steenrod=sq)
     assert constrained.kind == "yes"
     assert verify_coalgebra_map(ca, cb, constrained.witness)
     assert verify_steenrod_intertwining(sq[0], sq[1], constrained.witness)
-    assert not verify_steenrod_intertwining(sq[0], sq[1], plain.witness)
 
 
 def test_lemma_braid_small():
@@ -234,13 +256,6 @@ def test_lemma_braid_small():
         rep = check_lemma_braid(k)
         assert rep.verified
         assert rep.classes_checked == len(basis(Family.BRAID, 2 * k))
-
-
-def test_braid_conf_candidate_route():
-    for k in range(1, 5):
-        rep = check_braid_conf(k)
-        assert rep.isomorphic
-        assert rep.route == "candidate"
 
 
 def test_braid_conf_invariants_match_rat_at_three():

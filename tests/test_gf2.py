@@ -27,21 +27,21 @@ def test_solve_outside_span():
     assert gf2.solve([], 0) == 0
 
 
-def test_gl_order():
-    assert gf2.gl_order(0) == 1
-    assert gf2.gl_order(1) == 1
-    assert gf2.gl_order(2) == 6
-    assert gf2.gl_order(3) == 168
-
-
-def test_invertible_matrices_enumeration():
-    for n in range(4):
-        mats = list(gf2.invertible_matrices(n))
-        assert len(mats) == gf2.gl_order(n)
-        assert len(set(mats)) == len(mats)
-        assert all(gf2.is_invertible(list(m), n) for m in mats)
-    # deterministic canonical order with the identity first
-    assert list(gf2.invertible_matrices(2))[0] == (1, 2)
+def test_kernel():
+    for rows in ([], [0], [0b101, 0b011, 0b110], [0b1, 0b1, 0b1, 0b10], [0b11, 0b101, 0b110]):
+        null = gf2.kernel(rows)
+        assert len(null) == len(rows) - gf2.rank(rows)
+        assert gf2.rank(null) == len(null)
+        for choice in range(1, 1 << len(null)):
+            combo = 0
+            for k, vec in enumerate(null):
+                if (choice >> k) & 1:
+                    combo ^= vec
+            acc = 0
+            for i, row in enumerate(rows):
+                if (combo >> i) & 1:
+                    acc ^= row
+            assert combo and acc == 0
 
 
 def test_mat_mul():
