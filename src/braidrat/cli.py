@@ -83,10 +83,12 @@ def _status(ok: bool, undecided: bool) -> str:
     return "ok" if ok else "INCONCLUSIVE" if undecided else "FALSIFIED"
 
 
-def _result(statuses: list[str]) -> str:
-    if "FALSIFIED" in statuses:
-        return "RESULT: FAIL"
-    return "RESULT: inconclusive" if "INCONCLUSIVE" in statuses else "RESULT: pass"
+def _result(statuses: list[str], lines: list[str]) -> str:
+    """Append a sweep's text RESULT line; return its JSON ``result`` value."""
+    result = "fail" if "FALSIFIED" in statuses else (
+        "inconclusive" if "INCONCLUSIVE" in statuses else "pass")
+    lines.append("RESULT: " + ("FAIL" if result == "fail" else result))
+    return result
 
 
 def _emit(payload: dict, lines: list[str], config: RunConfig) -> None:
@@ -147,12 +149,10 @@ def _cmd_theorem_main(args, config: RunConfig) -> int:
     reports = []
     lines = []
     statuses = []
-    all_conform = True
     for k in range(args.from_k, args.to_k + 1):
         rep = theorem_main(
             k, iso_budget=config.iso_budget, max_gen=config.max_gen, k_bound=config.k_bound
         )
-        all_conform = all_conform and rep.conforms
         entry = {
             "k": k,
             "branch": rep.branch,
@@ -186,25 +186,26 @@ def _cmd_theorem_main(args, config: RunConfig) -> int:
             f"k={k}  branch={rep.branch}  |S(x)|={len(rep.support_x)}  "
             f"|S(y)|={len(rep.support_y)}  distinct={rep.distinct}{extra}  [{status}]"
         )
-    lines.append(_result(statuses))
+    result = _result(statuses, lines)
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "theorem-main",
         "inputs": {"from": args.from_k, "to": args.to_k},
         "reports": reports,
-        "all_conform": all_conform,
+        "all_conform": result == "pass",
+        "result": result,
     }
     _emit(payload, lines, config)
-    return 0 if all_conform else 1
+    return 0 if result == "pass" else 1
 
 
 def _cmd_lemma_braid(args, config: RunConfig) -> int:
     reports = []
     lines = []
-    ok = True
+    statuses = []
     for k in range(1, args.max_k + 1):
         rep = check_lemma_braid(k, max_gen=config.max_gen, k_bound=config.k_bound)
-        ok = ok and rep.verified
+        statuses.append(_status(rep.verified, False))
         reports.append(
             {
                 "k": k,
@@ -216,18 +217,19 @@ def _cmd_lemma_braid(args, config: RunConfig) -> int:
         )
         lines.append(
             f"k={k}  classes={rep.classes_checked}  bijection={rep.bijection_ok}  "
-            f"coproduct={rep.coproduct_ok}  [{'ok' if rep.verified else 'FALSIFIED'}]"
+            f"coproduct={rep.coproduct_ok}  [{statuses[-1]}]"
         )
-    lines.append("RESULT: " + ("pass" if ok else "FAIL"))
+    result = _result(statuses, lines)
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "lemma-braid",
         "inputs": {"max_k": args.max_k},
         "reports": reports,
-        "all_verified": ok,
+        "all_verified": result == "pass",
+        "result": result,
     }
     _emit(payload, lines, config)
-    return 0 if ok else 1
+    return 0 if result == "pass" else 1
 
 
 def _cmd_iso(args, config: RunConfig) -> int:
@@ -303,17 +305,17 @@ def _cmd_braid_conf(args, config: RunConfig) -> int:
         statuses.append(_status(rep.isomorphic, rep.verdict.kind == "inconclusive"))
         reports.append({"k": k, "verdict": _verdict_json(rep.verdict)})
         lines.append(f"k={k}  isomorphic={rep.isomorphic}  [{statuses[-1]}]")
-    ok = all(status == "ok" for status in statuses)
-    lines.append(_result(statuses))
+    result = _result(statuses, lines)
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "braid-conf",
         "inputs": {"max_k": args.max_k},
         "reports": reports,
-        "all_isomorphic": ok,
+        "all_isomorphic": result == "pass",
+        "result": result,
     }
     _emit(payload, lines, config)
-    return 0 if ok else 1
+    return 0 if result == "pass" else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from . import gf2
-from .ambient import G, TensorElement, tensor, tensor_components
+from .ambient import G, TensorElement, tensor_components
 from .families import (
     DEFAULT_K_BOUND,
     Family,
@@ -25,7 +25,7 @@ from .families import (
     embed,
     top_class,
 )
-from .operations import DEFAULT_MAX_GEN, coproduct, sq1_dual, sqj_dual
+from .operations import DEFAULT_MAX_GEN, coproduct, sqj_dual
 
 DEFAULT_ISO_BUDGET = 10**6
 DEFAULT_BASIS_BOUND = 4096
@@ -123,11 +123,41 @@ def _basis_by_dim(
     return out
 
 
-def _pack(terms: Sequence, index: Mapping) -> int:
-    vec = 0
-    for t in terms:
-        vec |= 1 << index[t]
-    return vec
+def _coordinates(vectors: Sequence[frozenset], what: str):
+    """Coordinate map onto ``vectors`` (sets of ambient terms), packed once.
+
+    Raises ``SpanError`` if the vectors are dependent.  ``coords(terms)``,
+    for distinct terms, is the bit mask over ``vectors`` summing to
+    ``terms``; it raises ``SpanError`` when ``terms`` leaves their span.
+    """
+    index: dict = {}
+    rows = []
+    for terms in vectors:
+        row = 0
+        for t in terms:
+            row |= 1 << index.setdefault(t, len(index))
+        rows.append(row)
+    if gf2.kernel(rows):
+        raise SpanError(f"the embedded {what} basis is linearly dependent")
+
+    def coords(terms) -> int:
+        combo = None
+        if all(t in index for t in terms):
+            combo = gf2.solve(rows, sum(1 << index[t] for t in terms))
+        if combo is None:
+            raise SpanError(f"a class leaves the span of the embedded {what} basis")
+        return combo
+
+    return coords
+
+
+def _embedded_basis(by_dim: list[list[FamilyMonomial]], max_gen: int):
+    """The ambient embedding of each basis element, and per degree the
+    coordinate map (see ``_coordinates``) onto the embedded basis."""
+    embeds = [[embed(fm, max_gen=max_gen) for fm in row] for row in by_dim]
+    return embeds, [
+        _coordinates([e.terms for e in row], f"degree-{d}") for d, row in enumerate(embeds)
+    ]
 
 
 def extract_coalgebra(
@@ -140,52 +170,35 @@ def extract_coalgebra(
 ) -> GradedCoalgebra:
     """Structure constants of the weight-graded component in the family basis.
 
-    For each basis monomial the coproduct of its ambient embedding is solved
-    against the embedded product basis by elimination over F2; any tensor
-    term outside that span raises ``SpanError``, since the component must be
-    a sub-coalgebra.
+    The split-s part T of the coproduct of a degree-d element is
+    sum C_ij e_i (x) f_j over the degree s and d-s bases.  Grouped by right
+    factor v, T's left factors solve to y_v[i] = sum_j C_ij f_j[v]; the v
+    with bit i set in y_v solve to row i of C.  Either solve raises
+    ``SpanError`` exactly when T leaves span(e (x) f), since the component
+    must be a sub-coalgebra.
     """
     by_dim = _basis_by_dim(family, k, k_bound=k_bound)
     total = sum(len(l) for l in by_dim)
     if total > basis_bound:
         raise ValueError(f"basis size {total} exceeds bound {basis_bound}")
-    embeds = {fm: embed(fm, max_gen=max_gen) for row in by_dim for fm in row}
+    embeds, coords = _embedded_basis(by_dim, max_gen)
     labels = tuple(tuple(fm.label() for fm in row) for row in by_dim)
-    delta: dict[tuple[int, int], tuple[PairSet, ...]] = {}
-    for d, row in enumerate(by_dim):
-        psi = {fm: coproduct(embeds[fm]) for fm in row}
-        for s in range(d + 1):
-            t = d - s
-            candidates = [
-                (i, j)
-                for i in range(len(by_dim[s]))
-                for j in range(len(by_dim[t]))
-            ]
-            vectors = [
-                tensor(embeds[by_dim[s][i]], embeds[by_dim[t][j]]).terms
-                for i, j in candidates
-            ]
-            comps = []
-            for fm in row:
-                part = tensor_components(psi[fm], d).get(s)
-                if part is None:
-                    comps.append(frozenset())
-                    continue
-                support = sorted(set().union(part.terms, *vectors))
-                index = {pair: pos for pos, pair in enumerate(support)}
-                rows = [_pack(v, index) for v in vectors]
-                target = _pack(part.terms, index)
-                combo = gf2.solve(rows, target)
-                if combo is None:
-                    raise SpanError(
-                        f"coproduct of {fm.label()} has a component outside the "
-                        f"span of the degree ({s},{t}) product basis"
-                    )
-                comps.append(
-                    frozenset(candidates[c] for c in range(len(candidates)) if (combo >> c) & 1)
-                )
-            delta[(d, s)] = tuple(comps)
-    return GradedCoalgebra(labels, delta)
+    delta = {(d, s): [] for d in range(len(by_dim)) for s in range(d + 1)}
+    for d, row in enumerate(embeds):
+        for e in row:
+            parts = tensor_components(coproduct(e), d)
+            for s in range(d + 1):
+                by_right: dict = {}
+                for u, v in parts.get(s, TensorElement()).terms:
+                    by_right.setdefault(v, []).append(u)
+                by_left: dict[int, list] = {}
+                for v, us in by_right.items():
+                    for i in _bits(coords[s](us)):
+                        by_left.setdefault(i, []).append(v)
+                delta[(d, s)].append(frozenset(
+                    (i, j) for i, vs in by_left.items() for j in _bits(coords[d - s](vs))
+                ))
+    return GradedCoalgebra(labels, {key: tuple(comps) for key, comps in delta.items()})
 
 
 def s_set(fm: FamilyMonomial, *, max_gen: int = DEFAULT_MAX_GEN) -> frozenset[int]:
@@ -438,34 +451,17 @@ def steenrod_matrix(
     if j < 1:
         raise ValueError(f"j must be >= 1, got {j}")
     by_dim = _basis_by_dim(family, k, k_bound=k_bound)
-    embeds = {fm: embed(fm, max_gen=max_gen) for row in by_dim for fm in row}
+    embeds, coords = _embedded_basis(by_dim, max_gen)
     out: dict[int, tuple[int, ...]] = {}
     for d in range(1, len(by_dim)):
-        sources = by_dim[d]
-        targets = by_dim[d - j] if 0 <= d - j < len(by_dim) else []
-        if not sources:
+        if not by_dim[d]:
             continue
-        target_terms = [embeds[fm].terms for fm in targets]
-        support = sorted(set().union(*target_terms)) if target_terms else []
-        index = {m: pos for pos, m in enumerate(support)}
-        rows_packed = [_pack(terms, index) for terms in target_terms]
-        matrix = [0] * len(targets)
-        for col, fm in enumerate(sources):
-            img = sqj_dual(embeds[fm], j) if j > 1 else sq1_dual(embeds[fm])
-            if img.is_zero:
-                continue
-            if any(m not in index for m in img.terms):
-                raise SpanError(
-                    f"Sq_{j}^* image of {fm.label()} leaves the family span"
-                )
-            combo = gf2.solve(rows_packed, _pack(img.terms, index))
-            if combo is None:
-                raise SpanError(
-                    f"Sq_{j}^* image of {fm.label()} leaves the family span"
-                )
-            for t_idx in range(len(targets)):
-                if (combo >> t_idx) & 1:
-                    matrix[t_idx] |= 1 << col
+        below = d - j
+        to_basis = coords[below] if below >= 0 else _coordinates([], f"degree-{below}")
+        matrix = [0] * (len(by_dim[below]) if below >= 0 else 0)
+        for col, e in enumerate(embeds[d]):
+            for t_idx in _bits(to_basis(sqj_dual(e, j).terms)):
+                matrix[t_idx] |= 1 << col
         out[d] = tuple(matrix)
     return out
 

@@ -6,6 +6,7 @@ import pytest
 
 from braidrat import cli
 from braidrat.cli import main
+from braidrat.coalgebra import LemmaBraidReport
 
 
 def run(capsys, *argv):
@@ -118,6 +119,26 @@ def test_inconclusive_search_is_not_reported_falsified(capsys):
     assert code == 1
     assert "FALSIFIED" not in out and "[INCONCLUSIVE]" in out
     assert out.splitlines()[-1] == "RESULT: inconclusive"
+
+
+def test_sweep_json_result_key(capsys, monkeypatch):
+    for argv, key in (
+        (["theorem-main", "--from", "3", "--to", "3"], "all_conform"),
+        (["braid-conf", "--max-k", "2"], "all_isomorphic"),
+    ):
+        code, data = run_json(capsys, "--iso-budget", "1", *argv)
+        assert code == 1 and data[key] is False and data["result"] == "inconclusive"
+        code, data = run_json(capsys, *argv)
+        assert code == 0 and data[key] is True and data["result"] == "pass"
+    code, data = run_json(capsys, "lemma-braid", "--max-k", "2")
+    assert code == 0 and data["all_verified"] is True and data["result"] == "pass"
+    monkeypatch.setattr(
+        cli, "check_lemma_braid", lambda k, **kw: LemmaBraidReport(k, False, True, 0)
+    )
+    code, data = run_json(capsys, "lemma-braid", "--max-k", "2")
+    assert code == 1 and data["all_verified"] is False and data["result"] == "fail"
+    code, out, _ = run(capsys, "lemma-braid", "--max-k", "2")
+    assert out.splitlines()[-1] == "RESULT: FAIL"
 
 
 def test_internal_error_exits_two(capsys, monkeypatch):

@@ -1,11 +1,18 @@
 """Unit tests for coalgebra extraction, invariants, isomorphism search and
 the verification routines."""
 
+import hashlib
+import json
+
 import pytest
 
+from braidrat import coalgebra
+from braidrat.cli import main
 from braidrat.coalgebra import (
     DEFAULT_ISO_BUDGET,
     GradedCoalgebra,
+    SpanError,
+    _basis_by_dim,
     _search_isomorphism,
     check_lemma_braid,
     coalgebra_invariants,
@@ -17,9 +24,9 @@ from braidrat.coalgebra import (
     verify_coalgebra_map,
     verify_steenrod_intertwining,
 )
-from braidrat.ambient import element, monomial, tensor_components
+from braidrat.ambient import TensorElement, element, monomial, q_gen, tensor_components
 from braidrat.families import Family, family_monomial, top_class, embed
-from braidrat.operations import coproduct
+from braidrat.operations import coproduct, sqj_dual
 
 from helpers import braid_top_support, brute_force_delta, brute_force_isomorphism_count
 
@@ -50,10 +57,66 @@ def test_extract_rat_weight_two_four_term_splits():
 
 
 def test_extracted_structure_matches_brute_force_small():
-    for family in (Family.BRAID, Family.RAT, Family.CONF):
-        for k in range(1, 5):
+    # up to braid:20 and rat/conf:10 the two-step solve meets degrees with
+    # several basis elements on both sides of a split
+    for family, top in ((Family.BRAID, 20), (Family.RAT, 10), (Family.CONF, 10)):
+        for k in range(1, top + 1):
             c = extract_coalgebra(family, k)
             assert c.delta == brute_force_delta(family, k), (family, k)
+
+
+def _equal_embeddings(monkeypatch):
+    # the two degree-3 basis elements of rat:3 embed equal
+    first, second = _basis_by_dim(Family.RAT, 3)[3]
+    monkeypatch.setattr(
+        coalgebra, "embed", lambda fm, **kw: embed(first if fm == second else fm, **kw)
+    )
+
+
+def _stray_coproduct_pair(monkeypatch):
+    # the top class A + B of rat:3 gains the pair A (x) 1: its terms are all
+    # packed, but the part B (x) 1 that remains is outside the product span
+    by_dim = _basis_by_dim(Family.RAT, 3)
+    top = embed(by_dim[4][0])
+    (unit,) = embed(by_dim[0][0]).terms
+    stray = TensorElement(frozenset({(min(top.terms), unit)}))
+    monkeypatch.setattr(
+        coalgebra, "coproduct", lambda e: coproduct(e) + stray if e == top else coproduct(e)
+    )
+
+
+def _steenrod_image_off_span(monkeypatch):
+    # every dual Steenrod image gains Q3g, which no embedded basis element has
+    monkeypatch.setattr(
+        coalgebra, "sqj_dual", lambda e, j: sqj_dual(e, j) + element(q_gen(3))
+    )
+
+
+@pytest.mark.parametrize(
+    "patch, extract_fails, steenrod_fails",
+    [
+        (_equal_embeddings, True, True),
+        (_stray_coproduct_pair, True, False),
+        (_steenrod_image_off_span, False, True),
+    ],
+)
+def test_span_errors(monkeypatch, capsys, patch, extract_fails, steenrod_fails):
+    patch(monkeypatch)
+    runs = [
+        (extract_fails, lambda: extract_coalgebra(Family.RAT, 3),
+         ["iso", "--a", "rat:3", "--b", "braid:6"]),
+        (steenrod_fails, lambda: steenrod_matrix(Family.RAT, 3),
+         ["steenrod", "--family", "rat", "--k", "3"]),
+    ]
+    for fails, call, argv in runs:
+        if not fails:
+            call()
+            continue
+        with pytest.raises(SpanError):
+            call()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
 
 
 def test_oracle_generator_expression_embeds_correctly():
@@ -217,6 +280,18 @@ def test_steenrod_matrices_reference_values():
     # degree 4: the top class maps onto the first degree-3 element
     assert sq_braid[4] == (1, 0)
     assert sq_rat[4] == (1, 0)
+
+
+def test_steenrod_matrices_pinned():
+    # the digest was recorded from the per-target elimination this route replaced
+    data = [
+        [f.value, k, j, sorted([d, list(m)] for d, m in steenrod_matrix(f, k, j=j).items())]
+        for f in Family
+        for k in range(1, 13)
+        for j in (1, 2, 3)
+    ]
+    digest = hashlib.sha256(json.dumps(data, separators=(",", ":")).encode()).hexdigest()
+    assert digest == "0a98b96822c1b778a0656b02e5880a10b58b711ac6c2e7e636695ab97790e281"
 
 
 def test_steenrod_matrices_zero_for_weight_one():
