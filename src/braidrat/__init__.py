@@ -46,6 +46,7 @@ from .operations import (
     DEFAULT_MAX_GEN,
     araki_kudo_q,
     coproduct,
+    coproduct_dims,
     iterated_q,
     sq1_dual,
     sqj_dual,

@@ -25,7 +25,7 @@ from .families import (
     embed,
     top_class,
 )
-from .operations import DEFAULT_MAX_GEN, coproduct, sqj_dual
+from .operations import DEFAULT_MAX_GEN, coproduct, coproduct_dims, sqj_dual
 
 DEFAULT_ISO_BUDGET = 10**6
 DEFAULT_BASIS_BOUND = 4096
@@ -202,9 +202,19 @@ def extract_coalgebra(
 
 
 def s_set(fm: FamilyMonomial, *, max_gen: int = DEFAULT_MAX_GEN) -> frozenset[int]:
-    """Left dimensions where the coproduct of the embedded class is nonzero."""
-    psi = coproduct(embed(fm, max_gen=max_gen))
-    return frozenset(tensor_components(psi, fm.dim))
+    """Left dimensions where the coproduct of the embedded class is nonzero.
+
+    Raises ``ValueError`` if a pair's dimensions do not sum to ``fm.dim``,
+    which signals a non-homogeneous embedding.
+    """
+    d = fm.dim
+    dims = coproduct_dims(embed(fm, max_gen=max_gen))
+    for s, t in dims:
+        if s + t != d:
+            raise ValueError(
+                f"coproduct pair of dimensions ({s}, {t}) has total {s + t}, expected {d}"
+            )
+    return frozenset(s for s, _ in dims)
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,20 @@ Q(Q^i g) = Q^{i+1} g), the diagonal coproduct (an algebra map with
 psi(g^a) = g^a (x) g^a and psi(Q^i g) = g^{2^i} (x) Q^i g + Q^i g (x) g^{2^i}),
 and the dual Steenrod operations Sq_j^*.
 
-Per-monomial results are memoized in write-once caches; entries are never
-mutated after insertion, so concurrent readers are safe.
+The coproduct runs on a packed-int kernel: a monomial pair is one Python
+int, so multiplying pairs is integer addition and F2 cancellation is set
+symmetric difference.  ``coproduct`` decodes the result into a
+``TensorElement``; ``coproduct_dims`` reads the (left dim, right dim) of each
+surviving pair straight from the ints, without decoding.
+
+Per-monomial results are memoized in write-once caches (the coproduct memo
+holds frozensets of packed ints); entries are never mutated after insertion,
+so concurrent readers are safe.
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 from .ambient import (
     ZERO,
@@ -26,8 +35,20 @@ from .ambient import (
 DEFAULT_MAX_GEN = 32
 
 _Q_CACHE: dict[AmbientMonomial, AmbientElement] = {}
-_PSI_CACHE: dict[AmbientMonomial, TensorElement] = {}
+_PSI_CACHE: dict[AmbientMonomial, frozenset[int]] = {}
 _SQJ_CACHE: dict[tuple[AmbientMonomial, int], AmbientElement] = {}
+
+
+def _xor_all(sets: Iterable[Iterable]) -> set:
+    """F2 sum of the given sets, accumulated in one set."""
+    out: set = set()
+    for items in sets:
+        out.symmetric_difference_update(items)
+    return out
+
+
+def _f2_sum(parts: Iterable[AmbientElement]) -> AmbientElement:
+    return AmbientElement(frozenset(_xor_all(p.terms for p in parts)))
 
 
 def _q_of_g_power(a: int) -> AmbientElement:
@@ -71,9 +92,7 @@ def _q_monomial(m: AmbientMonomial) -> AmbientElement:
 
 def araki_kudo_q(e: AmbientElement, *, max_gen: int = DEFAULT_MAX_GEN) -> AmbientElement:
     """Apply Q linearly over F2; doubles weight and sends dimension d to 2d+1."""
-    out = ZERO
-    for m in e.terms:
-        out = out + _q_monomial(m)
+    out = _f2_sum(map(_q_monomial, e.terms))
     if out.max_q_index > max_gen:
         raise GeneratorLimitError(
             f"operation produced generator index {out.max_q_index} > max_gen={max_gen}"
@@ -88,48 +107,112 @@ def iterated_q(e: AmbientElement, n: int, *, max_gen: int = DEFAULT_MAX_GEN) -> 
     return e
 
 
-def _psi_monomial(m: AmbientMonomial) -> TensorElement:
+# Packed coproduct kernel.  A monomial pair is one int.  Each half has a dim
+# field (field 0), a g field (field 1) and a Q^i g exponent field (field
+# i + 1), _W bits each; field j of the left half sits at slot 2j and of the
+# right half at slot 2j + 1, so the layout does not depend on the largest
+# index.  Fields are balanced base-2^_W digits because g exponents may be
+# negative: pairs multiply by integer addition, and the int determines the
+# pair as long as every field stays below _HALF in absolute value.
+_W = 32
+_MASK = (1 << _W) - 1
+_HALF = 1 << (_W - 1)
+_DIMS = (1 << 2 * _W) - 1  # slots 0 and 1: the left and right dims
+
+
+def _slot(field: int, right: int) -> int:
+    return 1 << ((2 * field + right) * _W)
+
+
+_G_PAIR = _slot(1, 0) + _slot(1, 1)  # g (x) g
+
+
+def _submasks(e: int) -> Iterable[int]:
+    j = e
+    while True:
+        yield j
+        if j == 0:
+            return
+        j = (j - 1) & e
+
+
+def _psi_monomial(m: AmbientMonomial) -> frozenset[int]:
     cached = _PSI_CACHE.get(m)
     if cached is not None:
         return cached
-    g_part = monomial(m.g_exp)
-    out = TensorElement(frozenset({(g_part, g_part)}))
+    # Every field of every pair is bounded by this: |g| <= |g_exp| + sum e_i 2^i,
+    # while each dim and each e_i is at most sum e_i 2^i.
+    bound = abs(m.g_exp) + sum(e << i for i, e in m.q_exps)
+    if bound >= _HALF:
+        raise GeneratorLimitError(
+            f"monomial {m} exceeds the coproduct field range 2^{_W - 1}"
+        )
+    out = {m.g_exp * _G_PAIR}
     for i, e in m.q_exps:
-        gen = q_gen(i)
-        twist = monomial(1 << i)
-        pair = TensorElement(frozenset({(twist, gen), (gen, twist)}))
-        out = out * pair ** e
-    _PSI_CACHE[m] = out
-    return out
+        # psi(Q^i g) = x + y with x = g^{2^i} (x) Q^i g, y = Q^i g (x) g^{2^i};
+        # binom(e, j) is odd exactly for the submasks j of e (Lucas), so
+        # (x + y)^e = sum over those j of x^j y^{e-j}.
+        x = (1 << i) * _slot(1, 0) + ((1 << i) - 1) * _slot(0, 1) + _slot(i + 1, 1)
+        y = ((1 << i) - 1) * _slot(0, 0) + _slot(i + 1, 0) + (1 << i) * _slot(1, 1)
+        power = [j * x + (e - j) * y for j in _submasks(e)]
+        # For a fixed b the sums a + b over distinct a are distinct, so one
+        # symmetric difference per b is an exact F2 product.
+        out = _xor_all({a + b for a in out} for b in power)
+    cached = _PSI_CACHE[m] = frozenset(out)
+    return cached
+
+
+def _unpack_half(fields: tuple[int, ...], memo: dict) -> AmbientMonomial:
+    m = memo.get(fields)
+    if m is None:
+        g_exp = fields[1] if len(fields) > 1 else 0
+        q_exps = tuple((i, e) for i, e in enumerate(fields[2:], 1) if e)
+        m = memo[fields] = AmbientMonomial(g_exp, q_exps)
+    return m
 
 
 def coproduct(e: AmbientElement) -> TensorElement:
     """The diagonal coproduct, linear over F2 and multiplicative on monomials."""
-    out = TensorElement()
-    for m in e.terms:
-        out = out + _psi_monomial(m)
-    return out
+    memo: dict = {}
+    pairs = []
+    for x in _xor_all(map(_psi_monomial, e.terms)):
+        digits = []
+        while x:
+            d = x & _MASK
+            if d >= _HALF:
+                d -= 1 << _W
+            digits.append(d)
+            x = (x - d) >> _W
+        pairs.append((_unpack_half(tuple(digits[0::2]), memo),
+                      _unpack_half(tuple(digits[1::2]), memo)))
+    return TensorElement(frozenset(pairs))
+
+
+def coproduct_dims(e: AmbientElement) -> set[tuple[int, int]]:
+    """The (left dim, right dim) of every pair in ``coproduct(e)``, read from
+    the packed pairs without decoding them."""
+    # Dims are the two lowest fields and never negative, so no borrow from
+    # the signed fields above reaches them.
+    low = {x & _DIMS for x in _xor_all(map(_psi_monomial, e.terms))}
+    return {(v & _MASK, v >> _W) for v in low}
 
 
 def _sq1_monomial(m: AmbientMonomial) -> AmbientElement:
     # Derivation: hit one factor at a time; Sq_1^*(Q^i g) = (Q^{i-1} g)^2 for
     # i >= 2 and zero on g and Qg, so only odd powers of Q^i g, i >= 2 survive.
-    out = ZERO
+    out = []
     for i, e in m.q_exps:
         if i >= 2 and e & 1:
             exps = dict(m.q_exps)
             exps[i] = e - 1
             exps[i - 1] = exps.get(i - 1, 0) + 2
-            out = out + element(monomial(m.g_exp, exps))
-    return out
+            out.append(monomial(m.g_exp, exps))
+    return element(*out)
 
 
 def sq1_dual(e: AmbientElement) -> AmbientElement:
     """The dual of the first Steenrod square; preserves weight, lowers dim by 1."""
-    out = ZERO
-    for m in e.terms:
-        out = out + _sq1_monomial(m)
-    return out
+    return _f2_sum(map(_sq1_monomial, e.terms))
 
 
 def _sqj_monomial(m: AmbientMonomial, j: int) -> AmbientElement:
@@ -167,7 +250,4 @@ def sqj_dual(e: AmbientElement, j: int) -> AmbientElement:
         raise ValueError(f"j must be >= 1, got {j}")
     if j == 1:
         return sq1_dual(e)
-    out = ZERO
-    for m in e.terms:
-        out = out + _sqj_monomial(m, j)
-    return out
+    return _f2_sum(_sqj_monomial(m, j) for m in e.terms)

@@ -2,8 +2,9 @@
 
 The oracles deliberately avoid the code paths they check: the recursive
 Cartan splitter peels one generator copy at a time instead of using closed
-forms, the top-class support for the braid family comes from subset sums,
-the family-level structure constants are obtained by multiplying out
+forms, the reference coproduct multiplies ``TensorElement`` objects instead
+of packed ints, the top-class support for the braid family comes from
+subset sums, the family-level structure constants are obtained by multiplying out
 generator coproducts term by term with no elimination step, and
 isomorphisms are counted by enumerating every invertible per-degree map.
 """
@@ -19,6 +20,7 @@ from braidrat.ambient import (
     ZERO,
     AmbientElement,
     AmbientMonomial,
+    TensorElement,
     element,
     monomial,
     q_gen,
@@ -67,6 +69,23 @@ def q_recursive_element(e: AmbientElement) -> AmbientElement:
     out = ZERO
     for m in e.terms:
         out = out + q_recursive_monomial(m)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Object-level coproduct: per monomial, the product of TensorElement pair
+# powers, summed.
+
+
+def reference_coproduct(e: AmbientElement) -> TensorElement:
+    out = TensorElement()
+    for m in e.terms:
+        g_part = monomial(m.g_exp)
+        psi = TensorElement(frozenset({(g_part, g_part)}))
+        for i, n in m.q_exps:
+            twist = monomial(1 << i)
+            psi = psi * TensorElement(frozenset({(twist, q_gen(i)), (q_gen(i), twist)})) ** n
+        out = out + psi
     return out
 
 

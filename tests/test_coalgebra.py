@@ -25,10 +25,16 @@ from braidrat.coalgebra import (
     verify_steenrod_intertwining,
 )
 from braidrat.ambient import TensorElement, element, monomial, q_gen, tensor_components
-from braidrat.families import Family, family_monomial, top_class, embed
-from braidrat.operations import coproduct, sqj_dual
+from braidrat.families import Family, FamilyMonomial, family_monomial, top_class, embed
+from braidrat.operations import coproduct, coproduct_dims, sqj_dual
 
-from helpers import braid_top_support, brute_force_delta, brute_force_isomorphism_count
+from helpers import (
+    braid_top_support,
+    brute_force_delta,
+    brute_force_isomorphism_count,
+    family_generator_coproduct,
+    fpairs_mul,
+)
 
 
 def test_extract_braid_weight_two():
@@ -188,6 +194,35 @@ def test_braid_supports_match_subset_sum_oracle():
     for k in range(1, 33):
         y = top_class(Family.BRAID, k)
         assert s_set(y) == braid_top_support(k)
+
+
+def test_rat_supports_match_family_expansion():
+    unit = FamilyMonomial(Family.RAT, ())
+    for k in range(1, 65):
+        pairs = frozenset({(unit, unit)})
+        for j in range(k.bit_length()):
+            if k >> j & 1:
+                pairs = fpairs_mul(pairs, family_generator_coproduct(Family.RAT, j))
+        assert s_set(top_class(Family.RAT, k)) == {left.dim for left, _ in pairs}
+
+
+def test_rat_supports_pinned():
+    # sha256 recorded with the object-level coproduct, before the packed kernel
+    supports = [[k, sorted(s_set(top_class(Family.RAT, k)))] for k in range(1, 129)]
+    digest = hashlib.sha256(json.dumps(supports, separators=(",", ":")).encode()).hexdigest()
+    assert digest == "b415d821f34143b2d6a218ec0c84b0d78f40536bcae00644d1a0b7a6c26207a3"
+
+
+def test_s_set_rejects_inhomogeneous_pairs(monkeypatch, capsys):
+    # (0, 0) does not sum to the top dimension of any class of positive dimension
+    monkeypatch.setattr(coalgebra, "coproduct_dims", lambda e: coproduct_dims(e) | {(0, 0)})
+    with pytest.raises(ValueError, match="expected 4"):
+        s_set(top_class(Family.RAT, 3))
+    for argv in (["s-set", "--family", "rat", "--k", "3"],
+                 ["theorem-main", "--from", "2", "--to", "3"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
 
 
 def test_invariants_equal_for_weight_six_and_three():

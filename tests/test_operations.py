@@ -15,10 +15,20 @@ from braidrat.ambient import (
     q_gen,
     tensor,
 )
-from braidrat.families import Family, embed, family_monomial
-from braidrat.operations import araki_kudo_q, coproduct, iterated_q, sq1_dual, sqj_dual
+from braidrat import operations
+from braidrat.families import Family, embed, family_monomial, top_class
+from braidrat.operations import (
+    araki_kudo_q,
+    coproduct,
+    coproduct_dims,
+    iterated_q,
+    sq1_dual,
+    sqj_dual,
+)
 
-from helpers import q_recursive_element
+from helpers import q_recursive_element, random_element, reference_coproduct
+
+import random
 
 RHO0 = element(G_INV * q_gen(1))
 
@@ -155,6 +165,37 @@ def test_coproduct_pairs_have_equal_weights_per_side():
     e = element(monomial(-1, {1: 1, 2: 1}))
     for a, b in coproduct(e).terms:
         assert a.weight == b.weight == -1 + 2 + 4
+
+
+def test_coproduct_dims_match_decoded_pairs():
+    rng = random.Random(4412)
+    cases = [
+        random_element(rng, max_terms=4, max_g=16, max_idx=8, max_factors=3, max_exp=40)
+        for _ in range(200)
+    ]
+    cases += [embed(top_class(f, k)) for f in (Family.RAT, Family.BRAID) for k in range(1, 40)]
+    cases += [embed(family_monomial(Family.CONF, {i: 1, i + 1: 2})) for i in range(4)]
+    for e in cases:
+        assert coproduct_dims(e) == {(a.dim, b.dim) for a, b in coproduct(e).terms}
+
+
+@pytest.mark.parametrize(
+    "m",
+    [monomial(-(1 << 40)), monomial(-(1 << 40), {1: 1}), q_gen(1) ** (1 << 40),
+     monomial(operations._HALF), monomial(-operations._HALF),
+     monomial(1 - operations._HALF, {1: 1})],
+)
+def test_coproduct_field_range_guard(m):
+    for read_out in (coproduct, coproduct_dims):
+        with pytest.raises(GeneratorLimitError):
+            read_out(element(m))
+    assert m not in operations._PSI_CACHE
+
+
+def test_coproduct_at_field_range_edge():
+    for m in (monomial(operations._HALF - 1), monomial(1 - operations._HALF),
+              monomial(3 - operations._HALF, {1: 1})):
+        assert coproduct(element(m)) == reference_coproduct(element(m))
 
 
 def test_sq1_generator_values():

@@ -15,7 +15,7 @@ from braidrat.coalgebra import s_set
 from braidrat.families import embed
 from braidrat.operations import araki_kudo_q, coproduct, sq1_dual
 
-from helpers import random_family_monomial
+from helpers import random_family_monomial, reference_coproduct
 
 import random
 
@@ -101,6 +101,23 @@ def test_q_bigrade_law(m):
     for t in img.terms:
         assert t.weight == 2 * m.weight
         assert t.dim == 2 * m.dim + 1
+
+
+@st.composite
+def wide_elements(draw):
+    """Mixed weights, negative g exponents, exponents up to 40, indices up to 8."""
+    out = ZERO
+    for _ in range(draw(st.integers(0, 4))):
+        idxs = draw(st.lists(st.integers(1, 8), max_size=3, unique=True))
+        exps = {i: draw(st.integers(1, 40)) for i in idxs}
+        out = out + element(monomial(draw(st.integers(-64, 64)), exps))
+    return out
+
+
+@SETTINGS
+@given(wide_elements())
+def test_coproduct_matches_object_route(e):
+    assert coproduct(e) == reference_coproduct(e)
 
 
 @SETTINGS
