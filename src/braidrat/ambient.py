@@ -13,7 +13,6 @@ may be shared freely between threads.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
@@ -105,9 +104,17 @@ def q_gen(i: int) -> AmbientMonomial:
     return monomial(0, {i: 1})
 
 
-def _parity(items: Iterable) -> frozenset:
-    counts: Counter = Counter(items)
-    return frozenset(x for x, c in counts.items() if c & 1)
+def xor_all(parts: Iterable[Iterable]) -> set:
+    """F2 sum of the given parts, accumulated in one set.
+
+    The items within each part must be distinct: ``symmetric_difference_update``
+    collapses a duplicate inside one part instead of cancelling it.  Items
+    repeated across parts cancel in pairs.
+    """
+    out: set = set()
+    for items in parts:
+        out.symmetric_difference_update(items)
+    return out
 
 
 @dataclass(frozen=True)
@@ -135,7 +142,8 @@ class AmbientElement:
     def __mul__(self, other: "AmbientElement") -> "AmbientElement":
         if not isinstance(other, AmbientElement):
             return NotImplemented
-        return AmbientElement(_parity(a * b for a in self.terms for b in other.terms))
+        # Monomial products cancel: for a fixed a, distinct b give distinct a*b.
+        return AmbientElement(frozenset(xor_all({a * b for b in other.terms} for a in self.terms)))
 
     def square(self) -> "AmbientElement":
         # Frobenius: cross terms cancel in characteristic 2.
@@ -164,7 +172,7 @@ class AmbientElement:
 
 def element(*terms: AmbientMonomial) -> AmbientElement:
     """F2 sum of the given monomials (duplicates cancel)."""
-    return AmbientElement(_parity(terms))
+    return AmbientElement(frozenset(xor_all((t,) for t in terms)))
 
 
 ZERO = element()
@@ -205,13 +213,10 @@ class TensorElement:
     def __mul__(self, other: "TensorElement") -> "TensorElement":
         if not isinstance(other, TensorElement):
             return NotImplemented
-        return TensorElement(
-            _parity(
-                (a1 * b1, a2 * b2)
-                for a1, a2 in self.terms
-                for b1, b2 in other.terms
-            )
-        )
+        # As for AmbientElement: a fixed pair times distinct pairs stays distinct.
+        return TensorElement(frozenset(xor_all(
+            {(a1 * b1, a2 * b2) for b1, b2 in other.terms} for a1, a2 in self.terms
+        )))
 
     def square(self) -> "TensorElement":
         return TensorElement(frozenset((a * a, b * b) for a, b in self.terms))

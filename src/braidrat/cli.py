@@ -32,7 +32,7 @@ from .coalgebra import (
     steenrod_matrix,
     theorem_main,
 )
-from .families import DEFAULT_K_BOUND, Family, basis, embed, top_class
+from .families import DEFAULT_K_BOUND, Family, basis, embed, poincare_vector, top_class
 from .operations import DEFAULT_MAX_GEN
 
 SCHEMA_VERSION = 2
@@ -127,7 +127,7 @@ def _cmd_basis(args, config: RunConfig) -> int:
 
 def _cmd_s_set(args, config: RunConfig) -> int:
     family = Family(args.family)
-    fm = top_class(family, args.k)
+    fm = top_class(family, args.k, k_bound=config.k_bound)
     support = sorted(s_set(fm, max_gen=config.max_gen))
     payload = {
         "schema": SCHEMA_VERSION,
@@ -275,12 +275,8 @@ def _cmd_steenrod(args, config: RunConfig) -> int:
     mats = steenrod_matrix(
         family, args.k, j=args.j, max_gen=config.max_gen, k_bound=config.k_bound
     )
-    by_dim_sizes = {}
-    for fm in basis(family, args.k, k_bound=config.k_bound):
-        by_dim_sizes[fm.dim] = by_dim_sizes.get(fm.dim, 0) + 1
-    matrices = {
-        str(d): _matrix_json(mat, by_dim_sizes.get(d, 0)) for d, mat in sorted(mats.items())
-    }
+    sizes = poincare_vector(family, args.k, k_bound=config.k_bound)
+    matrices = {str(d): _matrix_json(mat, sizes[d]) for d, mat in sorted(mats.items())}
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "steenrod",

@@ -11,12 +11,11 @@ the support-set comparison of top classes.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from . import gf2
-from .ambient import G, TensorElement, tensor_components
+from .ambient import G, TensorElement, tensor_components, xor_all
 from .families import (
     DEFAULT_K_BOUND,
     Family,
@@ -77,18 +76,15 @@ class GradedCoalgebra:
             for a in range(dims[d]):
                 for s in range(d + 1):
                     for t in range(d - s + 1):
-                        u = d - s - t
-                        lhs: Counter = Counter()
-                        for i, j in self.delta[(d, s)][a]:
-                            for p, q in self.delta[(d - s, t)][j]:
-                                lhs[(i, p, q)] += 1
-                        rhs: Counter = Counter()
-                        for m, c in self.delta[(d, s + t)][a]:
-                            for p, q in self.delta[(s + t, s)][m]:
-                                rhs[(p, q, c)] += 1
-                        if {x for x, n in lhs.items() if n & 1} != {
-                            x for x, n in rhs.items() if n & 1
-                        }:
+                        lhs = xor_all(
+                            {(i, p, q) for p, q in self.delta[(d - s, t)][j]}
+                            for i, j in self.delta[(d, s)][a]
+                        )
+                        rhs = xor_all(
+                            {(p, q, c) for p, q in self.delta[(s + t, s)][m]}
+                            for m, c in self.delta[(d, s + t)][a]
+                        )
+                        if lhs != rhs:
                             return False
         return True
 
@@ -265,15 +261,12 @@ def verify_coalgebra_map(
             img = _phi_image(phi[d], src)
             for s in range(d + 1):
                 t = d - s
-                lhs: frozenset = frozenset()
-                for m in img:
-                    lhs = lhs ^ b.delta[(d, s)][m]
-                rhs: Counter = Counter()
-                for i, j in a.delta[(d, s)][src]:
-                    for p in _phi_image(phi[s], i):
-                        for q in _phi_image(phi[t], j):
-                            rhs[(p, q)] += 1
-                if lhs != {pq for pq, n in rhs.items() if n & 1}:
+                lhs = xor_all(b.delta[(d, s)][m] for m in img)
+                rhs = xor_all(
+                    {(p, q) for p in _phi_image(phi[s], i) for q in _phi_image(phi[t], j)}
+                    for i, j in a.delta[(d, s)][src]
+                )
+                if lhs != rhs:
                     return False
     return True
 
@@ -580,10 +573,8 @@ def theorem_main(
     verifies 5 separates the supports while 2 lies in neither.  When the
     supports agree, a full isomorphism check is run and reported.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    x = top_class(Family.RAT, k)
-    y = top_class(Family.BRAID, k)
+    x = top_class(Family.RAT, k, k_bound=k_bound)
+    y = top_class(Family.BRAID, k, k_bound=k_bound)
     sx = s_set(x, max_gen=max_gen)
     sy = s_set(y, max_gen=max_gen)
     distinct = sx != sy

@@ -162,16 +162,20 @@ def _exponent_vectors(weights: list[int], total: int, exact: bool) -> Iterator[t
     yield from rec(0, total)
 
 
+def _check_k(k: int, k_bound: int) -> None:
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if k > k_bound:
+        raise ValueError(f"k={k} exceeds the enumeration bound {k_bound}")
+
+
 def basis(family: Family, k: int, *, k_bound: int = DEFAULT_K_BOUND) -> list[FamilyMonomial]:
     """Monomials of weight exactly k (braid, rat) or weight <= k (conf).
 
     The list is sorted by dimension, then lexicographically on exponent
     vectors, so output order is deterministic.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if k > k_bound:
-        raise ValueError(f"k={k} exceeds the enumeration bound {k_bound}")
+    _check_k(k, k_bound)
     idxs = _generator_indices(family, k)
     weights = [generator_bigrade(family, i).weight for i in idxs]
     exact = family is not Family.CONF
@@ -183,17 +187,16 @@ def basis(family: Family, k: int, *, k_bound: int = DEFAULT_K_BOUND) -> list[Fam
     return [fm for _, _, fm in entries]
 
 
-def top_class(family: Family, k: int) -> FamilyMonomial:
+def top_class(family: Family, k: int, *, k_bound: int = DEFAULT_K_BOUND) -> FamilyMonomial:
     """The unique basis monomial of maximal dimension.
 
     For ``rat`` this is prod rho_j over the binary expansion k = sum 2^j; for
     ``braid`` the argument denotes the 2k-strand space and the top class is
-    prod gamma_{j+1}.
+    prod gamma_{j+1}.  Raises ``ValueError`` for k > k_bound, as ``basis`` does.
     """
     if family is Family.CONF:
         raise ValueError("top_class is defined for the braid and rat families")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_k(k, k_bound)
     bits = [j for j in range(k.bit_length()) if (k >> j) & 1]
     if family is Family.RAT:
         return FamilyMonomial(family, tuple((j, 1) for j in bits))

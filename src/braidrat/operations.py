@@ -30,6 +30,7 @@ from .ambient import (
     element,
     monomial,
     q_gen,
+    xor_all,
 )
 
 DEFAULT_MAX_GEN = 32
@@ -39,16 +40,8 @@ _PSI_CACHE: dict[AmbientMonomial, frozenset[int]] = {}
 _SQJ_CACHE: dict[tuple[AmbientMonomial, int], AmbientElement] = {}
 
 
-def _xor_all(sets: Iterable[Iterable]) -> set:
-    """F2 sum of the given sets, accumulated in one set."""
-    out: set = set()
-    for items in sets:
-        out.symmetric_difference_update(items)
-    return out
-
-
 def _f2_sum(parts: Iterable[AmbientElement]) -> AmbientElement:
-    return AmbientElement(frozenset(_xor_all(p.terms for p in parts)))
+    return AmbientElement(frozenset(xor_all(p.terms for p in parts)))
 
 
 def _q_of_g_power(a: int) -> AmbientElement:
@@ -157,7 +150,7 @@ def _psi_monomial(m: AmbientMonomial) -> frozenset[int]:
         power = [j * x + (e - j) * y for j in _submasks(e)]
         # For a fixed b the sums a + b over distinct a are distinct, so one
         # symmetric difference per b is an exact F2 product.
-        out = _xor_all({a + b for a in out} for b in power)
+        out = xor_all({a + b for a in out} for b in power)
     cached = _PSI_CACHE[m] = frozenset(out)
     return cached
 
@@ -175,7 +168,7 @@ def coproduct(e: AmbientElement) -> TensorElement:
     """The diagonal coproduct, linear over F2 and multiplicative on monomials."""
     memo: dict = {}
     pairs = []
-    for x in _xor_all(map(_psi_monomial, e.terms)):
+    for x in xor_all(map(_psi_monomial, e.terms)):
         digits = []
         while x:
             d = x & _MASK
@@ -193,7 +186,7 @@ def coproduct_dims(e: AmbientElement) -> set[tuple[int, int]]:
     the packed pairs without decoding them."""
     # Dims are the two lowest fields and never negative, so no borrow from
     # the signed fields above reaches them.
-    low = {x & _DIMS for x in _xor_all(map(_psi_monomial, e.terms))}
+    low = {x & _DIMS for x in xor_all(map(_psi_monomial, e.terms))}
     return {(v & _MASK, v >> _W) for v in low}
 
 
@@ -216,8 +209,6 @@ def sq1_dual(e: AmbientElement) -> AmbientElement:
 
 
 def _sqj_monomial(m: AmbientMonomial, j: int) -> AmbientElement:
-    if j == 0:
-        return element(m)
     if m.dim < j:
         return ZERO
     if j == 1:

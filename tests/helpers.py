@@ -2,11 +2,12 @@
 
 The oracles deliberately avoid the code paths they check: the recursive
 Cartan splitter peels one generator copy at a time instead of using closed
-forms, the reference coproduct multiplies ``TensorElement`` objects instead
-of packed ints, the top-class support for the braid family comes from
-subset sums, the family-level structure constants are obtained by multiplying out
-generator coproducts term by term with no elimination step, and
-isomorphisms are counted by enumerating every invertible per-degree map.
+forms, the reference coproduct multiplies sets of monomial pairs with its
+own ``Counter`` parity instead of packed ints and ``ambient.xor_all``, the
+top-class support for the braid family comes from subset sums, the
+family-level structure constants are obtained by multiplying out generator
+coproducts term by term with no elimination step, and isomorphisms are
+counted by enumerating every invertible per-degree map.
 """
 
 from __future__ import annotations
@@ -73,20 +74,25 @@ def q_recursive_element(e: AmbientElement) -> AmbientElement:
 
 
 # ---------------------------------------------------------------------------
-# Object-level coproduct: per monomial, the product of TensorElement pair
-# powers, summed.
+# Object-level coproduct: per monomial, the product of monomial-pair set
+# powers (square-and-multiply with ``fpairs_mul``), summed.
 
 
 def reference_coproduct(e: AmbientElement) -> TensorElement:
-    out = TensorElement()
+    out: frozenset = frozenset()
     for m in e.terms:
         g_part = monomial(m.g_exp)
-        psi = TensorElement(frozenset({(g_part, g_part)}))
+        psi = frozenset({(g_part, g_part)})
         for i, n in m.q_exps:
             twist = monomial(1 << i)
-            psi = psi * TensorElement(frozenset({(twist, q_gen(i)), (q_gen(i), twist)})) ** n
-        out = out + psi
-    return out
+            base = frozenset({(twist, q_gen(i)), (q_gen(i), twist)})
+            while n:
+                if n & 1:
+                    psi = fpairs_mul(psi, base)
+                base = fpairs_mul(base, base)
+                n >>= 1
+        out = out ^ psi
+    return TensorElement(out)
 
 
 # ---------------------------------------------------------------------------

@@ -207,6 +207,18 @@ def test_unknown_family_rejected(capsys):
     assert exc.value.code == 2
 
 
+def test_top_class_commands_fail_fast_on_huge_k(capsys):
+    for argv in (
+        ("s-set", "--family", "rat", "--k", "4095"),
+        ("theorem-main", "--from", "1025", "--to", "1025"),
+        ("--k-bound", "4", "s-set", "--family", "braid", "--k", "5"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error:") and "exceeds the enumeration bound" in err
+        assert out == ""
+
+
 def test_max_gen_flag_propagates(capsys):
     code, out, err = run(capsys, "--max-gen", "2", "s-set", "--family", "rat", "--k", "8")
     assert code == 2

@@ -141,6 +141,11 @@ def test_top_class_values():
     assert top_class(Family.BRAID, 1) == family_monomial(Family.BRAID, {1: 1})
     with pytest.raises(ValueError):
         top_class(Family.CONF, 2)
+    assert top_class(Family.RAT, 1024) == family_monomial(Family.RAT, {10: 1})
+    with pytest.raises(ValueError, match="k=1025 exceeds the enumeration bound 1024"):
+        top_class(Family.RAT, 1025)
+    with pytest.raises(ValueError, match="k=5 exceeds the enumeration bound 4"):
+        top_class(Family.BRAID, 5, k_bound=4)
 
 
 def test_top_class_dimension_for_all_ones_weights():

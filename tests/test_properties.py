@@ -10,6 +10,7 @@ from braidrat.ambient import (
     element,
     monomial,
     tensor_components,
+    xor_all,
 )
 from braidrat.coalgebra import s_set
 from braidrat.families import embed
@@ -37,6 +38,13 @@ def elements(draw):
     for m in draw(st.lists(monomials(), max_size=3)):
         out = out + element(m)
     return out
+
+
+@SETTINGS
+@given(st.lists(st.lists(st.integers(0, 12), unique=True, max_size=8), max_size=8))
+def test_xor_all_matches_counter_parity(parts):
+    counts = Counter(x for part in parts for x in part)
+    assert xor_all(parts) == {x for x, n in counts.items() if n & 1}
 
 
 @SETTINGS
