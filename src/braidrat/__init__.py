@@ -37,6 +37,7 @@ from .families import (
     Family,
     FamilyMonomial,
     basis,
+    basis_size,
     embed,
     family_monomial,
     poincare_vector,

@@ -15,16 +15,24 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from . import gf2
-from .ambient import G, TensorElement, tensor_components, xor_all
+from .ambient import G, TensorElement, xor_all
 from .families import (
     DEFAULT_K_BOUND,
     Family,
     FamilyMonomial,
     basis,
+    basis_size,
     embed,
     top_class,
 )
-from .operations import DEFAULT_MAX_GEN, coproduct, coproduct_dims, sqj_dual
+from .operations import (
+    DEFAULT_MAX_GEN,
+    coproduct,
+    coproduct_dims,
+    coproduct_fields,
+    monomial_fields,
+    sqj_dual,
+)
 
 DEFAULT_ISO_BUDGET = 10**6
 DEFAULT_BASIS_BOUND = 4096
@@ -36,14 +44,25 @@ class SpanError(RuntimeError):
     """A computed class left the span of the family basis."""
 
 
+def _columns(comps: Sequence[PairSet]) -> dict[tuple[int, int], int]:
+    """Transpose one split's structure constants: (i, j) -> the mask of the
+    elements a with (i, j) in ``comps[a]``."""
+    cols: dict = {}
+    for a, pairs in enumerate(comps):
+        bit = 1 << a
+        for ij in pairs:
+            cols[ij] = cols.get(ij, 0) | bit
+    return cols
+
+
 @dataclass(frozen=True)
 class GradedCoalgebra:
     """A finite graded F2 coalgebra given by basis labels and structure constants.
 
     ``delta[(d, s)][a]`` is the set of index pairs (i, j) such that the
     (degree s, degree d-s) component of the coproduct of basis element ``a``
-    of degree d contains b_i (x) b_j.  Coassociativity and the counit rows
-    are checked on construction.
+    of degree d contains b_i (x) b_j.  Index ranges, the counit rows and
+    coassociativity are checked on construction.
     """
 
     labels: tuple[tuple[str, ...], ...]
@@ -58,7 +77,9 @@ class GradedCoalgebra:
         for d in range(len(dims)):
             for s in range(d + 1):
                 comps = self.delta.get((d, s))
-                if comps is None or len(comps) != dims[d]:
+                if comps is None or len(comps) != dims[d] or not all(
+                    0 <= i < dims[s] and 0 <= j < dims[d - s] for pairs in comps for i, j in pairs
+                ):
                     raise ValueError(f"missing or malformed structure constants at {(d, s)}")
         if dims and dims[0] == 1:
             for d in range(len(dims)):
@@ -71,21 +92,40 @@ class GradedCoalgebra:
             raise ValueError("structure constants are not coassociative")
 
     def _coassociative(self) -> bool:
+        """Compare (delta (x) 1) delta with (1 (x) delta) delta for all
+        elements of a degree at once: per split (s, t), each side maps every
+        triple (x, y, z) of degrees (s, t, d - s - t), packed into one int
+        key, to the mask of the elements whose image contains it, and the
+        two sides agree when their XOR is zero at every key."""
         dims = self.dims
+        offsets = {  # (e, t) -> per element, p * dims[e - t] + q for each pair (p, q)
+            (e, t): [[p * dims[e - t] + q for p, q in pairs] for pairs in comps]
+            for (e, t), comps in self.delta.items()
+        }
+        # With the counit rows checked, the splits s = 0, t = 0 and s + t = d
+        # hold for any structure constants: both sides are then
+        # {(0, p, q) : (p, q) in delta(d, t)[a]}, {(i, 0, j) : (i, j) in
+        # delta(d, s)[a]} and {(i, j, 0) : (i, j) in delta(d, s)[a]}.
+        lo = 1 if dims[:1] == (1,) else 0
         for d in range(len(dims)):
-            for a in range(dims[d]):
-                for s in range(d + 1):
-                    for t in range(d - s + 1):
-                        lhs = xor_all(
-                            {(i, p, q) for p, q in self.delta[(d - s, t)][j]}
-                            for i, j in self.delta[(d, s)][a]
-                        )
-                        rhs = xor_all(
-                            {(p, q, c) for p, q in self.delta[(s + t, s)][m]}
-                            for m, c in self.delta[(d, s + t)][a]
-                        )
-                        if lhs != rhs:
-                            return False
+            cols = [_columns(self.delta[(d, s)]) for s in range(d + 1)]
+            for s in range(lo, d + 1 - lo):
+                for t in range(lo, d - s + 1 - lo):
+                    width = dims[d - s - t]
+                    diff: dict[int, int] = {}  # left side XOR right side
+                    inner = offsets[(d - s, t)]
+                    for (i, j), mask in cols[s].items():
+                        base = i * dims[t] * width
+                        for off in inner[j]:
+                            key = base + off
+                            diff[key] = diff.get(key, 0) ^ mask
+                    inner = offsets[(s + t, s)]
+                    for (m, c), mask in cols[s + t].items():
+                        for off in inner[m]:
+                            key = off * width + c
+                            diff[key] = diff.get(key, 0) ^ mask
+                    if any(diff.values()):
+                        return False
         return True
 
     def to_json(self) -> dict:
@@ -119,8 +159,9 @@ def _basis_by_dim(
     return out
 
 
-def _coordinates(vectors: Sequence[frozenset], what: str):
-    """Coordinate map onto ``vectors`` (sets of ambient terms), packed once.
+def _coordinates(vectors: Sequence[set], what: str):
+    """Coordinate map onto ``vectors`` (sets of ambient terms, as
+    ``monomial_fields`` keys), from one elimination.
 
     Raises ``SpanError`` if the vectors are dependent.  ``coords(terms)``,
     for distinct terms, is the bit mask over ``vectors`` summing to
@@ -133,13 +174,15 @@ def _coordinates(vectors: Sequence[frozenset], what: str):
         for t in terms:
             row |= 1 << index.setdefault(t, len(index))
         rows.append(row)
-    if gf2.kernel(rows):
+    solve, null = gf2.solver(rows)
+    if null:
         raise SpanError(f"the embedded {what} basis is linearly dependent")
 
     def coords(terms) -> int:
-        combo = None
-        if all(t in index for t in terms):
-            combo = gf2.solve(rows, sum(1 << index[t] for t in terms))
+        try:
+            combo = solve(sum([1 << index[t] for t in terms]))
+        except KeyError:  # a term no basis element has
+            combo = None
         if combo is None:
             raise SpanError(f"a class leaves the span of the embedded {what} basis")
         return combo
@@ -152,7 +195,8 @@ def _embedded_basis(by_dim: list[list[FamilyMonomial]], max_gen: int):
     coordinate map (see ``_coordinates``) onto the embedded basis."""
     embeds = [[embed(fm, max_gen=max_gen) for fm in row] for row in by_dim]
     return embeds, [
-        _coordinates([e.terms for e in row], f"degree-{d}") for d, row in enumerate(embeds)
+        _coordinates([set(map(monomial_fields, e.terms)) for e in row], f"degree-{d}")
+        for d, row in enumerate(embeds)
     ]
 
 
@@ -171,24 +215,30 @@ def extract_coalgebra(
     factor v, T's left factors solve to y_v[i] = sum_j C_ij f_j[v]; the v
     with bit i set in y_v solve to row i of C.  Either solve raises
     ``SpanError`` exactly when T leaves span(e (x) f), since the component
-    must be a sub-coalgebra.
+    must be a sub-coalgebra.  A pair whose dims do not add up to d raises
+    ``ValueError``.  The basis size is predicted before any enumeration, and
+    a size above ``basis_bound`` raises ``ValueError``.
     """
-    by_dim = _basis_by_dim(family, k, k_bound=k_bound)
-    total = sum(len(l) for l in by_dim)
+    total = basis_size(family, k, k_bound=k_bound)
     if total > basis_bound:
         raise ValueError(f"basis size {total} exceeds bound {basis_bound}")
+    by_dim = _basis_by_dim(family, k, k_bound=k_bound)
     embeds, coords = _embedded_basis(by_dim, max_gen)
     labels = tuple(tuple(fm.label() for fm in row) for row in by_dim)
     delta = {(d, s): [] for d in range(len(by_dim)) for s in range(d + 1)}
     for d, row in enumerate(embeds):
         for e in row:
-            parts = tensor_components(coproduct(e), d)
+            parts: dict[int, dict] = {}  # left dim -> right half -> left halves
+            for u, v in coproduct_fields(e):
+                s, t = u[0] if u else 0, v[0] if v else 0
+                if s + t != d:
+                    raise ValueError(
+                        f"coproduct pair of dimensions ({s}, {t}) has total {s + t}, expected {d}"
+                    )
+                parts.setdefault(s, {}).setdefault(v, []).append(u)
             for s in range(d + 1):
-                by_right: dict = {}
-                for u, v in parts.get(s, TensorElement()).terms:
-                    by_right.setdefault(v, []).append(u)
                 by_left: dict[int, list] = {}
-                for v, us in by_right.items():
+                for v, us in parts.get(s, {}).items():
                     for i in _bits(coords[s](us)):
                         by_left.setdefault(i, []).append(v)
                 delta[(d, s)].append(frozenset(
@@ -331,7 +381,12 @@ def coalgebras_isomorphic(
 
 
 def _bits(vec: int) -> list[int]:
-    return [i for i in range(vec.bit_length()) if (vec >> i) & 1]
+    out = []
+    while vec:
+        low = vec & -vec
+        out.append(low.bit_length() - 1)
+        vec ^= low
+    return out
 
 
 def _equation(
@@ -382,18 +437,18 @@ def _search_isomorphism(
     if dims != b.dims or dims[:1] != (1,):
         raise ValueError("isomorphism search needs connected coalgebras of equal dims")
     sq_a, sq_b = steenrod if steenrod is not None else ({}, {})
-    systems = []  # per degree: (equation rows of b's basis, their kernel)
-    for d, n in enumerate(dims):
-        rows = [_equation(b, sq_b, d, m, lambda s, i: 1 << i) for m in range(n)]
-        systems.append((rows, gf2.kernel(rows)))
+    systems = [  # per degree: a solve of b's equation rows, and their kernel
+        gf2.solver([_equation(b, sq_b, d, m, lambda s, i: 1 << i) for m in range(n)])
+        for d, n in enumerate(dims)
+    ]
     order = [(d, src) for d, n in enumerate(dims) for src in range(n)]
     start = [sum(dims[:d]) for d in range(len(dims))]
     cols: list[int] = []  # chosen columns phi_d(e_src), in ``order``
 
     def candidates(node: int):
         d, src = order[node]
-        rows, null = systems[d]
-        y0 = gf2.solve(rows, _equation(a, sq_a, d, src, lambda s, i: cols[start[s] + i]))
+        solve, null = systems[d]
+        y0 = solve(_equation(a, sq_a, d, src, lambda s, i: cols[start[s] + i]))
         if y0 is None:
             return
         prior = cols[start[d]:node]
@@ -463,7 +518,7 @@ def steenrod_matrix(
         to_basis = coords[below] if below >= 0 else _coordinates([], f"degree-{below}")
         matrix = [0] * (len(by_dim[below]) if below >= 0 else 0)
         for col, e in enumerate(embeds[d]):
-            for t_idx in _bits(to_basis(sqj_dual(e, j).terms)):
+            for t_idx in _bits(to_basis([monomial_fields(m) for m in sqj_dual(e, j).terms])):
                 matrix[t_idx] |= 1 << col
         out[d] = tuple(matrix)
     return out

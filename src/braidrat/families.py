@@ -187,6 +187,18 @@ def basis(family: Family, k: int, *, k_bound: int = DEFAULT_K_BOUND) -> list[Fam
     return [fm for _, _, fm in entries]
 
 
+def basis_size(family: Family, k: int, *, k_bound: int = DEFAULT_K_BOUND) -> int:
+    """``len(basis(family, k))``, counted without enumerating: the number of
+    partitions of k (of each weight <= k for ``conf``) into generator weights."""
+    _check_k(k, k_bound)
+    ways = [1] + [0] * k
+    for idx in _generator_indices(family, k):
+        w = generator_bigrade(family, idx).weight
+        for t in range(w, k + 1):
+            ways[t] += ways[t - w]
+    return sum(ways) if family is Family.CONF else ways[k]
+
+
 def top_class(family: Family, k: int, *, k_bound: int = DEFAULT_K_BOUND) -> FamilyMonomial:
     """The unique basis monomial of maximal dimension.
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 
 def _reduce_pair(vec: int, combo: int, pivots: dict[int, tuple[int, int]]) -> tuple[int, int]:
@@ -30,14 +30,28 @@ def _eliminate(rows: Sequence[int]) -> tuple[dict[int, tuple[int, int]], list[in
     return pivots, null
 
 
+def solver(rows: Sequence[int]) -> tuple[Callable[[int], int | None], list[int]]:
+    """Eliminate ``rows`` once, for many targets.
+
+    Returns ``(solve_one, null)``: ``solve_one(target)`` is
+    ``solve(rows, target)`` and ``null`` is ``kernel(rows)``.
+    """
+    pivots, null = _eliminate(rows)
+
+    def solve_one(target: int) -> int | None:
+        vec, combo = _reduce_pair(target, 0, pivots)
+        return combo if vec == 0 else None
+
+    return solve_one, null
+
+
 def solve(rows: Sequence[int], target: int) -> int | None:
     """Find x with XOR over {rows[i] : bit i of x} == target, or None.
 
     The returned combination is the one produced by elimination in row
     order, so it is deterministic for a fixed input order.
     """
-    vec, combo = _reduce_pair(target, 0, _eliminate(rows)[0])
-    return combo if vec == 0 else None
+    return solver(rows)[0](target)
 
 
 def kernel(rows: Sequence[int]) -> list[int]:

@@ -8,7 +8,9 @@ and the dual Steenrod operations Sq_j^*.
 
 The coproduct runs on a packed-int kernel: a monomial pair is one Python
 int, so multiplying pairs is integer addition and F2 cancellation is set
-symmetric difference.  ``coproduct`` decodes the result into a
+symmetric difference.  ``coproduct_fields`` decodes each surviving pair into
+the field tuples of its two halves, which coalgebra extraction groups
+without building monomials, and ``coproduct`` turns those into a
 ``TensorElement``; ``coproduct_dims`` reads the (left dim, right dim) of each
 surviving pair straight from the ints, without decoding.
 
@@ -155,6 +157,38 @@ def _psi_monomial(m: AmbientMonomial) -> frozenset[int]:
     return cached
 
 
+def monomial_fields(m: AmbientMonomial) -> tuple[int, ...]:
+    """The fields of ``m`` as one half of a packed pair, (dim, g, e_1, ...),
+    with trailing zeros stripped: the key ``coproduct_fields`` yields."""
+    exps = dict(m.q_exps)
+    fields = [m.dim, m.g_exp, *(exps.get(i, 0) for i in range(1, m.max_q_index + 1))]
+    while fields and not fields[-1]:
+        fields.pop()
+    return tuple(fields)
+
+
+def coproduct_fields(e: AmbientElement) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The pairs of the diagonal coproduct of ``e``, each as the fields of its
+    left and right half (see ``monomial_fields``), decoded from the packed
+    ints without building monomials."""
+    out = []
+    for x in xor_all(map(_psi_monomial, e.terms)):
+        digits = []
+        while x:
+            d = x & _MASK
+            if d >= _HALF:
+                d -= 1 << _W
+            digits.append(d)
+            x = (x - d) >> _W
+        left, right = digits[0::2], digits[1::2]
+        # The last digit is nonzero, so only the other half can end in zeros.
+        half = right if len(digits) & 1 else left
+        while half and not half[-1]:
+            half.pop()
+        out.append((tuple(left), tuple(right)))
+    return out
+
+
 def _unpack_half(fields: tuple[int, ...], memo: dict) -> AmbientMonomial:
     m = memo.get(fields)
     if m is None:
@@ -167,18 +201,10 @@ def _unpack_half(fields: tuple[int, ...], memo: dict) -> AmbientMonomial:
 def coproduct(e: AmbientElement) -> TensorElement:
     """The diagonal coproduct, linear over F2 and multiplicative on monomials."""
     memo: dict = {}
-    pairs = []
-    for x in xor_all(map(_psi_monomial, e.terms)):
-        digits = []
-        while x:
-            d = x & _MASK
-            if d >= _HALF:
-                d -= 1 << _W
-            digits.append(d)
-            x = (x - d) >> _W
-        pairs.append((_unpack_half(tuple(digits[0::2]), memo),
-                      _unpack_half(tuple(digits[1::2]), memo)))
-    return TensorElement(frozenset(pairs))
+    return TensorElement(frozenset(
+        (_unpack_half(left, memo), _unpack_half(right, memo))
+        for left, right in coproduct_fields(e)
+    ))
 
 
 def coproduct_dims(e: AmbientElement) -> set[tuple[int, int]]:

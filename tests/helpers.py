@@ -6,8 +6,9 @@ forms, the reference coproduct multiplies sets of monomial pairs with its
 own ``Counter`` parity instead of packed ints and ``ambient.xor_all``, the
 top-class support for the braid family comes from subset sums, the
 family-level structure constants are obtained by multiplying out generator
-coproducts term by term with no elimination step, and isomorphisms are
-counted by enumerating every invertible per-degree map.
+coproducts term by term with no elimination step, isomorphisms are
+counted by enumerating every invertible per-degree map, and coassociativity
+is checked one element and one split at a time, trivial splits included.
 """
 
 from __future__ import annotations
@@ -191,6 +192,41 @@ def brute_force_delta(family: Family, k: int):
                 frozenset(per_degree[d][a].get(s, set())) for a in range(len(row))
             )
     return delta
+
+
+# ---------------------------------------------------------------------------
+# Per-element checks of structure constants shaped like GradedCoalgebra.delta.
+
+
+def counit_rows_hold(delta, dims) -> bool:
+    """delta(d, 0)[a] = {(0, a)} and delta(d, d)[a] = {(a, 0)} everywhere."""
+    return all(
+        delta[(d, 0)][a] == {(0, a)} and delta[(d, d)][a] == {(a, 0)}
+        for d in range(len(dims))
+        for a in range(dims[d])
+    )
+
+
+def coassociative(delta, dims) -> bool:
+    """(delta (x) 1) delta == (1 (x) delta) delta on every element, for every
+    split (s, t) with s + t <= d, as parities of index triples."""
+    for d in range(len(dims)):
+        for a in range(dims[d]):
+            for s in range(d + 1):
+                for t in range(d - s + 1):
+                    lhs = _parity(
+                        (i, p, q)
+                        for i, j in delta[(d, s)][a]
+                        for p, q in delta[(d - s, t)][j]
+                    )
+                    rhs = _parity(
+                        (p, q, c)
+                        for m, c in delta[(d, s + t)][a]
+                        for p, q in delta[(s + t, s)][m]
+                    )
+                    if lhs != rhs:
+                        return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface."""
 
 import json
+import time
 
 import pytest
 
@@ -217,6 +218,16 @@ def test_top_class_commands_fail_fast_on_huge_k(capsys):
         assert code == 2
         assert err.startswith("error:") and "exceeds the enumeration bound" in err
         assert out == ""
+
+
+def test_extraction_fails_fast_on_predicted_basis_size(capsys):
+    # rat:200 has 7,389,572 basis monomials; none may be enumerated
+    start = time.perf_counter()
+    code, out, err = run(capsys, "iso", "--a", "rat:200", "--b", "braid:400")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert err.startswith("error:") and "basis size 7389572 exceeds bound 4096" in err
+    assert out == ""
 
 
 def test_max_gen_flag_propagates(capsys):

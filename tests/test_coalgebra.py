@@ -3,6 +3,7 @@ the verification routines."""
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -26,12 +27,20 @@ from braidrat.coalgebra import (
 )
 from braidrat.ambient import TensorElement, element, monomial, q_gen, tensor_components
 from braidrat.families import Family, FamilyMonomial, family_monomial, top_class, embed
-from braidrat.operations import coproduct, coproduct_dims, sqj_dual
+from braidrat.operations import (
+    coproduct,
+    coproduct_dims,
+    coproduct_fields,
+    monomial_fields,
+    sqj_dual,
+)
 
 from helpers import (
     braid_top_support,
     brute_force_delta,
     brute_force_isomorphism_count,
+    coassociative,
+    counit_rows_hold,
     family_generator_coproduct,
     fpairs_mul,
 )
@@ -85,9 +94,11 @@ def _stray_coproduct_pair(monkeypatch):
     by_dim = _basis_by_dim(Family.RAT, 3)
     top = embed(by_dim[4][0])
     (unit,) = embed(by_dim[0][0]).terms
-    stray = TensorElement(frozenset({(min(top.terms), unit)}))
+    stray = (monomial_fields(min(top.terms)), monomial_fields(unit))
     monkeypatch.setattr(
-        coalgebra, "coproduct", lambda e: coproduct(e) + stray if e == top else coproduct(e)
+        coalgebra,
+        "coproduct_fields",
+        lambda e: list(set(coproduct_fields(e)) ^ {stray}) if e == top else coproduct_fields(e),
     )
 
 
@@ -123,6 +134,24 @@ def test_span_errors(monkeypatch, capsys, patch, extract_fails, steenrod_fails):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_extraction_rejects_inhomogeneous_pairs(monkeypatch, capsys):
+    # the pair g^3 (x) g^3 has dims (0, 0), in the coproduct of a degree-4 class
+    by_dim = _basis_by_dim(Family.RAT, 3)
+    top = embed(by_dim[4][0])
+    (unit,) = embed(by_dim[0][0]).terms
+    stray = (monomial_fields(unit), monomial_fields(unit))
+    monkeypatch.setattr(
+        coalgebra,
+        "coproduct_fields",
+        lambda e: coproduct_fields(e) + [stray] if e == top else coproduct_fields(e),
+    )
+    with pytest.raises(ValueError, match=r"\(0, 0\) has total 0, expected 4"):
+        extract_coalgebra(Family.RAT, 3)
+    assert main(["iso", "--a", "rat:3", "--b", "braid:6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
 
 
 def test_oracle_generator_expression_embeds_correctly():
@@ -165,6 +194,79 @@ def test_graded_coalgebra_validation_rejects_broken_coassociativity():
     tampered[(3, 1)] = (frozenset(), tampered[(3, 1)][1])
     with pytest.raises(ValueError):
         GradedCoalgebra(c.labels, tampered)
+
+
+def _doubled(c):
+    """c (+) c: coassociative, but with two degree-0 classes, so no counit
+    rows are checked and every split is."""
+    dims = c.dims
+    delta = {
+        (d, s): comps + tuple(
+            frozenset((i + dims[s], j + dims[d - s]) for i, j in pairs) for pairs in comps
+        )
+        for (d, s), comps in c.delta.items()
+    }
+    return GradedCoalgebra(tuple(row + row for row in c.labels), delta)
+
+
+def _toggles(c, rng, count):
+    """``count`` random single-pair toggles of c's structure constants, or
+    every one when ``count`` is None, as (d, s, a, (i, j))."""
+    dims = c.dims
+    keys = sorted((d, s) for d, s in c.delta if dims[d] and dims[s] and dims[d - s])
+    if count is None:
+        for d, s in keys:
+            for a in range(dims[d]):
+                for i in range(dims[s]):
+                    for j in range(dims[d - s]):
+                        yield d, s, a, (i, j)
+        return
+    for _ in range(count):
+        d, s = rng.choice(keys)
+        yield d, s, rng.randrange(dims[d]), (rng.randrange(dims[s]), rng.randrange(dims[d - s]))
+
+
+def test_coassociativity_check_agrees_with_per_element_oracle():
+    # every toggle of the smallest components, random ones of the rest, in
+    # trivial and non-trivial splits alike
+    rng = random.Random(66)
+    comps = [
+        extract_coalgebra(fam, k)
+        for fam, top in ((Family.RAT, 8), (Family.CONF, 8), (Family.BRAID, 16))
+        for k in range(1, top + 1)
+    ]
+    comps += [_doubled(c) for c in comps[::3]]
+    # one class x_d per degree, delta x_d = sum_s x_s (x) x_{d-s}: unlike the
+    # family components, delta x_2 has a middle term, so a toggle in the top
+    # degree 3 is seen by the split (1, 1) alone
+    comps += [
+        GradedCoalgebra(
+            tuple((f"x_{d}",) for d in range(top + 1)),
+            {(d, s): (frozenset({(0, 0)}),) for d in range(top + 1) for s in range(d + 1)},
+        )
+        for top in range(1, 6)
+    ]
+    outcomes = set()
+    for c in comps:
+        dims = c.dims
+        for d, s, a, pair in _toggles(c, rng, None if sum(dims) <= 12 else 20):
+            delta = dict(c.delta)
+            delta[(d, s)] = tuple(
+                pairs ^ {pair} if b == a else pairs for b, pairs in enumerate(delta[(d, s)])
+            )
+            expected = coassociative(delta, dims) and (
+                dims[0] != 1 or counit_rows_hold(delta, dims)
+            )
+            try:
+                GradedCoalgebra(c.labels, delta)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == expected, (c.labels, (d, s), a, pair)
+            outcomes.add((dims[0] == 1, s in (0, d), accepted))
+    # both verdicts occur on doubled inputs, and trivial splits are rejected
+    assert {(False, False, True), (False, False, False), (False, True, False),
+            (True, True, False), (True, False, False)} <= outcomes
 
 
 def test_s_set_small_values():

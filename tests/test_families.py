@@ -8,6 +8,7 @@ from braidrat.families import (
     Family,
     FamilyMonomial,
     basis,
+    basis_size,
     embed,
     family_monomial,
     generator_bigrade,
@@ -88,6 +89,19 @@ def test_basis_bounds():
         basis(Family.BRAID, 0)
     with pytest.raises(ValueError):
         basis(Family.BRAID, 10, k_bound=5)
+    with pytest.raises(ValueError):
+        basis_size(Family.BRAID, 0)
+    with pytest.raises(ValueError):
+        basis_size(Family.BRAID, 10, k_bound=5)
+
+
+def test_basis_size_counts_the_enumerated_basis():
+    for family in Family:
+        for k in range(1, 33):
+            assert basis_size(family, k) == len(basis(family, k)), (family, k)
+    # counted once by enumeration: 3 s for the two bases of 27,338, 500 s for rat:200
+    assert basis_size(Family.RAT, 64) == basis_size(Family.BRAID, 128) == 27338
+    assert basis_size(Family.RAT, 200) == 7389572
 
 
 def test_embeddings_of_generators():

@@ -1,5 +1,7 @@
 """Unit tests for the bit-packed GF(2) linear algebra."""
 
+import random
+
 from braidrat import gf2
 
 
@@ -25,6 +27,39 @@ def test_solve_outside_span():
     assert gf2.solve([0b110, 0b011], 0b001) is None
     assert gf2.solve([], 0b1) is None
     assert gf2.solve([], 0) == 0
+
+
+def _span(rows):
+    """Every target reachable from ``rows``, with the combinations reaching
+    it, by enumerating all 2^len(rows) combinations."""
+    span: dict[int, set[int]] = {}
+    for combo in range(1 << len(rows)):
+        acc = 0
+        for i, row in enumerate(rows):
+            if (combo >> i) & 1:
+                acc ^= row
+        span.setdefault(acc, set()).add(combo)
+    return span
+
+
+def test_solver_matches_solve_and_span_enumeration():
+    rng = random.Random(2024)
+    dependent = 0
+    for _ in range(300):
+        width = rng.randint(0, 5)
+        rows = [rng.randrange(1 << width) for _ in range(rng.randint(0, 7))]
+        span = _span(rows)
+        solve_one, null = gf2.solver(rows)
+        assert null == gf2.kernel(rows)
+        dependent += bool(null)
+        for target in range(1 << width):
+            combo = solve_one(target)
+            assert combo == gf2.solve(rows, target)
+            if target in span:
+                assert combo in span[target]
+            else:
+                assert combo is None
+    assert dependent > 100
 
 
 def test_kernel():
