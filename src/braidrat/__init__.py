@@ -44,7 +44,6 @@ from .families import (
     top_class,
 )
 from .operations import (
-    DEFAULT_MAX_GEN,
     araki_kudo_q,
     coproduct,
     coproduct_dims,

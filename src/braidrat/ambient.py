@@ -25,7 +25,7 @@ class Bigrade(NamedTuple):
 
 
 class GeneratorLimitError(ValueError):
-    """An operation tried to create a generator index past the configured bound."""
+    """A monomial's exponents leave the range of the packed coproduct kernel."""
 
 
 @dataclass(frozen=True, order=True)
@@ -130,10 +130,6 @@ class AmbientElement:
     def sorted_terms(self) -> list[AmbientMonomial]:
         return sorted(self.terms)
 
-    @property
-    def max_q_index(self) -> int:
-        return max((m.max_q_index for m in self.terms), default=0)
-
     def __add__(self, other: "AmbientElement") -> "AmbientElement":
         if not isinstance(other, AmbientElement):
             return NotImplemented
@@ -221,25 +217,10 @@ class TensorElement:
     def square(self) -> "TensorElement":
         return TensorElement(frozenset((a * a, b * b) for a, b in self.terms))
 
-    def __pow__(self, n: int) -> "TensorElement":
-        if n < 0:
-            raise ValueError("tensor powers must be nonnegative")
-        result = TENSOR_ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base.square()
-            n >>= 1
-        return result
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
         return " + ".join(f"{a} (x) {b}" for a, b in self.sorted_terms())
-
-
-TENSOR_ONE = TensorElement(frozenset({(monomial(), monomial())}))
 
 
 def tensor(x: AmbientElement, y: AmbientElement) -> TensorElement:

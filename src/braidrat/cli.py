@@ -19,7 +19,6 @@ import sys
 import time
 from dataclasses import dataclass, fields
 
-from .ambient import GeneratorLimitError
 from .coalgebra import (
     DEFAULT_ISO_BUDGET,
     IsoVerdict,
@@ -33,14 +32,12 @@ from .coalgebra import (
     theorem_main,
 )
 from .families import DEFAULT_K_BOUND, Family, basis, embed, poincare_vector, top_class
-from .operations import DEFAULT_MAX_GEN
 
 SCHEMA_VERSION = 2
 
 
 @dataclass
 class RunConfig:
-    max_gen: int = DEFAULT_MAX_GEN
     k_bound: int = DEFAULT_K_BOUND
     iso_budget: int = DEFAULT_ISO_BUDGET
     fmt: str = "text"
@@ -104,7 +101,7 @@ def _cmd_basis(args, config: RunConfig) -> int:
     rows = []
     lines = [f"basis {family.value} k={args.k}"]
     for fm in basis(family, args.k, k_bound=config.k_bound):
-        emb = embed(fm, max_gen=config.max_gen)
+        emb = embed(fm)
         rows.append(
             {
                 "label": fm.label(),
@@ -128,7 +125,7 @@ def _cmd_basis(args, config: RunConfig) -> int:
 def _cmd_s_set(args, config: RunConfig) -> int:
     family = Family(args.family)
     fm = top_class(family, args.k, k_bound=config.k_bound)
-    support = sorted(s_set(fm, max_gen=config.max_gen))
+    support = sorted(s_set(fm))
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "s-set",
@@ -150,9 +147,7 @@ def _cmd_theorem_main(args, config: RunConfig) -> int:
     lines = []
     statuses = []
     for k in range(args.from_k, args.to_k + 1):
-        rep = theorem_main(
-            k, iso_budget=config.iso_budget, max_gen=config.max_gen, k_bound=config.k_bound
-        )
+        rep = theorem_main(k, iso_budget=config.iso_budget, k_bound=config.k_bound)
         entry = {
             "k": k,
             "branch": rep.branch,
@@ -204,7 +199,7 @@ def _cmd_lemma_braid(args, config: RunConfig) -> int:
     lines = []
     statuses = []
     for k in range(1, args.max_k + 1):
-        rep = check_lemma_braid(k, max_gen=config.max_gen, k_bound=config.k_bound)
+        rep = check_lemma_braid(k, k_bound=config.k_bound)
         statuses.append(_status(rep.verified, False))
         reports.append(
             {
@@ -235,13 +230,13 @@ def _cmd_lemma_braid(args, config: RunConfig) -> int:
 def _cmd_iso(args, config: RunConfig) -> int:
     fam_a, k_a = _parse_spec(args.a)
     fam_b, k_b = _parse_spec(args.b)
-    ca = extract_coalgebra(fam_a, k_a, max_gen=config.max_gen, k_bound=config.k_bound)
-    cb = extract_coalgebra(fam_b, k_b, max_gen=config.max_gen, k_bound=config.k_bound)
+    ca = extract_coalgebra(fam_a, k_a, k_bound=config.k_bound)
+    cb = extract_coalgebra(fam_b, k_b, k_bound=config.k_bound)
     steenrod = None
     if args.steenrod:
         steenrod = (
-            steenrod_matrix(fam_a, k_a, max_gen=config.max_gen, k_bound=config.k_bound),
-            steenrod_matrix(fam_b, k_b, max_gen=config.max_gen, k_bound=config.k_bound),
+            steenrod_matrix(fam_a, k_a, k_bound=config.k_bound),
+            steenrod_matrix(fam_b, k_b, k_bound=config.k_bound),
         )
     verdict = coalgebras_isomorphic(ca, cb, config.iso_budget, steenrod=steenrod)
     payload = {
@@ -272,9 +267,7 @@ def _cmd_steenrod(args, config: RunConfig) -> int:
     if args.j >= 2 and not args.extended:
         raise ValueError("dual operations with j >= 2 require --extended")
     family = Family(args.family)
-    mats = steenrod_matrix(
-        family, args.k, j=args.j, max_gen=config.max_gen, k_bound=config.k_bound
-    )
+    mats = steenrod_matrix(family, args.k, j=args.j, k_bound=config.k_bound)
     sizes = poincare_vector(family, args.k, k_bound=config.k_bound)
     matrices = {str(d): _matrix_json(mat, sizes[d]) for d, mat in sorted(mats.items())}
     payload = {
@@ -295,9 +288,7 @@ def _cmd_braid_conf(args, config: RunConfig) -> int:
     lines = []
     statuses = []
     for k in range(1, args.max_k + 1):
-        rep = check_braid_conf(
-            k, budget=config.iso_budget, max_gen=config.max_gen, k_bound=config.k_bound
-        )
+        rep = check_braid_conf(k, budget=config.iso_budget, k_bound=config.k_bound)
         statuses.append(_status(rep.isomorphic, rep.verdict.kind == "inconclusive"))
         reports.append({"k": k, "verdict": _verdict_json(rep.verdict)})
         lines.append(f"k={k}  isomorphic={rep.isomorphic}  [{statuses[-1]}]")
@@ -320,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     # other; RunConfig supplies the value of a flag given in neither.
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--format", dest="fmt", choices=("text", "json"))
-    common.add_argument("--max-gen", type=int, help="largest allowed generator index")
     common.add_argument("--k-bound", type=int,
                         help="largest allowed weight for basis enumeration")
     common.add_argument("--iso-budget", type=int,
@@ -383,7 +373,7 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         code = args.handler(args, config)
-    except (ValueError, GeneratorLimitError, SpanError) as exc:
+    except (ValueError, SpanError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # an internal fault: exit 2, never a falsification

@@ -26,7 +26,6 @@ from .families import (
     top_class,
 )
 from .operations import (
-    DEFAULT_MAX_GEN,
     coproduct,
     coproduct_dims,
     coproduct_fields,
@@ -35,7 +34,7 @@ from .operations import (
 )
 
 DEFAULT_ISO_BUDGET = 10**6
-DEFAULT_BASIS_BOUND = 4096
+BASIS_BOUND = 4096
 
 PairSet = frozenset
 
@@ -190,10 +189,10 @@ def _coordinates(vectors: Sequence[set], what: str):
     return coords
 
 
-def _embedded_basis(by_dim: list[list[FamilyMonomial]], max_gen: int):
+def _embedded_basis(by_dim: list[list[FamilyMonomial]]):
     """The ambient embedding of each basis element, and per degree the
     coordinate map (see ``_coordinates``) onto the embedded basis."""
-    embeds = [[embed(fm, max_gen=max_gen) for fm in row] for row in by_dim]
+    embeds = [[embed(fm) for fm in row] for row in by_dim]
     return embeds, [
         _coordinates([set(map(monomial_fields, e.terms)) for e in row], f"degree-{d}")
         for d, row in enumerate(embeds)
@@ -201,12 +200,7 @@ def _embedded_basis(by_dim: list[list[FamilyMonomial]], max_gen: int):
 
 
 def extract_coalgebra(
-    family: Family,
-    k: int,
-    *,
-    max_gen: int = DEFAULT_MAX_GEN,
-    basis_bound: int = DEFAULT_BASIS_BOUND,
-    k_bound: int = DEFAULT_K_BOUND,
+    family: Family, k: int, *, k_bound: int = DEFAULT_K_BOUND
 ) -> GradedCoalgebra:
     """Structure constants of the weight-graded component in the family basis.
 
@@ -217,13 +211,18 @@ def extract_coalgebra(
     ``SpanError`` exactly when T leaves span(e (x) f), since the component
     must be a sub-coalgebra.  A pair whose dims do not add up to d raises
     ``ValueError``.  The basis size is predicted before any enumeration, and
-    a size above ``basis_bound`` raises ``ValueError``.
+    a size above ``BASIS_BOUND`` raises ``ValueError``.
     """
+    # For k >= 2 every family has more than k/2 basis monomials (the
+    # partitions of k into 1s and 2s alone number floor(k/2) + 1), so such
+    # a k is refused without the O(k) count.
+    if 2 * BASIS_BOUND <= k <= k_bound:
+        raise ValueError(f"basis size above {k // 2} exceeds bound {BASIS_BOUND}")
     total = basis_size(family, k, k_bound=k_bound)
-    if total > basis_bound:
-        raise ValueError(f"basis size {total} exceeds bound {basis_bound}")
+    if total > BASIS_BOUND:
+        raise ValueError(f"basis size {total} exceeds bound {BASIS_BOUND}")
     by_dim = _basis_by_dim(family, k, k_bound=k_bound)
-    embeds, coords = _embedded_basis(by_dim, max_gen)
+    embeds, coords = _embedded_basis(by_dim)
     labels = tuple(tuple(fm.label() for fm in row) for row in by_dim)
     delta = {(d, s): [] for d in range(len(by_dim)) for s in range(d + 1)}
     for d, row in enumerate(embeds):
@@ -247,14 +246,14 @@ def extract_coalgebra(
     return GradedCoalgebra(labels, {key: tuple(comps) for key, comps in delta.items()})
 
 
-def s_set(fm: FamilyMonomial, *, max_gen: int = DEFAULT_MAX_GEN) -> frozenset[int]:
+def s_set(fm: FamilyMonomial) -> frozenset[int]:
     """Left dimensions where the coproduct of the embedded class is nonzero.
 
     Raises ``ValueError`` if a pair's dimensions do not sum to ``fm.dim``,
     which signals a non-homogeneous embedding.
     """
     d = fm.dim
-    dims = coproduct_dims(embed(fm, max_gen=max_gen))
+    dims = coproduct_dims(embed(fm))
     for s, t in dims:
         if s + t != d:
             raise ValueError(
@@ -497,7 +496,6 @@ def steenrod_matrix(
     k: int,
     *,
     j: int = 1,
-    max_gen: int = DEFAULT_MAX_GEN,
     k_bound: int = DEFAULT_K_BOUND,
 ) -> dict[int, tuple[int, ...]]:
     """Per-degree matrices of the dual Steenrod operation in the family basis.
@@ -509,7 +507,7 @@ def steenrod_matrix(
     if j < 1:
         raise ValueError(f"j must be >= 1, got {j}")
     by_dim = _basis_by_dim(family, k, k_bound=k_bound)
-    embeds, coords = _embedded_basis(by_dim, max_gen)
+    embeds, coords = _embedded_basis(by_dim)
     out: dict[int, tuple[int, ...]] = {}
     for d in range(1, len(by_dim)):
         if not by_dim[d]:
@@ -538,9 +536,7 @@ class LemmaBraidReport:
         return self.bijection_ok and self.coproduct_ok
 
 
-def check_lemma_braid(
-    k: int, *, max_gen: int = DEFAULT_MAX_GEN, k_bound: int = DEFAULT_K_BOUND
-) -> LemmaBraidReport:
+def check_lemma_braid(k: int, *, k_bound: int = DEFAULT_K_BOUND) -> LemmaBraidReport:
     """Check m -> g*m is a basis bijection from weight 2k to 2k+1 and that the
     coproduct transforms by (g (x) g)."""
     even = basis(Family.BRAID, 2 * k, k_bound=k_bound)
@@ -550,9 +546,7 @@ def check_lemma_braid(
     bijection_ok = len(images) == len(odd) and set(images) == set(odd)
     gg = TensorElement(frozenset({(G, G)}))
     coproduct_ok = all(
-        coproduct(embed(g_fm * fm, max_gen=max_gen))
-        == gg * coproduct(embed(fm, max_gen=max_gen))
-        for fm in even
+        coproduct(embed(g_fm * fm)) == gg * coproduct(embed(fm)) for fm in even
     )
     return LemmaBraidReport(k, bijection_ok, coproduct_ok, len(even))
 
@@ -571,16 +565,12 @@ class BraidConfReport:
 
 
 def check_braid_conf(
-    k: int,
-    *,
-    budget: int = DEFAULT_ISO_BUDGET,
-    max_gen: int = DEFAULT_MAX_GEN,
-    k_bound: int = DEFAULT_K_BOUND,
+    k: int, *, budget: int = DEFAULT_ISO_BUDGET, k_bound: int = DEFAULT_K_BOUND
 ) -> BraidConfReport:
     """Decide whether the length-k configuration component and the weight-2k
     braid component have isomorphic coalgebras."""
-    conf_c = extract_coalgebra(Family.CONF, k, max_gen=max_gen, k_bound=k_bound)
-    braid_c = extract_coalgebra(Family.BRAID, 2 * k, max_gen=max_gen, k_bound=k_bound)
+    conf_c = extract_coalgebra(Family.CONF, k, k_bound=k_bound)
+    braid_c = extract_coalgebra(Family.BRAID, 2 * k, k_bound=k_bound)
     return BraidConfReport(k, coalgebras_isomorphic(conf_c, braid_c, budget))
 
 
@@ -614,11 +604,7 @@ class TheoremReport:
 
 
 def theorem_main(
-    k: int,
-    *,
-    iso_budget: int = DEFAULT_ISO_BUDGET,
-    max_gen: int = DEFAULT_MAX_GEN,
-    k_bound: int = DEFAULT_K_BOUND,
+    k: int, *, iso_budget: int = DEFAULT_ISO_BUDGET, k_bound: int = DEFAULT_K_BOUND
 ) -> TheoremReport:
     """Compare S(x) and S(y) for the two top classes at parameter k.
 
@@ -630,8 +616,8 @@ def theorem_main(
     """
     x = top_class(Family.RAT, k, k_bound=k_bound)
     y = top_class(Family.BRAID, k, k_bound=k_bound)
-    sx = s_set(x, max_gen=max_gen)
-    sy = s_set(y, max_gen=max_gen)
+    sx = s_set(x)
+    sy = s_set(y)
     distinct = sx != sy
     power = (k & (k + 1)) == 0
     checks: dict[str, object] = {}
@@ -655,8 +641,8 @@ def theorem_main(
     iso = None
     if not distinct:
         iso = coalgebras_isomorphic(
-            extract_coalgebra(Family.BRAID, 2 * k, max_gen=max_gen, k_bound=k_bound),
-            extract_coalgebra(Family.RAT, k, max_gen=max_gen, k_bound=k_bound),
+            extract_coalgebra(Family.BRAID, 2 * k, k_bound=k_bound),
+            extract_coalgebra(Family.RAT, k, k_bound=k_bound),
             iso_budget,
         )
     return TheoremReport(

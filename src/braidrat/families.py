@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Iterator, Mapping
 
 from .ambient import AmbientElement, Bigrade, G_INV, element, monomial, q_gen
-from .operations import DEFAULT_MAX_GEN, iterated_q
+from .operations import iterated_q
 
 DEFAULT_K_BOUND = 1024
 
@@ -121,21 +121,21 @@ def family_monomial(family: Family, exps: Mapping[int, int]) -> FamilyMonomial:
 
 
 @lru_cache(maxsize=None)
-def _generator_embedding(family: Family, idx: int, max_gen: int) -> AmbientElement:
+def _generator_embedding(family: Family, idx: int) -> AmbientElement:
     if family is Family.BRAID:
         return element(monomial(1) if idx == 0 else q_gen(idx))
     if family is Family.RAT:
         if idx == -1:
             return element(monomial(1))
-        return iterated_q(element(G_INV * q_gen(1)), idx, max_gen=max_gen)
-    return iterated_q(element(monomial(-2) * q_gen(1)), idx, max_gen=max_gen)
+        return iterated_q(element(G_INV * q_gen(1)), idx)
+    return iterated_q(element(monomial(-2) * q_gen(1)), idx)
 
 
-def embed(fm: FamilyMonomial, *, max_gen: int = DEFAULT_MAX_GEN) -> AmbientElement:
+def embed(fm: FamilyMonomial) -> AmbientElement:
     """Multiplicative embedding of a family monomial into the ambient algebra."""
     out = element(monomial())
     for idx, e in fm.exps:
-        out = out * _generator_embedding(fm.family, idx, max_gen) ** e
+        out = out * _generator_embedding(fm.family, idx) ** e
     return out
 
 

@@ -33,8 +33,11 @@ def _eliminate(rows: Sequence[int]) -> tuple[dict[int, tuple[int, int]], list[in
 def solver(rows: Sequence[int]) -> tuple[Callable[[int], int | None], list[int]]:
     """Eliminate ``rows`` once, for many targets.
 
-    Returns ``(solve_one, null)``: ``solve_one(target)`` is
-    ``solve(rows, target)`` and ``null`` is ``kernel(rows)``.
+    Returns ``(solve_one, null)``.  ``solve_one(target)`` finds x with XOR
+    over {rows[i] : bit i of x} == target, or None; x is the combination
+    produced by elimination in row order, so it is deterministic for a fixed
+    input order.  ``null`` is a basis of the x with XOR == 0: it has
+    len(rows) - rank(rows) elements, each with a distinct highest bit.
     """
     pivots, null = _eliminate(rows)
 
@@ -43,24 +46,6 @@ def solver(rows: Sequence[int]) -> tuple[Callable[[int], int | None], list[int]]
         return combo if vec == 0 else None
 
     return solve_one, null
-
-
-def solve(rows: Sequence[int], target: int) -> int | None:
-    """Find x with XOR over {rows[i] : bit i of x} == target, or None.
-
-    The returned combination is the one produced by elimination in row
-    order, so it is deterministic for a fixed input order.
-    """
-    return solver(rows)[0](target)
-
-
-def kernel(rows: Sequence[int]) -> list[int]:
-    """A basis of the combinations x with XOR over {rows[i] : bit i of x} == 0.
-
-    It has len(rows) - rank(rows) elements, and the highest bit of each
-    element is distinct, so they are independent.
-    """
-    return _eliminate(rows)[1]
 
 
 def rank(rows: Sequence[int]) -> int:
@@ -86,6 +71,3 @@ def mat_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
         out.append(acc)
     return tuple(out)
 
-
-def identity(n: int) -> tuple[int, ...]:
-    return tuple(1 << i for i in range(n))

@@ -35,8 +35,6 @@ from .ambient import (
     xor_all,
 )
 
-DEFAULT_MAX_GEN = 32
-
 _Q_CACHE: dict[AmbientMonomial, AmbientElement] = {}
 _PSI_CACHE: dict[AmbientMonomial, frozenset[int]] = {}
 _SQJ_CACHE: dict[tuple[AmbientMonomial, int], AmbientElement] = {}
@@ -85,20 +83,15 @@ def _q_monomial(m: AmbientMonomial) -> AmbientElement:
     return out
 
 
-def araki_kudo_q(e: AmbientElement, *, max_gen: int = DEFAULT_MAX_GEN) -> AmbientElement:
+def araki_kudo_q(e: AmbientElement) -> AmbientElement:
     """Apply Q linearly over F2; doubles weight and sends dimension d to 2d+1."""
-    out = _f2_sum(map(_q_monomial, e.terms))
-    if out.max_q_index > max_gen:
-        raise GeneratorLimitError(
-            f"operation produced generator index {out.max_q_index} > max_gen={max_gen}"
-        )
-    return out
+    return _f2_sum(map(_q_monomial, e.terms))
 
 
-def iterated_q(e: AmbientElement, n: int, *, max_gen: int = DEFAULT_MAX_GEN) -> AmbientElement:
+def iterated_q(e: AmbientElement, n: int) -> AmbientElement:
     """Q applied n times."""
     for _ in range(n):
-        e = araki_kudo_q(e, max_gen=max_gen)
+        e = araki_kudo_q(e)
     return e
 
 

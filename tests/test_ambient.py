@@ -125,7 +125,7 @@ def test_tensor_product_cancels():
     assert sq == TensorElement(
         frozenset({(monomial(2), monomial(0, {1: 2})), (monomial(0, {1: 2}), monomial(2))})
     )
-    assert t ** 2 == sq
+    assert t.square() == sq
 
 
 def test_tensor_of_elements_expands_all_pairs():

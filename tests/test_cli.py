@@ -1,7 +1,9 @@
 """End-to-end tests of the command line interface."""
 
 import json
+import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -161,8 +163,8 @@ def test_global_flags_after_subcommand(capsys):
     assert before[0] == after[0] == 1
     assert before[1] == after[1]
     assert json.loads(after[1])["verdict"]["kind"] == "inconclusive"
-    code, out, err = run(capsys, "s-set", "--family", "rat", "--k", "8", "--max-gen", "2")
-    assert code == 2 and "generator index" in err
+    code, out, err = run(capsys, "s-set", "--family", "braid", "--k", "5", "--k-bound", "4")
+    assert code == 2 and "exceeds the enumeration bound" in err
 
 
 def test_iso_bad_spec(capsys):
@@ -221,16 +223,37 @@ def test_top_class_commands_fail_fast_on_huge_k(capsys):
 
 
 def test_extraction_fails_fast_on_predicted_basis_size(capsys):
-    # rat:200 has 7,389,572 basis monomials; none may be enumerated
-    start = time.perf_counter()
-    code, out, err = run(capsys, "iso", "--a", "rat:200", "--b", "braid:400")
-    assert time.perf_counter() - start < 1
+    # rat:200 has 7,389,572 basis monomials; none may be enumerated.  Every
+    # family has more than k/2 at k = 3,000,000; they may not even be counted.
+    for argv, message in (
+        (("iso", "--a", "rat:200", "--b", "braid:400"),
+         "basis size 7389572 exceeds bound 4096"),
+        (("iso", "--a", "rat:3000000", "--b", "braid:2", "--k-bound", "3000000"),
+         "exceeds bound 4096"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert err.startswith("error:") and message in err
+        assert out == ""
+
+
+def test_coproduct_field_range_exits_two(capsys):
+    # the top class of rat:2^32 holds rho_32, whose embedding has index 33
+    k = str(1 << 32)
+    code, out, err = run(capsys, "s-set", "--family", "rat", "--k", k, "--k-bound", k)
     assert code == 2
-    assert err.startswith("error:") and "basis size 7389572 exceeds bound 4096" in err
+    assert err.startswith("error:") and "field range" in err
     assert out == ""
 
 
-def test_max_gen_flag_propagates(capsys):
-    code, out, err = run(capsys, "--max-gen", "2", "s-set", "--family", "rat", "--k", "8")
-    assert code == 2
-    assert "generator index" in err
+def test_readme_lists_every_global_flag():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = readme.split("Global flags", 1)[1].split("\n\n", 1)[0]
+    parser = cli.build_parser()
+    flags = {
+        opt for action in parser._actions for opt in action.option_strings
+        if opt.startswith("--") and opt != "--help"
+    }
+    assert set(re.findall(r"--[a-z][a-z-]*", paragraph)) == flags

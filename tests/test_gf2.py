@@ -14,7 +14,7 @@ def test_rank():
 
 def test_solve_roundtrip():
     rows = [0b1010, 0b0110, 0b0001]
-    combo = gf2.solve(rows, 0b1010 ^ 0b0001)
+    combo = gf2.solver(rows)[0](0b1010 ^ 0b0001)
     assert combo is not None
     acc = 0
     for i, r in enumerate(rows):
@@ -24,9 +24,9 @@ def test_solve_roundtrip():
 
 
 def test_solve_outside_span():
-    assert gf2.solve([0b110, 0b011], 0b001) is None
-    assert gf2.solve([], 0b1) is None
-    assert gf2.solve([], 0) == 0
+    assert gf2.solver([0b110, 0b011])[0](0b001) is None
+    assert gf2.solver([])[0](0b1) is None
+    assert gf2.solver([])[0](0) == 0
 
 
 def _span(rows):
@@ -42,7 +42,7 @@ def _span(rows):
     return span
 
 
-def test_solver_matches_solve_and_span_enumeration():
+def test_solver_matches_span_enumeration():
     rng = random.Random(2024)
     dependent = 0
     for _ in range(300):
@@ -50,11 +50,9 @@ def test_solver_matches_solve_and_span_enumeration():
         rows = [rng.randrange(1 << width) for _ in range(rng.randint(0, 7))]
         span = _span(rows)
         solve_one, null = gf2.solver(rows)
-        assert null == gf2.kernel(rows)
         dependent += bool(null)
         for target in range(1 << width):
             combo = solve_one(target)
-            assert combo == gf2.solve(rows, target)
             if target in span:
                 assert combo in span[target]
             else:
@@ -64,7 +62,7 @@ def test_solver_matches_solve_and_span_enumeration():
 
 def test_kernel():
     for rows in ([], [0], [0b101, 0b011, 0b110], [0b1, 0b1, 0b1, 0b10], [0b11, 0b101, 0b110]):
-        null = gf2.kernel(rows)
+        null = gf2.solver(rows)[1]
         assert len(null) == len(rows) - gf2.rank(rows)
         assert gf2.rank(null) == len(null)
         for choice in range(1, 1 << len(null)):
@@ -80,7 +78,7 @@ def test_kernel():
 
 
 def test_mat_mul():
-    ident = gf2.identity(3)
+    ident = (0b001, 0b010, 0b100)
     a = (0b110, 0b011, 0b101)
     assert gf2.mat_mul(a, ident) == a
     assert gf2.mat_mul(ident, a) == a

@@ -90,13 +90,6 @@ def test_q_cartan_formula_spot():
     assert got == element(monomial(2, {2: 1}), monomial(0, {1: 3}))
 
 
-def test_q_generator_limit():
-    with pytest.raises(GeneratorLimitError):
-        araki_kudo_q(element(q_gen(3)), max_gen=3)
-    # within the bound nothing is raised
-    araki_kudo_q(element(q_gen(3)), max_gen=4)
-
-
 def test_iterated_q_expansions():
     assert iterated_q(RHO0, 2) == element(monomial(-4, {3: 1}), monomial(-8, {1: 4, 2: 1}))
     c0 = element(monomial(-2, {1: 1}))
