@@ -46,7 +46,6 @@ from .families import (
 from .operations import (
     araki_kudo_q,
     coproduct,
-    coproduct_dims,
     iterated_q,
     sq1_dual,
     sqj_dual,

@@ -11,7 +11,9 @@ the support-set comparison of top classes.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from itertools import compress, count
 from typing import Mapping, Sequence
 
 from . import gf2
@@ -27,8 +29,8 @@ from .families import (
 )
 from .operations import (
     coproduct,
-    coproduct_dims,
     coproduct_fields,
+    coproduct_left_dims,
     monomial_fields,
     sqj_dual,
 )
@@ -150,6 +152,16 @@ class GradedCoalgebra:
 def _basis_by_dim(
     family: Family, k: int, *, k_bound: int = DEFAULT_K_BOUND
 ) -> list[list[FamilyMonomial]]:
+    """The basis grouped by dimension.  Its size is predicted before any
+    enumeration, and a size above ``BASIS_BOUND`` raises ``ValueError``."""
+    # For k >= 2 every family has more than k/2 basis monomials (the
+    # partitions of k into 1s and 2s alone number floor(k/2) + 1), so such
+    # a k is refused without the O(k) count.
+    if 2 * BASIS_BOUND <= k <= k_bound:
+        raise ValueError(f"basis size above {k // 2} exceeds bound {BASIS_BOUND}")
+    total = basis_size(family, k, k_bound=k_bound)
+    if total > BASIS_BOUND:
+        raise ValueError(f"basis size {total} exceeds bound {BASIS_BOUND}")
     bas = basis(family, k, k_bound=k_bound)
     top = max(fm.dim for fm in bas)
     out: list[list[FamilyMonomial]] = [[] for _ in range(top + 1)]
@@ -213,14 +225,6 @@ def extract_coalgebra(
     ``ValueError``.  The basis size is predicted before any enumeration, and
     a size above ``BASIS_BOUND`` raises ``ValueError``.
     """
-    # For k >= 2 every family has more than k/2 basis monomials (the
-    # partitions of k into 1s and 2s alone number floor(k/2) + 1), so such
-    # a k is refused without the O(k) count.
-    if 2 * BASIS_BOUND <= k <= k_bound:
-        raise ValueError(f"basis size above {k // 2} exceeds bound {BASIS_BOUND}")
-    total = basis_size(family, k, k_bound=k_bound)
-    if total > BASIS_BOUND:
-        raise ValueError(f"basis size {total} exceeds bound {BASIS_BOUND}")
     by_dim = _basis_by_dim(family, k, k_bound=k_bound)
     embeds, coords = _embedded_basis(by_dim)
     labels = tuple(tuple(fm.label() for fm in row) for row in by_dim)
@@ -246,20 +250,41 @@ def extract_coalgebra(
     return GradedCoalgebra(labels, {key: tuple(comps) for key, comps in delta.items()})
 
 
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _set_bits(mask: int) -> list[int]:
+    """The set bits of ``mask``, ascending.  Unlike ``_bits`` it takes time
+    linear in the width, and it steps only through the runs of nonzero
+    bytes, so a wide mask with few bits is cheap to read."""
+    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    out: list[int] = []
+    for run in re.finditer(rb"[^\x00]+", data):
+        digits = bin(int.from_bytes(run.group(), "little"))[:1:-1]
+        out.extend(compress(count(8 * run.start()), digits.encode().translate(_DIGIT_FLAGS)))
+    return out
+
+
 def s_set(fm: FamilyMonomial) -> frozenset[int]:
     """Left dimensions where the coproduct of the embedded class is nonzero.
 
-    Raises ``ValueError`` if a pair's dimensions do not sum to ``fm.dim``,
-    which signals a non-homogeneous embedding.
+    This is the union over the monomials m of ``embed(fm)`` of the left dims
+    of psi(m) (``coproduct_left_dims``), since no pair cancels: every pair
+    (u, v) of psi(m) has u * v = m * g^weight(m), whose g exponent
+    2 g_exp + sum_i e_i 2^i fixes the g_exp of m, so pairs from distinct
+    monomials differ, and within psi(m) distinct submask tuples give
+    distinct pairs.
+
+    Raises ``ValueError`` if a monomial's dimension is not ``fm.dim``, which
+    signals a non-homogeneous embedding.
     """
     d = fm.dim
-    dims = coproduct_dims(embed(fm))
-    for s, t in dims:
-        if s + t != d:
-            raise ValueError(
-                f"coproduct pair of dimensions ({s}, {t}) has total {s + t}, expected {d}"
-            )
-    return frozenset(s for s, _ in dims)
+    mask = 0
+    for m in embed(fm).terms:
+        if m.dim != d:
+            raise ValueError(f"embedded monomial {m} has dimension {m.dim}, expected {d}")
+        mask |= coproduct_left_dims(m)
+    return frozenset(_set_bits(mask))
 
 
 @dataclass(frozen=True)
@@ -502,7 +527,9 @@ def steenrod_matrix(
 
     Entry ``out[d]`` maps degree d to degree d-j; rows are indexed by the
     target basis, with bit b set when the image of source b hits that row.
-    Raises ``SpanError`` if an image leaves the family span.
+    Raises ``SpanError`` if an image leaves the family span, and
+    ``ValueError``, before any enumeration, if the predicted basis size is
+    above ``BASIS_BOUND``.
     """
     if j < 1:
         raise ValueError(f"j must be >= 1, got {j}")

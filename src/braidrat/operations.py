@@ -11,8 +11,8 @@ int, so multiplying pairs is integer addition and F2 cancellation is set
 symmetric difference.  ``coproduct_fields`` decodes each surviving pair into
 the field tuples of its two halves, which coalgebra extraction groups
 without building monomials, and ``coproduct`` turns those into a
-``TensorElement``; ``coproduct_dims`` reads the (left dim, right dim) of each
-surviving pair straight from the ints, without decoding.
+``TensorElement``.  ``coproduct_left_dims`` reads the left dims of the pairs
+of one monomial in closed form, without forming a pair.
 
 Per-monomial results are memoized in write-once caches (the coproduct memo
 holds frozensets of packed ints); entries are never mutated after insertion,
@@ -105,7 +105,6 @@ def iterated_q(e: AmbientElement, n: int) -> AmbientElement:
 _W = 32
 _MASK = (1 << _W) - 1
 _HALF = 1 << (_W - 1)
-_DIMS = (1 << 2 * _W) - 1  # slots 0 and 1: the left and right dims
 
 
 def _slot(field: int, right: int) -> int:
@@ -124,10 +123,7 @@ def _submasks(e: int) -> Iterable[int]:
         j = (j - 1) & e
 
 
-def _psi_monomial(m: AmbientMonomial) -> frozenset[int]:
-    cached = _PSI_CACHE.get(m)
-    if cached is not None:
-        return cached
+def _check_field_range(m: AmbientMonomial) -> None:
     # Every field of every pair is bounded by this: |g| <= |g_exp| + sum e_i 2^i,
     # while each dim and each e_i is at most sum e_i 2^i.
     bound = abs(m.g_exp) + sum(e << i for i, e in m.q_exps)
@@ -135,6 +131,13 @@ def _psi_monomial(m: AmbientMonomial) -> frozenset[int]:
         raise GeneratorLimitError(
             f"monomial {m} exceeds the coproduct field range 2^{_W - 1}"
         )
+
+
+def _psi_monomial(m: AmbientMonomial) -> frozenset[int]:
+    cached = _PSI_CACHE.get(m)
+    if cached is not None:
+        return cached
+    _check_field_range(m)
     out = {m.g_exp * _G_PAIR}
     for i, e in m.q_exps:
         # psi(Q^i g) = x + y with x = g^{2^i} (x) Q^i g, y = Q^i g (x) g^{2^i};
@@ -200,13 +203,25 @@ def coproduct(e: AmbientElement) -> TensorElement:
     ))
 
 
-def coproduct_dims(e: AmbientElement) -> set[tuple[int, int]]:
-    """The (left dim, right dim) of every pair in ``coproduct(e)``, read from
-    the packed pairs without decoding them."""
-    # Dims are the two lowest fields and never negative, so no borrow from
-    # the signed fields above reaches them.
-    low = {x & _DIMS for x in xor_all(map(_psi_monomial, e.terms))}
-    return {(v & _MASK, v >> _W) for v in low}
+def coproduct_left_dims(m: AmbientMonomial) -> int:
+    """The left dims of the pairs of psi(m), as a bit mask: bit s is set when
+    some pair has left dim s.
+
+    In ``_psi_monomial`` the factor (Q^i g)^(e_i) contributes the left half
+    g^(2^i j) (Q^i g)^(e_i - j), of dim (2^i - 1)(e_i - j), for each submask
+    j of e_i, and e_i - j runs over the same submasks.  So the left dims are
+    the sums of (2^i - 1) << b over the subsets of the set bits b of all the
+    e_i, built here one set bit at a time, without forming a pair.  The mask
+    is m.dim + 1 bits wide; ``m`` passes the coproduct's field-range guard.
+    """
+    _check_field_range(m)
+    acc = 1
+    for i, e in m.q_exps:
+        while e:
+            low = e & -e
+            acc |= acc << (((1 << i) - 1) * low)
+            e ^= low
+    return acc
 
 
 def _sq1_monomial(m: AmbientMonomial) -> AmbientElement:

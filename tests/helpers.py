@@ -4,11 +4,13 @@ The oracles deliberately avoid the code paths they check: the recursive
 Cartan splitter peels one generator copy at a time instead of using closed
 forms, the reference coproduct multiplies sets of monomial pairs with its
 own ``Counter`` parity instead of packed ints and ``ambient.xor_all``, the
-top-class support for the braid family comes from subset sums, the
-family-level structure constants are obtained by multiplying out generator
-coproducts term by term with no elimination step, isomorphisms are
-counted by enumerating every invertible per-degree map, and coassociativity
-is checked one element and one split at a time, trivial splits included.
+closed-form left dims of ``s_set`` are checked against the dims of the
+pairs the packed coproduct kernel forms, the top-class support for the
+braid family comes from subset sums, the family-level structure constants
+are obtained by multiplying out generator coproducts term by term with no
+elimination step, isomorphisms are counted by enumerating every invertible
+per-degree map, and coassociativity is checked one element and one split
+at a time, trivial splits included.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import math
 import random
 from collections import Counter
 
+from braidrat import operations
 from braidrat.ambient import (
     ZERO,
     AmbientElement,
@@ -94,6 +97,20 @@ def reference_coproduct(e: AmbientElement) -> TensorElement:
                 n >>= 1
         out = out ^ psi
     return TensorElement(out)
+
+
+# ---------------------------------------------------------------------------
+# (left dim, right dim) of every pair of the packed psi kernel, read from the
+# packed ints without decoding: the oracle for the closed-form left dims.
+
+
+def coproduct_dims(e: AmbientElement) -> set[tuple[int, int]]:
+    # Dims are the two lowest fields and never negative, so no borrow from
+    # the signed fields above reaches them.
+    w = operations._W
+    low = {x & ((1 << 2 * w) - 1)
+           for x in _parity(x for m in e.terms for x in operations._psi_monomial(m))}
+    return {(v & ((1 << w) - 1), v >> w) for v in low}
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +306,10 @@ def random_element(rng: random.Random, *, max_terms: int = 3, **kw) -> AmbientEl
     return out
 
 
-def random_family_monomial(rng: random.Random) -> FamilyMonomial:
-    family = rng.choice([Family.BRAID, Family.RAT])
+def random_family_monomial(
+    rng: random.Random, families: tuple[Family, ...] = (Family.BRAID, Family.RAT)
+) -> FamilyMonomial:
+    family = rng.choice(families)
     low = -1 if family is Family.RAT else 0
     exps = {}
     for _ in range(rng.randint(1, 3)):

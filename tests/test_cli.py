@@ -239,6 +239,16 @@ def test_extraction_fails_fast_on_predicted_basis_size(capsys):
         assert out == ""
 
 
+def test_steenrod_fails_fast_on_predicted_basis_size(capsys):
+    # rat:60 has 20,798 basis monomials; none may be enumerated
+    start = time.perf_counter()
+    code, out, err = run(capsys, "steenrod", "--family", "rat", "--k", "60")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert err.startswith("error:") and "basis size 20798 exceeds bound 4096" in err
+    assert out == ""
+
+
 def test_coproduct_field_range_exits_two(capsys):
     # the top class of rat:2^32 holds rho_32, whose embedding has index 33
     k = str(1 << 32)

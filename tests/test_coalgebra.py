@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from braidrat import coalgebra
+from braidrat import coalgebra, operations
 from braidrat.cli import main
 from braidrat.coalgebra import (
     DEFAULT_ISO_BUDGET,
@@ -29,7 +29,6 @@ from braidrat.ambient import TensorElement, element, monomial, q_gen, tensor_com
 from braidrat.families import Family, FamilyMonomial, family_monomial, top_class, embed
 from braidrat.operations import (
     coproduct,
-    coproduct_dims,
     coproduct_fields,
     monomial_fields,
     sqj_dual,
@@ -40,9 +39,11 @@ from helpers import (
     brute_force_delta,
     brute_force_isomorphism_count,
     coassociative,
+    coproduct_dims,
     counit_rows_hold,
     family_generator_coproduct,
     fpairs_mul,
+    random_family_monomial,
 )
 
 
@@ -313,9 +314,30 @@ def test_rat_supports_pinned():
     assert digest == "b415d821f34143b2d6a218ec0c84b0d78f40536bcae00644d1a0b7a6c26207a3"
 
 
+def test_s_set_matches_packed_coproduct_dims(monkeypatch):
+    monkeypatch.setattr(operations, "_PSI_CACHE", {})  # drop the oracle's pair sets after
+    rng = random.Random(3008)
+    randoms = [random_family_monomial(rng, families=tuple(Family)) for _ in range(300)]
+    assert {fm.family for fm in randoms} == set(Family)
+    cases = [top_class(f, k) for f in (Family.RAT, Family.BRAID) for k in range(1, 301)]
+    # wide masks with few bits, read through several runs of nonzero bytes
+    cases += [top_class(Family.RAT, k, k_bound=k) for k in (1 << 20, (1 << 20) + 5)]
+    for fm in cases + randoms:
+        dims = coproduct_dims(embed(fm))
+        assert all(s + t == fm.dim for s, t in dims)
+        assert s_set(fm) == {s for s, _ in dims}, fm
+
+
+def test_theorem_main_does_not_run_the_psi_kernel(monkeypatch):
+    monkeypatch.setattr(operations, "_PSI_CACHE", {})
+    for k in range(65, 101):
+        theorem_main(k)
+    assert operations._PSI_CACHE == {}
+
+
 def test_s_set_rejects_inhomogeneous_pairs(monkeypatch, capsys):
-    # (0, 0) does not sum to the top dimension of any class of positive dimension
-    monkeypatch.setattr(coalgebra, "coproduct_dims", lambda e: coproduct_dims(e) | {(0, 0)})
+    # g has dimension 0, unlike the embedding of any class of positive dimension
+    monkeypatch.setattr(coalgebra, "embed", lambda fm: embed(fm) + element(monomial(1)))
     with pytest.raises(ValueError, match="expected 4"):
         s_set(top_class(Family.RAT, 3))
     for argv in (["s-set", "--family", "rat", "--k", "3"],

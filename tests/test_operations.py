@@ -20,13 +20,19 @@ from braidrat.families import Family, embed, family_monomial, top_class
 from braidrat.operations import (
     araki_kudo_q,
     coproduct,
-    coproduct_dims,
+    coproduct_left_dims,
     iterated_q,
     sq1_dual,
     sqj_dual,
 )
 
-from helpers import q_recursive_element, random_element, reference_coproduct
+from helpers import (
+    coproduct_dims,
+    q_recursive_element,
+    random_element,
+    random_monomial,
+    reference_coproduct,
+)
 
 import random
 
@@ -172,6 +178,18 @@ def test_coproduct_dims_match_decoded_pairs():
         assert coproduct_dims(e) == {(a.dim, b.dim) for a, b in coproduct(e).terms}
 
 
+def test_coproduct_left_dims_match_packed_pairs():
+    rng = random.Random(5120)
+    cases = [
+        random_monomial(rng, max_g=16, max_idx=8, max_factors=3, max_exp=40)
+        for _ in range(300)
+    ]
+    cases += [monomial(operations._HALF - 1), monomial(3 - operations._HALF, {1: 1})]
+    for m in cases:
+        left = {s for s, _ in coproduct_dims(element(m))}
+        assert coproduct_left_dims(m) == sum(1 << s for s in left)
+
+
 @pytest.mark.parametrize(
     "m",
     [monomial(-(1 << 40)), monomial(-(1 << 40), {1: 1}), q_gen(1) ** (1 << 40),
@@ -182,6 +200,8 @@ def test_coproduct_field_range_guard(m):
     for read_out in (coproduct, coproduct_dims):
         with pytest.raises(GeneratorLimitError):
             read_out(element(m))
+    with pytest.raises(GeneratorLimitError):
+        coproduct_left_dims(m)
     assert m not in operations._PSI_CACHE
 
 
