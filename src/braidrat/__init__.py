@@ -16,16 +16,20 @@ from .ambient import (
 )
 from .coalgebra import (
     BraidConfReport,
+    Component,
     GradedCoalgebra,
     InvariantRecord,
     IsoVerdict,
     LemmaBraidReport,
     SpanError,
     TheoremReport,
+    build_component,
     check_braid_conf,
     check_lemma_braid,
     coalgebra_invariants,
     coalgebras_isomorphic,
+    component_coalgebra,
+    component_steenrod,
     extract_coalgebra,
     s_set,
     steenrod_matrix,
@@ -38,6 +42,7 @@ from .families import (
     FamilyMonomial,
     basis,
     basis_size,
+    check_basis_size,
     embed,
     family_monomial,
     poincare_vector,

@@ -52,10 +52,6 @@ class AmbientMonomial:
     def bigrade(self) -> Bigrade:
         return Bigrade(self.weight, self.dim)
 
-    @property
-    def max_q_index(self) -> int:
-        return self.q_exps[-1][0] if self.q_exps else 0
-
     def __mul__(self, other: "AmbientMonomial") -> "AmbientMonomial":
         if not isinstance(other, AmbientMonomial):
             return NotImplemented
@@ -156,6 +152,12 @@ class AmbientElement:
             base = base.square()
             n >>= 1
         return result
+
+    def __repr__(self) -> str:
+        # Terms in sorted order, so equal elements have equal reprs whatever
+        # order their set was built in.
+        terms = ", ".join(map(repr, self.sorted_terms()))
+        return f"AmbientElement(terms=frozenset({'{' + terms + '}' if terms else ''}))"
 
     def to_json(self) -> list[dict]:
         return [m.to_json() for m in self.sorted_terms()]

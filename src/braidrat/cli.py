@@ -23,15 +23,16 @@ from .coalgebra import (
     DEFAULT_ISO_BUDGET,
     IsoVerdict,
     SpanError,
+    build_component,
     check_braid_conf,
     check_lemma_braid,
     coalgebras_isomorphic,
-    extract_coalgebra,
+    component_coalgebra,
+    component_steenrod,
     s_set,
-    steenrod_matrix,
     theorem_main,
 )
-from .families import DEFAULT_K_BOUND, Family, basis, embed, poincare_vector, top_class
+from .families import DEFAULT_K_BOUND, Family, basis, check_basis_size, embed, top_class
 
 SCHEMA_VERSION = 2
 
@@ -195,6 +196,10 @@ def _cmd_theorem_main(args, config: RunConfig) -> int:
 
 
 def _cmd_lemma_braid(args, config: RunConfig) -> int:
+    if args.max_k >= 1:
+        # Braid basis sizes grow with the weight, so the largest one, checked
+        # first, bounds every basis the loop enumerates.
+        check_basis_size(Family.BRAID, 2 * args.max_k + 1, k_bound=config.k_bound)
     reports = []
     lines = []
     statuses = []
@@ -230,14 +235,13 @@ def _cmd_lemma_braid(args, config: RunConfig) -> int:
 def _cmd_iso(args, config: RunConfig) -> int:
     fam_a, k_a = _parse_spec(args.a)
     fam_b, k_b = _parse_spec(args.b)
-    ca = extract_coalgebra(fam_a, k_a, k_bound=config.k_bound)
-    cb = extract_coalgebra(fam_b, k_b, k_bound=config.k_bound)
-    steenrod = None
-    if args.steenrod:
-        steenrod = (
-            steenrod_matrix(fam_a, k_a, k_bound=config.k_bound),
-            steenrod_matrix(fam_b, k_b, k_bound=config.k_bound),
-        )
+    # Each component is enumerated, embedded and eliminated once, for its
+    # coalgebra and its Steenrod matrices alike.
+    comps = [
+        build_component(fam, k, k_bound=config.k_bound) for fam, k in ((fam_a, k_a), (fam_b, k_b))
+    ]
+    ca, cb = map(component_coalgebra, comps)
+    steenrod = tuple(map(component_steenrod, comps)) if args.steenrod else None
     verdict = coalgebras_isomorphic(ca, cb, config.iso_budget, steenrod=steenrod)
     payload = {
         "schema": SCHEMA_VERSION,
@@ -267,8 +271,9 @@ def _cmd_steenrod(args, config: RunConfig) -> int:
     if args.j >= 2 and not args.extended:
         raise ValueError("dual operations with j >= 2 require --extended")
     family = Family(args.family)
-    mats = steenrod_matrix(family, args.k, j=args.j, k_bound=config.k_bound)
-    sizes = poincare_vector(family, args.k, k_bound=config.k_bound)
+    comp = build_component(family, args.k, k_bound=config.k_bound)
+    mats = component_steenrod(comp, args.j)
+    sizes = comp.dims
     matrices = {str(d): _matrix_json(mat, sizes[d]) for d, mat in sorted(mats.items())}
     payload = {
         "schema": SCHEMA_VERSION,

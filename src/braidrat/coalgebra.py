@@ -14,29 +14,21 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import compress, count
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import gf2
-from .ambient import G, TensorElement, xor_all
+from .ambient import xor_all
 from .families import (
     DEFAULT_K_BOUND,
     Family,
     FamilyMonomial,
+    _embed,
     basis,
-    basis_size,
-    embed,
     top_class,
 )
-from .operations import (
-    coproduct,
-    coproduct_fields,
-    coproduct_left_dims,
-    monomial_fields,
-    sqj_dual,
-)
+from .operations import _G_PAIR, _MASK, _left_dims, _psi, _split, _sqj, _unpack
 
 DEFAULT_ISO_BUDGET = 10**6
-BASIS_BOUND = 4096
 
 PairSet = frozenset
 
@@ -152,16 +144,8 @@ class GradedCoalgebra:
 def _basis_by_dim(
     family: Family, k: int, *, k_bound: int = DEFAULT_K_BOUND
 ) -> list[list[FamilyMonomial]]:
-    """The basis grouped by dimension.  Its size is predicted before any
-    enumeration, and a size above ``BASIS_BOUND`` raises ``ValueError``."""
-    # For k >= 2 every family has more than k/2 basis monomials (the
-    # partitions of k into 1s and 2s alone number floor(k/2) + 1), so such
-    # a k is refused without the O(k) count.
-    if 2 * BASIS_BOUND <= k <= k_bound:
-        raise ValueError(f"basis size above {k // 2} exceeds bound {BASIS_BOUND}")
-    total = basis_size(family, k, k_bound=k_bound)
-    if total > BASIS_BOUND:
-        raise ValueError(f"basis size {total} exceeds bound {BASIS_BOUND}")
+    """The basis grouped by dimension.  ``basis`` predicts its size before
+    any enumeration, and a size above ``BASIS_BOUND`` raises ``ValueError``."""
     bas = basis(family, k, k_bound=k_bound)
     top = max(fm.dim for fm in bas)
     out: list[list[FamilyMonomial]] = [[] for _ in range(top + 1)]
@@ -170,9 +154,9 @@ def _basis_by_dim(
     return out
 
 
-def _coordinates(vectors: Sequence[set], what: str):
-    """Coordinate map onto ``vectors`` (sets of ambient terms, as
-    ``monomial_fields`` keys), from one elimination.
+def _coordinates(vectors: Sequence[Iterable[int]], what: str) -> Callable[[Iterable[int]], int]:
+    """Coordinate map onto ``vectors`` (sets of packed halves), from one
+    elimination.
 
     Raises ``SpanError`` if the vectors are dependent.  ``coords(terms)``,
     for distinct terms, is the bit mask over ``vectors`` summing to
@@ -201,20 +185,44 @@ def _coordinates(vectors: Sequence[set], what: str):
     return coords
 
 
-def _embedded_basis(by_dim: list[list[FamilyMonomial]]):
-    """The ambient embedding of each basis element, and per degree the
-    coordinate map (see ``_coordinates``) onto the embedded basis."""
-    embeds = [[embed(fm) for fm in row] for row in by_dim]
-    return embeds, [
-        _coordinates([set(map(monomial_fields, e.terms)) for e in row], f"degree-{d}")
-        for d, row in enumerate(embeds)
-    ]
+class Component(NamedTuple):
+    """One weight-graded component, built once for extraction and the
+    Steenrod matrices: the basis by degree, the packed embedding of each
+    basis element, and per degree the coordinate map onto the embedded basis
+    (see ``_coordinates``)."""
+
+    by_dim: list[list[FamilyMonomial]]
+    embeds: list[list[frozenset[int]]]
+    coords: list[Callable[[Iterable[int]], int]]
+
+    @property
+    def dims(self) -> list[int]:
+        return [len(row) for row in self.by_dim]
+
+
+def build_component(family: Family, k: int, *, k_bound: int = DEFAULT_K_BOUND) -> Component:
+    """Enumerate, embed and eliminate the weight-k component of ``family``.
+
+    The basis size is predicted before any enumeration, and a size above
+    ``BASIS_BOUND`` raises ``ValueError``; a dependent embedded basis raises
+    ``SpanError``.
+    """
+    by_dim = _basis_by_dim(family, k, k_bound=k_bound)
+    embeds = [[_embed(fm) for fm in row] for row in by_dim]
+    coords = [_coordinates(row, f"degree-{d}") for d, row in enumerate(embeds)]
+    return Component(by_dim, embeds, coords)
 
 
 def extract_coalgebra(
     family: Family, k: int, *, k_bound: int = DEFAULT_K_BOUND
 ) -> GradedCoalgebra:
-    """Structure constants of the weight-graded component in the family basis.
+    """Structure constants of the weight-graded component in the family basis
+    (see ``component_coalgebra``)."""
+    return component_coalgebra(build_component(family, k, k_bound=k_bound))
+
+
+def component_coalgebra(c: Component) -> GradedCoalgebra:
+    """Structure constants of a built component in its family basis.
 
     The split-s part T of the coproduct of a degree-d element is
     sum C_ij e_i (x) f_j over the degree s and d-s bases.  Grouped by right
@@ -222,18 +230,16 @@ def extract_coalgebra(
     with bit i set in y_v solve to row i of C.  Either solve raises
     ``SpanError`` exactly when T leaves span(e (x) f), since the component
     must be a sub-coalgebra.  A pair whose dims do not add up to d raises
-    ``ValueError``.  The basis size is predicted before any enumeration, and
-    a size above ``BASIS_BOUND`` raises ``ValueError``.
+    ``ValueError``.
     """
-    by_dim = _basis_by_dim(family, k, k_bound=k_bound)
-    embeds, coords = _embedded_basis(by_dim)
-    labels = tuple(tuple(fm.label() for fm in row) for row in by_dim)
-    delta = {(d, s): [] for d in range(len(by_dim)) for s in range(d + 1)}
-    for d, row in enumerate(embeds):
+    labels = tuple(tuple(fm.label() for fm in row) for row in c.by_dim)
+    delta = {(d, s): [] for d in range(len(c.by_dim)) for s in range(d + 1)}
+    for d, row in enumerate(c.embeds):
         for e in row:
             parts: dict[int, dict] = {}  # left dim -> right half -> left halves
-            for u, v in coproduct_fields(e):
-                s, t = u[0] if u else 0, v[0] if v else 0
+            for x in _psi(e):
+                u, v = _split(x)
+                s, t = u & _MASK, v & _MASK
                 if s + t != d:
                     raise ValueError(
                         f"coproduct pair of dimensions ({s}, {t}) has total {s + t}, expected {d}"
@@ -242,10 +248,10 @@ def extract_coalgebra(
             for s in range(d + 1):
                 by_left: dict[int, list] = {}
                 for v, us in parts.get(s, {}).items():
-                    for i in _bits(coords[s](us)):
+                    for i in _bits(c.coords[s](us)):
                         by_left.setdefault(i, []).append(v)
                 delta[(d, s)].append(frozenset(
-                    (i, j) for i, vs in by_left.items() for j in _bits(coords[d - s](vs))
+                    (i, j) for i, vs in by_left.items() for j in _bits(c.coords[d - s](vs))
                 ))
     return GradedCoalgebra(labels, {key: tuple(comps) for key, comps in delta.items()})
 
@@ -269,21 +275,23 @@ def s_set(fm: FamilyMonomial) -> frozenset[int]:
     """Left dimensions where the coproduct of the embedded class is nonzero.
 
     This is the union over the monomials m of ``embed(fm)`` of the left dims
-    of psi(m) (``coproduct_left_dims``), since no pair cancels: every pair
-    (u, v) of psi(m) has u * v = m * g^weight(m), whose g exponent
-    2 g_exp + sum_i e_i 2^i fixes the g_exp of m, so pairs from distinct
-    monomials differ, and within psi(m) distinct submask tuples give
-    distinct pairs.
+    of psi(m) (``operations.coproduct_left_dims``, read here from the packed
+    halves), since no pair cancels: every pair (u, v) of psi(m) has
+    u * v = m * g^weight(m), whose g exponent 2 g_exp + sum_i e_i 2^i fixes
+    the g_exp of m, so pairs from distinct monomials differ, and within
+    psi(m) distinct submask tuples give distinct pairs.
 
     Raises ``ValueError`` if a monomial's dimension is not ``fm.dim``, which
     signals a non-homogeneous embedding.
     """
     d = fm.dim
     mask = 0
-    for m in embed(fm).terms:
-        if m.dim != d:
-            raise ValueError(f"embedded monomial {m} has dimension {m.dim}, expected {d}")
-        mask |= coproduct_left_dims(m)
+    for h in _embed(fm):
+        if h & _MASK != d:
+            raise ValueError(
+                f"embedded monomial {_unpack(h)} has dimension {h & _MASK}, expected {d}"
+            )
+        mask |= _left_dims(h)
     return frozenset(_set_bits(mask))
 
 
@@ -523,27 +531,31 @@ def steenrod_matrix(
     j: int = 1,
     k_bound: int = DEFAULT_K_BOUND,
 ) -> dict[int, tuple[int, ...]]:
-    """Per-degree matrices of the dual Steenrod operation in the family basis.
+    """Per-degree matrices of the dual Steenrod operation in the family basis
+    (see ``component_steenrod``).  Raises ``ValueError``, before any
+    enumeration, if the predicted basis size is above ``BASIS_BOUND``."""
+    return component_steenrod(build_component(family, k, k_bound=k_bound), j)
+
+
+def component_steenrod(c: Component, j: int = 1) -> dict[int, tuple[int, ...]]:
+    """Per-degree matrices of Sq_j^* on a built component.
 
     Entry ``out[d]`` maps degree d to degree d-j; rows are indexed by the
     target basis, with bit b set when the image of source b hits that row.
-    Raises ``SpanError`` if an image leaves the family span, and
-    ``ValueError``, before any enumeration, if the predicted basis size is
-    above ``BASIS_BOUND``.
+    Raises ``SpanError`` if an image leaves the family span.
     """
     if j < 1:
         raise ValueError(f"j must be >= 1, got {j}")
-    by_dim = _basis_by_dim(family, k, k_bound=k_bound)
-    embeds, coords = _embedded_basis(by_dim)
+    dims = c.dims
     out: dict[int, tuple[int, ...]] = {}
-    for d in range(1, len(by_dim)):
-        if not by_dim[d]:
+    for d in range(1, len(dims)):
+        if not dims[d]:
             continue
         below = d - j
-        to_basis = coords[below] if below >= 0 else _coordinates([], f"degree-{below}")
-        matrix = [0] * (len(by_dim[below]) if below >= 0 else 0)
-        for col, e in enumerate(embeds[d]):
-            for t_idx in _bits(to_basis([monomial_fields(m) for m in sqj_dual(e, j).terms])):
+        to_basis = c.coords[below] if below >= 0 else _coordinates([], f"degree-{below}")
+        matrix = [0] * (dims[below] if below >= 0 else 0)
+        for col, e in enumerate(c.embeds[d]):
+            for t_idx in _bits(to_basis(_sqj(e, j))):
                 matrix[t_idx] |= 1 << col
         out[d] = tuple(matrix)
     return out
@@ -571,9 +583,9 @@ def check_lemma_braid(k: int, *, k_bound: int = DEFAULT_K_BOUND) -> LemmaBraidRe
     g_fm = FamilyMonomial(Family.BRAID, ((0, 1),))
     images = [fm * g_fm for fm in even]
     bijection_ok = len(images) == len(odd) and set(images) == set(odd)
-    gg = TensorElement(frozenset({(G, G)}))
+    # Multiplying by g (x) g adds _G_PAIR to every packed pair.
     coproduct_ok = all(
-        coproduct(embed(g_fm * fm)) == gg * coproduct(embed(fm)) for fm in even
+        _psi(_embed(g_fm * fm)) == {x + _G_PAIR for x in _psi(_embed(fm))} for fm in even
     )
     return LemmaBraidReport(k, bijection_ok, coproduct_ok, len(even))
 

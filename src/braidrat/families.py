@@ -24,10 +24,19 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Mapping
 
-from .ambient import AmbientElement, Bigrade, G_INV, element, monomial, q_gen
-from .operations import iterated_q
+from .ambient import (
+    G_INV,
+    AmbientElement,
+    Bigrade,
+    element,
+    monomial,
+    q_gen,
+    xor_all,
+)
+from .operations import _check_field_range, _field_bound, _pack, _view, iterated_q
 
 DEFAULT_K_BOUND = 1024
+BASIS_BOUND = 4096
 
 
 class Family(enum.Enum):
@@ -121,22 +130,43 @@ def family_monomial(family: Family, exps: Mapping[int, int]) -> FamilyMonomial:
 
 
 @lru_cache(maxsize=None)
-def _generator_embedding(family: Family, idx: int) -> AmbientElement:
+def _generator_halves(family: Family, idx: int) -> tuple[frozenset[int], int]:
+    """The packed terms of a generator's embedding, and the largest
+    ``_field_bound`` among them.  Q runs on monomial objects, once per
+    generator."""
     if family is Family.BRAID:
-        return element(monomial(1) if idx == 0 else q_gen(idx))
-    if family is Family.RAT:
-        if idx == -1:
-            return element(monomial(1))
-        return iterated_q(element(G_INV * q_gen(1)), idx)
-    return iterated_q(element(monomial(-2) * q_gen(1)), idx)
+        gen = element(monomial(1) if idx == 0 else q_gen(idx))
+    elif family is Family.RAT:
+        gen = element(monomial(1)) if idx == -1 else iterated_q(element(G_INV * q_gen(1)), idx)
+    else:
+        gen = iterated_q(element(monomial(-2) * q_gen(1)), idx)
+    return frozenset(map(_pack, gen.terms)), max(map(_field_bound, gen.terms))
+
+
+def _embed(fm: FamilyMonomial) -> frozenset[int]:
+    """The embedding of ``fm`` as packed halves (see ``operations._pack``).
+
+    A power is a product of Frobenius squares, h^(2^b) = h << b, and a
+    product is ``xor_all`` of int adds.  ``_field_bound`` is subadditive, so
+    no field of any partial product leaves the digit range when the bounds
+    of the factors sum below it; otherwise ``GeneratorLimitError`` is raised
+    before any product is formed.
+    """
+    factors = [(_generator_halves(fm.family, idx), e) for idx, e in fm.exps]
+    _check_field_range(sum(bound * e for (_, bound), e in factors), fm)
+    out = {0}
+    for (halves, _), e in factors:
+        for b in range(e.bit_length()):
+            if e >> b & 1:
+                power = [c << b for c in halves]
+                # For a fixed a the sums a + c over distinct c are distinct.
+                out = xor_all({a + c for c in power} for a in out)
+    return frozenset(out)
 
 
 def embed(fm: FamilyMonomial) -> AmbientElement:
     """Multiplicative embedding of a family monomial into the ambient algebra."""
-    out = element(monomial())
-    for idx, e in fm.exps:
-        out = out * _generator_embedding(fm.family, idx) ** e
-    return out
+    return _view(_embed(fm))
 
 
 def _generator_indices(family: Family, k: int) -> list[int]:
@@ -169,13 +199,28 @@ def _check_k(k: int, k_bound: int) -> None:
         raise ValueError(f"k={k} exceeds the enumeration bound {k_bound}")
 
 
+def check_basis_size(family: Family, k: int, *, k_bound: int = DEFAULT_K_BOUND) -> None:
+    """Raise ``ValueError`` when the basis of ``family`` at k, counted
+    without enumerating it, has more than ``BASIS_BOUND`` monomials."""
+    _check_k(k, k_bound)
+    # For k >= 2 every family has more than k/2 basis monomials (the
+    # partitions of k into 1s and 2s alone number floor(k/2) + 1), so such
+    # a k is refused without the O(k) count.
+    if k >= 2 * BASIS_BOUND:
+        raise ValueError(f"basis size above {k // 2} exceeds bound {BASIS_BOUND}")
+    total = basis_size(family, k, k_bound=k_bound)
+    if total > BASIS_BOUND:
+        raise ValueError(f"basis size {total} exceeds bound {BASIS_BOUND}")
+
+
 def basis(family: Family, k: int, *, k_bound: int = DEFAULT_K_BOUND) -> list[FamilyMonomial]:
     """Monomials of weight exactly k (braid, rat) or weight <= k (conf).
 
     The list is sorted by dimension, then lexicographically on exponent
-    vectors, so output order is deterministic.
+    vectors, so output order is deterministic.  Its size is checked by
+    ``check_basis_size`` before any enumeration.
     """
-    _check_k(k, k_bound)
+    check_basis_size(family, k, k_bound=k_bound)
     idxs = _generator_indices(family, k)
     weights = [generator_bigrade(family, i).weight for i in idxs]
     exact = family is not Family.CONF

@@ -6,19 +6,20 @@ Q(Q^i g) = Q^{i+1} g), the diagonal coproduct (an algebra map with
 psi(g^a) = g^a (x) g^a and psi(Q^i g) = g^{2^i} (x) Q^i g + Q^i g (x) g^{2^i}),
 and the dual Steenrod operations Sq_j^*.
 
-The coproduct runs on a packed-int kernel: a monomial pair is one Python
-int, so multiplying pairs is integer addition and F2 cancellation is set
-symmetric difference.  ``coproduct_fields`` decodes each surviving pair into
-the field tuples of its two halves, which coalgebra extraction groups
-without building monomials, and ``coproduct`` turns those into a
-``TensorElement``.  ``coproduct_left_dims`` reads the left dims of the pairs
-of one monomial in closed form, without forming a pair.
+The coproduct and the dual Steenrod operations run on packed ints: a
+monomial is one int, its half, and a monomial pair is two halves in one int,
+so multiplying is integer addition and F2 cancellation is set symmetric
+difference.  Coalgebra extraction and the Steenrod matrices call the packed
+``_psi`` and ``_sqj`` directly; ``coproduct``, ``sq1_dual`` and ``sqj_dual``
+are views that pack their argument and unpack the result.  Q stays on
+monomial objects: it builds each family generator once.
+``coproduct_left_dims`` reads the left dims of the pairs of one monomial in
+closed form, without forming a pair.
 
 Per-monomial results are memoized in write-once caches (the coproduct memo
-holds frozensets of packed ints); entries are never mutated after insertion,
-so concurrent readers are safe.
+maps each half to a frozenset of packed pairs); entries are never mutated
+after insertion, so concurrent readers are safe.
 """
-
 from __future__ import annotations
 
 from typing import Iterable
@@ -36,8 +37,8 @@ from .ambient import (
 )
 
 _Q_CACHE: dict[AmbientMonomial, AmbientElement] = {}
-_PSI_CACHE: dict[AmbientMonomial, frozenset[int]] = {}
-_SQJ_CACHE: dict[tuple[AmbientMonomial, int], AmbientElement] = {}
+_PSI_CACHE: dict[int, frozenset[int]] = {}
+_SQJ_CACHE: dict[tuple[int, int], frozenset[int]] = {}
 
 
 def _f2_sum(parts: Iterable[AmbientElement]) -> AmbientElement:
@@ -95,23 +96,74 @@ def iterated_q(e: AmbientElement, n: int) -> AmbientElement:
     return e
 
 
-# Packed coproduct kernel.  A monomial pair is one int.  Each half has a dim
-# field (field 0), a g field (field 1) and a Q^i g exponent field (field
-# i + 1), _W bits each; field j of the left half sits at slot 2j and of the
-# right half at slot 2j + 1, so the layout does not depend on the largest
-# index.  Fields are balanced base-2^_W digits because g exponents may be
-# negative: pairs multiply by integer addition, and the int determines the
-# pair as long as every field stays below _HALF in absolute value.
+# Packed half-monomials.  The monomial g^a * prod_i (Q^i g)^(e_i) is one int,
+# its half: field 0 is its dim, field 1 is a and field i + 1 is e_i, _W bits
+# each at bit _W * field.  Fields are balanced base-2^_W digits because g
+# exponents may be negative: products are integer adds, and the int
+# determines the monomial as long as every field stays below _HALF in
+# absolute value (see ``_field_bound``).  A pair u (x) v is u + (v << _B).
+# The guard admits Q^i g only for 2^i < _HALF, so field i + 1 <= _W - 1 and
+# _W fields hold every half; its halves are then below 2^(_B - 1) in absolute
+# value, which is what ``_split`` needs.
 _W = 32
+_B = _W * _W  # _W fields of _W bits per half
 _MASK = (1 << _W) - 1
 _HALF = 1 << (_W - 1)
+_ROUND = 1 << (_B - 1)
 
 
-def _slot(field: int, right: int) -> int:
-    return 1 << ((2 * field + right) * _W)
+def _slot(field: int) -> int:
+    return 1 << (_W * field)
 
 
-_G_PAIR = _slot(1, 0) + _slot(1, 1)  # g (x) g
+_G_PAIR = _slot(1) + (_slot(1) << _B)  # g (x) g
+
+
+def _field_bound(m: AmbientMonomial) -> int:
+    """|a| + sum_i e_i 2^i, a bound on every field of ``m`` and of both
+    halves of every pair of psi(m).  It is subadditive under products, and
+    Sq_j^* keeps it."""
+    return abs(m.g_exp) + sum(e << i for i, e in m.q_exps)
+
+
+def _check_field_range(bound: int, what: object) -> None:
+    if bound >= _HALF:
+        raise GeneratorLimitError(f"{what} exceeds the packed field range 2^{_W - 1}")
+
+
+def _pack(m: AmbientMonomial) -> int:
+    """``m`` as a packed half; raises ``GeneratorLimitError`` when a field of
+    it or of its coproduct could leave the digit range."""
+    _check_field_range(_field_bound(m), m)
+    return m.dim + m.g_exp * _slot(1) + sum(e * _slot(i + 1) for i, e in m.q_exps)
+
+
+def _fields(h: int) -> list[int]:
+    """The fields of a packed half, field 0 first, up to its last nonzero one."""
+    out = []
+    while h:
+        d = h & _MASK
+        if d >= _HALF:
+            d -= 1 << _W
+        out.append(d)
+        h = (h - d) >> _W
+    return out
+
+
+def _unpack(h: int) -> AmbientMonomial:
+    g_exp, *exps = _fields(h)[1:] or [0]
+    return AmbientMonomial(g_exp, tuple((i, e) for i, e in enumerate(exps, 1) if e))
+
+
+def _split(x: int) -> tuple[int, int]:
+    """The halves (u, v) of the packed pair x = u + (v << _B): rounding
+    recovers v even when u is negative."""
+    v = (x + _ROUND) >> _B
+    return x - (v << _B), v
+
+
+def _view(halves: Iterable[int]) -> AmbientElement:
+    return AmbientElement(frozenset(map(_unpack, halves)))
 
 
 def _submasks(e: int) -> Iterable[int]:
@@ -123,100 +175,46 @@ def _submasks(e: int) -> Iterable[int]:
         j = (j - 1) & e
 
 
-def _check_field_range(m: AmbientMonomial) -> None:
-    # Every field of every pair is bounded by this: |g| <= |g_exp| + sum e_i 2^i,
-    # while each dim and each e_i is at most sum e_i 2^i.
-    bound = abs(m.g_exp) + sum(e << i for i, e in m.q_exps)
-    if bound >= _HALF:
-        raise GeneratorLimitError(
-            f"monomial {m} exceeds the coproduct field range 2^{_W - 1}"
-        )
-
-
-def _psi_monomial(m: AmbientMonomial) -> frozenset[int]:
-    cached = _PSI_CACHE.get(m)
+def _psi_half(h: int) -> frozenset[int]:
+    cached = _PSI_CACHE.get(h)
     if cached is not None:
         return cached
-    _check_field_range(m)
-    out = {m.g_exp * _G_PAIR}
-    for i, e in m.q_exps:
+    fields = _fields(h)
+    out = {fields[1] * _G_PAIR if len(fields) > 1 else 0}
+    for i, e in enumerate(fields[2:], 1):
+        if not e:
+            continue
         # psi(Q^i g) = x + y with x = g^{2^i} (x) Q^i g, y = Q^i g (x) g^{2^i};
         # binom(e, j) is odd exactly for the submasks j of e (Lucas), so
         # (x + y)^e = sum over those j of x^j y^{e-j}.
-        x = (1 << i) * _slot(1, 0) + ((1 << i) - 1) * _slot(0, 1) + _slot(i + 1, 1)
-        y = ((1 << i) - 1) * _slot(0, 0) + _slot(i + 1, 0) + (1 << i) * _slot(1, 1)
+        q = _slot(i + 1) + (1 << i) - 1
+        g = (1 << i) * _slot(1)
+        x = g + (q << _B)
+        y = q + (g << _B)
         power = [j * x + (e - j) * y for j in _submasks(e)]
         # For a fixed b the sums a + b over distinct a are distinct, so one
         # symmetric difference per b is an exact F2 product.
         out = xor_all({a + b for a in out} for b in power)
-    cached = _PSI_CACHE[m] = frozenset(out)
+    cached = _PSI_CACHE[h] = frozenset(out)
     return cached
 
 
-def monomial_fields(m: AmbientMonomial) -> tuple[int, ...]:
-    """The fields of ``m`` as one half of a packed pair, (dim, g, e_1, ...),
-    with trailing zeros stripped: the key ``coproduct_fields`` yields."""
-    exps = dict(m.q_exps)
-    fields = [m.dim, m.g_exp, *(exps.get(i, 0) for i in range(1, m.max_q_index + 1))]
-    while fields and not fields[-1]:
-        fields.pop()
-    return tuple(fields)
-
-
-def coproduct_fields(e: AmbientElement) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The pairs of the diagonal coproduct of ``e``, each as the fields of its
-    left and right half (see ``monomial_fields``), decoded from the packed
-    ints without building monomials."""
-    out = []
-    for x in xor_all(map(_psi_monomial, e.terms)):
-        digits = []
-        while x:
-            d = x & _MASK
-            if d >= _HALF:
-                d -= 1 << _W
-            digits.append(d)
-            x = (x - d) >> _W
-        left, right = digits[0::2], digits[1::2]
-        # The last digit is nonzero, so only the other half can end in zeros.
-        half = right if len(digits) & 1 else left
-        while half and not half[-1]:
-            half.pop()
-        out.append((tuple(left), tuple(right)))
-    return out
-
-
-def _unpack_half(fields: tuple[int, ...], memo: dict) -> AmbientMonomial:
-    m = memo.get(fields)
-    if m is None:
-        g_exp = fields[1] if len(fields) > 1 else 0
-        q_exps = tuple((i, e) for i, e in enumerate(fields[2:], 1) if e)
-        m = memo[fields] = AmbientMonomial(g_exp, q_exps)
-    return m
+def _psi(halves: Iterable[int]) -> set[int]:
+    """The diagonal coproduct of the F2 sum of distinct ``halves``, as
+    packed pairs."""
+    return xor_all(map(_psi_half, halves))
 
 
 def coproduct(e: AmbientElement) -> TensorElement:
     """The diagonal coproduct, linear over F2 and multiplicative on monomials."""
-    memo: dict = {}
-    return TensorElement(frozenset(
-        (_unpack_half(left, memo), _unpack_half(right, memo))
-        for left, right in coproduct_fields(e)
-    ))
+    pairs = list(map(_split, _psi(map(_pack, e.terms))))
+    views = {h: _unpack(h) for pair in pairs for h in pair}
+    return TensorElement(frozenset((views[u], views[v]) for u, v in pairs))
 
 
-def coproduct_left_dims(m: AmbientMonomial) -> int:
-    """The left dims of the pairs of psi(m), as a bit mask: bit s is set when
-    some pair has left dim s.
-
-    In ``_psi_monomial`` the factor (Q^i g)^(e_i) contributes the left half
-    g^(2^i j) (Q^i g)^(e_i - j), of dim (2^i - 1)(e_i - j), for each submask
-    j of e_i, and e_i - j runs over the same submasks.  So the left dims are
-    the sums of (2^i - 1) << b over the subsets of the set bits b of all the
-    e_i, built here one set bit at a time, without forming a pair.  The mask
-    is m.dim + 1 bits wide; ``m`` passes the coproduct's field-range guard.
-    """
-    _check_field_range(m)
+def _left_dims(h: int) -> int:
     acc = 1
-    for i, e in m.q_exps:
+    for i, e in enumerate(_fields(h)[2:], 1):
         while e:
             low = e & -e
             acc |= acc << (((1 << i) - 1) * low)
@@ -224,55 +222,64 @@ def coproduct_left_dims(m: AmbientMonomial) -> int:
     return acc
 
 
-def _sq1_monomial(m: AmbientMonomial) -> AmbientElement:
+def coproduct_left_dims(m: AmbientMonomial) -> int:
+    """The left dims of the pairs of psi(m), as a bit mask: bit s is set when
+    some pair has left dim s.
+
+    In ``_psi_half`` the factor (Q^i g)^(e_i) contributes the left half
+    g^(2^i j) (Q^i g)^(e_i - j), of dim (2^i - 1)(e_i - j), for each submask
+    j of e_i, and e_i - j runs over the same submasks.  So the left dims are
+    the sums of (2^i - 1) << b over the subsets of the set bits b of all the
+    e_i, built here one set bit at a time, without forming a pair.  The mask
+    is m.dim + 1 bits wide; ``m`` passes the packed field-range guard.
+    """
+    return _left_dims(_pack(m))
+
+
+def _sq1_half(h: int) -> list[int]:
     # Derivation: hit one factor at a time; Sq_1^*(Q^i g) = (Q^{i-1} g)^2 for
     # i >= 2 and zero on g and Qg, so only odd powers of Q^i g, i >= 2 survive.
-    out = []
-    for i, e in m.q_exps:
-        if i >= 2 and e & 1:
-            exps = dict(m.q_exps)
-            exps[i] = e - 1
-            exps[i - 1] = exps.get(i - 1, 0) + 2
-            out.append(monomial(m.g_exp, exps))
-    return element(*out)
+    # Each trades one Q^i g for two Q^{i-1} g, which lowers the dim by 1.
+    return [h - _slot(i + 1) + 2 * _slot(i) - 1
+            for i, e in enumerate(_fields(h)[3:], 2) if e & 1]
 
 
-def sq1_dual(e: AmbientElement) -> AmbientElement:
-    """The dual of the first Steenrod square; preserves weight, lowers dim by 1."""
-    return _f2_sum(map(_sq1_monomial, e.terms))
-
-
-def _sqj_monomial(m: AmbientMonomial, j: int) -> AmbientElement:
-    if m.dim < j:
-        return ZERO
+def _sqj_half(h: int, j: int) -> Iterable[int]:
+    if h & _MASK < j:
+        return ()
     if j == 1:
-        return _sq1_monomial(m)
-    cached = _SQJ_CACHE.get((m, j))
+        return _sq1_half(h)
+    cached = _SQJ_CACHE.get((h, j))
     if cached is not None:
         return cached
     # Peel one copy of the first polynomial generator and apply the dual
     # Cartan rule; on a single generator only Sq_0^* and Sq_1^* are nonzero.
-    (i, e) = m.q_exps[0]
-    exps = dict(m.q_exps)
-    if e == 1:
-        del exps[i]
-    else:
-        exps[i] = e - 1
-    rest = monomial(m.g_exp, exps)
-    out = element(q_gen(i)) * _sqj_monomial(rest, j)
+    i = next(i for i, e in enumerate(_fields(h)[2:], 1) if e)
+    q = _slot(i + 1) + (1 << i) - 1  # Q^i g
+    rest = h - q
+    out = {q + r for r in _sqj_half(rest, j)}
     if i >= 2:
-        out = out + element(monomial(0, {i - 1: 2})) * _sqj_monomial(rest, j - 1)
-    _SQJ_CACHE[(m, j)] = out
-    return out
+        square = 2 * _slot(i) + (1 << i) - 2  # (Q^{i-1} g)^2
+        out.symmetric_difference_update(square + r for r in _sqj_half(rest, j - 1))
+    cached = _SQJ_CACHE[(h, j)] = frozenset(out)
+    return cached
+
+
+def _sqj(halves: Iterable[int], j: int) -> set[int]:
+    """Sq_j^* of the F2 sum of distinct ``halves``, as packed halves."""
+    if j < 1:
+        raise ValueError(f"j must be >= 1, got {j}")
+    return xor_all(_sqj_half(h, j) for h in halves)
+
+
+def sq1_dual(e: AmbientElement) -> AmbientElement:
+    """The dual of the first Steenrod square; preserves weight, lowers dim by 1."""
+    return _view(_sqj(map(_pack, e.terms), 1))
 
 
 def sqj_dual(e: AmbientElement, j: int) -> AmbientElement:
     """The dual of Sq^j, extended to products by the dual Cartan rule.
 
-    Generator values vanish for j >= 2; j = 1 delegates to ``sq1_dual``.
+    Generator values vanish for j >= 2; j = 1 is ``sq1_dual``.
     """
-    if j < 1:
-        raise ValueError(f"j must be >= 1, got {j}")
-    if j == 1:
-        return sq1_dual(e)
-    return _f2_sum(_sqj_monomial(m, j) for m in e.terms)
+    return _view(_sqj(map(_pack, e.terms), j))

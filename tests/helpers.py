@@ -9,8 +9,10 @@ pairs the packed coproduct kernel forms, the top-class support for the
 braid family comes from subset sums, the family-level structure constants
 are obtained by multiplying out generator coproducts term by term with no
 elimination step, isomorphisms are counted by enumerating every invertible
-per-degree map, and coassociativity is checked one element and one split
-at a time, trivial splits included.
+per-degree map, coassociativity is checked one element and one split at a
+time, trivial splits included, the packed embedding and dual Steenrod
+operations are checked against ``AmbientElement`` products and monomial
+objects, and packed pairs are read back digit by digit.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from collections import Counter
 
 from braidrat import operations
 from braidrat.ambient import (
+    ONE,
     ZERO,
     AmbientElement,
     AmbientMonomial,
@@ -100,17 +103,94 @@ def reference_coproduct(e: AmbientElement) -> TensorElement:
 
 
 # ---------------------------------------------------------------------------
-# (left dim, right dim) of every pair of the packed psi kernel, read from the
-# packed ints without decoding: the oracle for the closed-form left dims.
+# The balanced digits of a whole pair int, for the pair split, and the
+# (left dim, right dim) of every pair of the packed psi kernel: the oracle
+# for the closed-form left dims.
+
+
+def pair_digits(x: int) -> list[int]:
+    """The balanced base-2^_W digits of a packed pair, lowest first: the
+    fields of the left half, then from digit _B / _W on those of the right."""
+    base, half = 1 << operations._W, 1 << (operations._W - 1)
+    out = []
+    while x:
+        digit = (x + half) % base - half
+        out.append(digit)
+        x = (x - digit) // base
+    return out + [0] * (2 * operations._B // operations._W - len(out))
 
 
 def coproduct_dims(e: AmbientElement) -> set[tuple[int, int]]:
-    # Dims are the two lowest fields and never negative, so no borrow from
-    # the signed fields above reaches them.
-    w = operations._W
-    low = {x & ((1 << 2 * w) - 1)
-           for x in _parity(x for m in e.terms for x in operations._psi_monomial(m))}
-    return {(v & ((1 << w) - 1), v >> w) for v in low}
+    # The left dim is the lowest digit.  The right dim is the digit at bit
+    # _B once the borrow of a negative left half is added back, which
+    # shifting the pair up by 2^(_B - 1) before the floor shift does.
+    w, b = operations._W, operations._B
+    mask, up = (1 << w) - 1, 1 << (b - 1)
+    pairs = _parity(x for m in e.terms for x in operations._psi_half(operations._pack(m)))
+    return {(x & mask, ((x + up) >> b) & mask) for x in pairs}
+
+
+# ---------------------------------------------------------------------------
+# Object-level dual Steenrod operations: Sq_1^* trades one odd power of
+# Q^i g, i >= 2, for two more Q^{i-1} g, and j >= 2 peels one polynomial
+# generator at a time by the dual Cartan rule, with monomial objects and no
+# memo.
+
+
+def _reference_sq1_monomial(m: AmbientMonomial) -> AmbientElement:
+    out = ZERO
+    for i, e in m.q_exps:
+        if i >= 2 and e & 1:
+            exps = dict(m.q_exps)
+            exps[i] = e - 1
+            exps[i - 1] = exps.get(i - 1, 0) + 2
+            out = out + element(monomial(m.g_exp, exps))
+    return out
+
+
+def _reference_sqj_monomial(m: AmbientMonomial, j: int) -> AmbientElement:
+    if m.dim < j:
+        return ZERO
+    if j == 1:
+        return _reference_sq1_monomial(m)
+    i, e = m.q_exps[0]
+    exps = dict(m.q_exps)
+    exps[i] = e - 1
+    rest = monomial(m.g_exp, exps)
+    out = element(q_gen(i)) * _reference_sqj_monomial(rest, j)
+    if i >= 2:
+        out = out + element(monomial(0, {i - 1: 2})) * _reference_sqj_monomial(rest, j - 1)
+    return out
+
+
+def reference_sqj(e: AmbientElement, j: int) -> AmbientElement:
+    out = ZERO
+    for m in e.terms:
+        out = out + _reference_sqj_monomial(m, j)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Object-level family embedding: generators through the recursive Cartan
+# splitter, multiplied out as ``AmbientElement`` powers and products.
+
+
+def _reference_generator(family: Family, idx: int) -> AmbientElement:
+    if family is Family.BRAID:
+        return element(monomial(1) if idx == 0 else q_gen(idx))
+    if family is Family.RAT and idx == -1:
+        return element(monomial(1))
+    gen = element(monomial(-1 if family is Family.RAT else -2, {1: 1}))
+    for _ in range(idx):
+        gen = q_recursive_element(gen)
+    return gen
+
+
+def reference_embed(fm: FamilyMonomial) -> AmbientElement:
+    out = ONE
+    for idx, e in fm.exps:
+        out = out * _reference_generator(fm.family, idx) ** e
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from braidrat import cli
+from braidrat import cli, coalgebra, families
 from braidrat.cli import main
-from braidrat.coalgebra import LemmaBraidReport
+from braidrat.coalgebra import LemmaBraidReport, build_component
+from braidrat.families import Family, basis_size
 
 
 def run(capsys, *argv):
@@ -237,6 +238,59 @@ def test_extraction_fails_fast_on_predicted_basis_size(capsys):
         assert code == 2
         assert err.startswith("error:") and message in err
         assert out == ""
+
+
+def test_basis_and_lemma_braid_fail_fast_on_predicted_basis_size(capsys):
+    # rat:1000 has about 2.6*10^11 basis monomials, and the last of the
+    # braid bases lemma-braid would enumerate, braid:201, has more than 4096
+    for argv, message in (
+        (("basis", "--family", "rat", "--k", "1000"),
+         f"basis size {basis_size(Family.RAT, 1000)} exceeds bound 4096"),
+        (("lemma-braid", "--max-k", "100"),
+         f"basis size {basis_size(Family.BRAID, 201)} exceeds bound 4096"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert err.startswith("error:") and message in err
+        assert out == ""
+
+
+def _count_builds(monkeypatch):
+    """Count component builds, basis enumerations and basis embeddings."""
+    counts = {"build": 0, "enumerate": 0, "embed": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "build_component", counted("build", build_component))
+    monkeypatch.setattr(
+        families, "_exponent_vectors", counted("enumerate", families._exponent_vectors)
+    )
+    monkeypatch.setattr(coalgebra, "_embed", counted("embed", coalgebra._embed))
+    return counts
+
+
+def test_iso_with_steenrod_builds_each_component_once(capsys, monkeypatch):
+    counts = _count_builds(monkeypatch)
+    code, data = run_json(capsys, "iso", "--a", "rat:13", "--b", "braid:26", "--steenrod")
+    assert code == 0 and data["verdict"]["kind"] == "no"
+    assert counts == {"build": 2, "enumerate": 2, "embed": 2 * sum(data["dims"])}
+
+
+def test_steenrod_reads_its_column_counts_from_the_component(capsys, monkeypatch):
+    dims = build_component(Family.CONF, 8).dims
+    counts = _count_builds(monkeypatch)
+    code, data = run_json(capsys, "steenrod", "--family", "conf", "--k", "8")
+    assert code == 0
+    assert counts == {"build": 1, "enumerate": 1, "embed": sum(dims)}
+    assert {d: len(rows[0]) for d, rows in data["matrices"].items() if rows} == {
+        str(d): dims[d] for d in range(1, len(dims)) if dims[d - 1] and dims[d]
+    }
 
 
 def test_steenrod_fails_fast_on_predicted_basis_size(capsys):

@@ -26,13 +26,8 @@ from braidrat.coalgebra import (
     verify_steenrod_intertwining,
 )
 from braidrat.ambient import TensorElement, element, monomial, q_gen, tensor_components
-from braidrat.families import Family, FamilyMonomial, family_monomial, top_class, embed
-from braidrat.operations import (
-    coproduct,
-    coproduct_fields,
-    monomial_fields,
-    sqj_dual,
-)
+from braidrat.families import Family, FamilyMonomial, family_monomial, top_class, embed, _embed
+from braidrat.operations import _B, _pack, _psi, _sqj, coproduct
 
 from helpers import (
     braid_top_support,
@@ -84,28 +79,26 @@ def test_extracted_structure_matches_brute_force_small():
 def _equal_embeddings(monkeypatch):
     # the two degree-3 basis elements of rat:3 embed equal
     first, second = _basis_by_dim(Family.RAT, 3)[3]
-    monkeypatch.setattr(coalgebra, "embed", lambda fm: embed(first if fm == second else fm))
+    monkeypatch.setattr(coalgebra, "_embed", lambda fm: _embed(first if fm == second else fm))
 
 
 def _stray_coproduct_pair(monkeypatch):
     # the top class A + B of rat:3 gains the pair A (x) 1: its terms are all
-    # packed, but the part B (x) 1 that remains is outside the product span
+    # embedded halves, but the part B (x) 1 that remains is outside the
+    # product span
     by_dim = _basis_by_dim(Family.RAT, 3)
-    top = embed(by_dim[4][0])
-    (unit,) = embed(by_dim[0][0]).terms
-    stray = (monomial_fields(min(top.terms)), monomial_fields(unit))
+    top = _embed(by_dim[4][0])
+    (unit,) = _embed(by_dim[0][0])
+    stray = min(top) + (unit << _B)
     monkeypatch.setattr(
-        coalgebra,
-        "coproduct_fields",
-        lambda e: list(set(coproduct_fields(e)) ^ {stray}) if e == top else coproduct_fields(e),
+        coalgebra, "_psi", lambda hs: _psi(hs) ^ {stray} if hs == top else _psi(hs)
     )
 
 
 def _steenrod_image_off_span(monkeypatch):
     # every dual Steenrod image gains Q3g, which no embedded basis element has
-    monkeypatch.setattr(
-        coalgebra, "sqj_dual", lambda e, j: sqj_dual(e, j) + element(q_gen(3))
-    )
+    stray = _pack(q_gen(3))
+    monkeypatch.setattr(coalgebra, "_sqj", lambda hs, j: _sqj(hs, j) ^ {stray})
 
 
 @pytest.mark.parametrize(
@@ -138,13 +131,11 @@ def test_span_errors(monkeypatch, capsys, patch, extract_fails, steenrod_fails):
 def test_extraction_rejects_inhomogeneous_pairs(monkeypatch, capsys):
     # the pair g^3 (x) g^3 has dims (0, 0), in the coproduct of a degree-4 class
     by_dim = _basis_by_dim(Family.RAT, 3)
-    top = embed(by_dim[4][0])
-    (unit,) = embed(by_dim[0][0]).terms
-    stray = (monomial_fields(unit), monomial_fields(unit))
+    top = _embed(by_dim[4][0])
+    (unit,) = _embed(by_dim[0][0])
+    stray = unit + (unit << _B)
     monkeypatch.setattr(
-        coalgebra,
-        "coproduct_fields",
-        lambda e: coproduct_fields(e) + [stray] if e == top else coproduct_fields(e),
+        coalgebra, "_psi", lambda hs: _psi(hs) | {stray} if hs == top else _psi(hs)
     )
     with pytest.raises(ValueError, match=r"\(0, 0\) has total 0, expected 4"):
         extract_coalgebra(Family.RAT, 3)
@@ -337,7 +328,7 @@ def test_theorem_main_does_not_run_the_psi_kernel(monkeypatch):
 
 def test_s_set_rejects_inhomogeneous_pairs(monkeypatch, capsys):
     # g has dimension 0, unlike the embedding of any class of positive dimension
-    monkeypatch.setattr(coalgebra, "embed", lambda fm: embed(fm) + element(monomial(1)))
+    monkeypatch.setattr(coalgebra, "_embed", lambda fm: _embed(fm) ^ {_pack(monomial(1))})
     with pytest.raises(ValueError, match="expected 4"):
         s_set(top_class(Family.RAT, 3))
     for argv in (["s-set", "--family", "rat", "--k", "3"],

@@ -7,6 +7,7 @@ from braidrat.ambient import Bigrade, element, monomial, q_gen
 from braidrat.families import (
     Family,
     FamilyMonomial,
+    _embed,
     basis,
     basis_size,
     embed,
@@ -15,6 +16,9 @@ from braidrat.families import (
     poincare_vector,
     top_class,
 )
+from braidrat.operations import _pack
+
+from helpers import reference_embed
 
 
 def test_generator_bigrades():
@@ -213,3 +217,13 @@ def test_family_monomial_json():
 def test_family_monomial_mul_rejects_mixed_families():
     with pytest.raises(ValueError):
         family_monomial(Family.RAT, {0: 1}) * family_monomial(Family.BRAID, {0: 1})
+
+
+def test_packed_embedding_matches_object_products():
+    # every basis element, decoded and as packed halves with their dim fields
+    for family, top in ((Family.RAT, 16), (Family.BRAID, 32), (Family.CONF, 16)):
+        for k in range(1, top + 1):
+            for fm in basis(family, k):
+                expected = reference_embed(fm)
+                assert embed(fm) == expected, fm
+                assert _embed(fm) == frozenset(map(_pack, expected.terms)), fm

@@ -28,10 +28,12 @@ from braidrat.operations import (
 
 from helpers import (
     coproduct_dims,
+    pair_digits,
     q_recursive_element,
     random_element,
     random_monomial,
     reference_coproduct,
+    reference_sqj,
 )
 
 import random
@@ -277,3 +279,44 @@ def test_q_bigrade_law_spot():
     img = araki_kudo_q(e)
     for m in img.terms:
         assert m.weight == 2 and m.dim == 3
+
+
+def test_packed_sqj_matches_object_reference():
+    rng = random.Random(7121)
+    cases = [
+        random_element(rng, max_terms=4, max_g=16, max_idx=6, max_factors=3, max_exp=9)
+        for _ in range(300)
+    ]
+    cases += [embed(top_class(f, k)) for f in (Family.RAT, Family.BRAID) for k in range(1, 24)]
+    for e in cases:
+        halves = list(map(operations._pack, e.terms))
+        for j in (1, 2, 3):
+            expected = reference_sqj(e, j)
+            # packed ints compare the dim field too, which no view decodes
+            assert operations._sqj(halves, j) == set(map(operations._pack, expected.terms))
+            assert sqj_dual(e, j) == expected
+
+
+def test_pair_split_round_trips():
+    half = operations._HALF
+    rng = random.Random(9001)
+    monos = [random_monomial(rng, max_g=40, max_idx=8, max_factors=3, max_exp=40)
+             for _ in range(60)]
+    # negative halves (g only, g < 0) and the largest admitted index, 30
+    monos += [monomial(-5), monomial(1 - half), monomial(half - 1), monomial(),
+              monomial(-(1 << 30) + 1, {30: 1}), monomial(3 - (1 << 30), {1: 1, 30: 1}),
+              monomial(0, {29: 1, 30: 1})]
+    halves = [operations._pack(m) for m in monos]
+    right = operations._B // operations._W
+    for m, h in zip(monos, halves):
+        assert operations._unpack(h) == m
+        assert operations._fields(h)[:1] in ([], [m.dim])
+    for u in halves:
+        for v in halves:
+            x = u + (v << operations._B)
+            assert operations._split(x) == (u, v)
+            digits = pair_digits(x)
+            assert digits[:right] == pair_digits(u)[:right]
+            assert digits[right:] == pair_digits(v)[:right]
+    with pytest.raises(GeneratorLimitError):
+        operations._pack(q_gen(31))
