@@ -32,14 +32,13 @@ from .coalgebra import (
     s_set,
     theorem_main,
 )
-from .families import DEFAULT_K_BOUND, Family, basis, check_basis_size, embed, top_class
+from .families import Family, basis, check_basis_size, check_top_class_size, embed, top_class
 
 SCHEMA_VERSION = 2
 
 
 @dataclass
 class RunConfig:
-    k_bound: int = DEFAULT_K_BOUND
     iso_budget: int = DEFAULT_ISO_BUDGET
     fmt: str = "text"
 
@@ -101,7 +100,7 @@ def _cmd_basis(args, config: RunConfig) -> int:
     family = Family(args.family)
     rows = []
     lines = [f"basis {family.value} k={args.k}"]
-    for fm in basis(family, args.k, k_bound=config.k_bound):
+    for fm in basis(family, args.k):
         emb = embed(fm)
         rows.append(
             {
@@ -125,7 +124,7 @@ def _cmd_basis(args, config: RunConfig) -> int:
 
 def _cmd_s_set(args, config: RunConfig) -> int:
     family = Family(args.family)
-    fm = top_class(family, args.k, k_bound=config.k_bound)
+    fm = top_class(family, args.k)
     support = sorted(s_set(fm))
     payload = {
         "schema": SCHEMA_VERSION,
@@ -144,11 +143,15 @@ def _cmd_s_set(args, config: RunConfig) -> int:
 def _cmd_theorem_main(args, config: RunConfig) -> int:
     if not 1 <= args.from_k <= args.to_k:
         raise ValueError("need 1 <= --from <= --to")
+    # A rat top class costs at least as much as the braid one at the same k.
+    # Any 2^15 consecutive k hold one that is refused, so this loop is short.
+    for k in range(args.from_k, args.to_k + 1):
+        check_top_class_size(Family.RAT, k)
     reports = []
     lines = []
     statuses = []
     for k in range(args.from_k, args.to_k + 1):
-        rep = theorem_main(k, iso_budget=config.iso_budget, k_bound=config.k_bound)
+        rep = theorem_main(k, iso_budget=config.iso_budget)
         entry = {
             "k": k,
             "branch": rep.branch,
@@ -199,12 +202,12 @@ def _cmd_lemma_braid(args, config: RunConfig) -> int:
     if args.max_k >= 1:
         # Braid basis sizes grow with the weight, so the largest one, checked
         # first, bounds every basis the loop enumerates.
-        check_basis_size(Family.BRAID, 2 * args.max_k + 1, k_bound=config.k_bound)
+        check_basis_size(Family.BRAID, 2 * args.max_k + 1)
     reports = []
     lines = []
     statuses = []
     for k in range(1, args.max_k + 1):
-        rep = check_lemma_braid(k, k_bound=config.k_bound)
+        rep = check_lemma_braid(k)
         statuses.append(_status(rep.verified, False))
         reports.append(
             {
@@ -237,9 +240,7 @@ def _cmd_iso(args, config: RunConfig) -> int:
     fam_b, k_b = _parse_spec(args.b)
     # Each component is enumerated, embedded and eliminated once, for its
     # coalgebra and its Steenrod matrices alike.
-    comps = [
-        build_component(fam, k, k_bound=config.k_bound) for fam, k in ((fam_a, k_a), (fam_b, k_b))
-    ]
+    comps = [build_component(fam, k) for fam, k in ((fam_a, k_a), (fam_b, k_b))]
     ca, cb = map(component_coalgebra, comps)
     steenrod = tuple(map(component_steenrod, comps)) if args.steenrod else None
     verdict = coalgebras_isomorphic(ca, cb, config.iso_budget, steenrod=steenrod)
@@ -271,7 +272,7 @@ def _cmd_steenrod(args, config: RunConfig) -> int:
     if args.j >= 2 and not args.extended:
         raise ValueError("dual operations with j >= 2 require --extended")
     family = Family(args.family)
-    comp = build_component(family, args.k, k_bound=config.k_bound)
+    comp = build_component(family, args.k)
     mats = component_steenrod(comp, args.j)
     sizes = comp.dims
     matrices = {str(d): _matrix_json(mat, sizes[d]) for d, mat in sorted(mats.items())}
@@ -293,7 +294,7 @@ def _cmd_braid_conf(args, config: RunConfig) -> int:
     lines = []
     statuses = []
     for k in range(1, args.max_k + 1):
-        rep = check_braid_conf(k, budget=config.iso_budget, k_bound=config.k_bound)
+        rep = check_braid_conf(k, budget=config.iso_budget)
         statuses.append(_status(rep.isomorphic, rep.verdict.kind == "inconclusive"))
         reports.append({"k": k, "verdict": _verdict_json(rep.verdict)})
         lines.append(f"k={k}  isomorphic={rep.isomorphic}  [{statuses[-1]}]")
@@ -316,8 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     # other; RunConfig supplies the value of a flag given in neither.
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--format", dest="fmt", choices=("text", "json"))
-    common.add_argument("--k-bound", type=int,
-                        help="largest allowed weight for basis enumeration")
     common.add_argument("--iso-budget", type=int,
                         help="maximum number of search nodes for isomorphism search")
     parser = argparse.ArgumentParser(

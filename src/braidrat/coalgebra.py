@@ -18,14 +18,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import gf2
 from .ambient import xor_all
-from .families import (
-    DEFAULT_K_BOUND,
-    Family,
-    FamilyMonomial,
-    _embed,
-    basis,
-    top_class,
-)
+from .families import Family, FamilyMonomial, _basis_by_dim, _embed, basis, top_class
 from .operations import _G_PAIR, _MASK, _left_dims, _psi, _split, _sqj, _unpack
 
 DEFAULT_ISO_BUDGET = 10**6
@@ -141,19 +134,6 @@ class GradedCoalgebra:
         return {"degrees": [list(l) for l in self.labels], "delta": entries}
 
 
-def _basis_by_dim(
-    family: Family, k: int, *, k_bound: int = DEFAULT_K_BOUND
-) -> list[list[FamilyMonomial]]:
-    """The basis grouped by dimension.  ``basis`` predicts its size before
-    any enumeration, and a size above ``BASIS_BOUND`` raises ``ValueError``."""
-    bas = basis(family, k, k_bound=k_bound)
-    top = max(fm.dim for fm in bas)
-    out: list[list[FamilyMonomial]] = [[] for _ in range(top + 1)]
-    for fm in bas:
-        out[fm.dim].append(fm)
-    return out
-
-
 def _coordinates(vectors: Sequence[Iterable[int]], what: str) -> Callable[[Iterable[int]], int]:
     """Coordinate map onto ``vectors`` (sets of packed halves), from one
     elimination.
@@ -200,25 +180,23 @@ class Component(NamedTuple):
         return [len(row) for row in self.by_dim]
 
 
-def build_component(family: Family, k: int, *, k_bound: int = DEFAULT_K_BOUND) -> Component:
+def build_component(family: Family, k: int) -> Component:
     """Enumerate, embed and eliminate the weight-k component of ``family``.
 
     The basis size is predicted before any enumeration, and a size above
     ``BASIS_BOUND`` raises ``ValueError``; a dependent embedded basis raises
     ``SpanError``.
     """
-    by_dim = _basis_by_dim(family, k, k_bound=k_bound)
+    by_dim = _basis_by_dim(family, k)
     embeds = [[_embed(fm) for fm in row] for row in by_dim]
     coords = [_coordinates(row, f"degree-{d}") for d, row in enumerate(embeds)]
     return Component(by_dim, embeds, coords)
 
 
-def extract_coalgebra(
-    family: Family, k: int, *, k_bound: int = DEFAULT_K_BOUND
-) -> GradedCoalgebra:
+def extract_coalgebra(family: Family, k: int) -> GradedCoalgebra:
     """Structure constants of the weight-graded component in the family basis
     (see ``component_coalgebra``)."""
-    return component_coalgebra(build_component(family, k, k_bound=k_bound))
+    return component_coalgebra(build_component(family, k))
 
 
 def component_coalgebra(c: Component) -> GradedCoalgebra:
@@ -524,17 +502,11 @@ def _search_isomorphism(
     )
 
 
-def steenrod_matrix(
-    family: Family,
-    k: int,
-    *,
-    j: int = 1,
-    k_bound: int = DEFAULT_K_BOUND,
-) -> dict[int, tuple[int, ...]]:
+def steenrod_matrix(family: Family, k: int, *, j: int = 1) -> dict[int, tuple[int, ...]]:
     """Per-degree matrices of the dual Steenrod operation in the family basis
     (see ``component_steenrod``).  Raises ``ValueError``, before any
     enumeration, if the predicted basis size is above ``BASIS_BOUND``."""
-    return component_steenrod(build_component(family, k, k_bound=k_bound), j)
+    return component_steenrod(build_component(family, k), j)
 
 
 def component_steenrod(c: Component, j: int = 1) -> dict[int, tuple[int, ...]]:
@@ -575,11 +547,11 @@ class LemmaBraidReport:
         return self.bijection_ok and self.coproduct_ok
 
 
-def check_lemma_braid(k: int, *, k_bound: int = DEFAULT_K_BOUND) -> LemmaBraidReport:
+def check_lemma_braid(k: int) -> LemmaBraidReport:
     """Check m -> g*m is a basis bijection from weight 2k to 2k+1 and that the
     coproduct transforms by (g (x) g)."""
-    even = basis(Family.BRAID, 2 * k, k_bound=k_bound)
-    odd = basis(Family.BRAID, 2 * k + 1, k_bound=k_bound)
+    even = basis(Family.BRAID, 2 * k)
+    odd = basis(Family.BRAID, 2 * k + 1)
     g_fm = FamilyMonomial(Family.BRAID, ((0, 1),))
     images = [fm * g_fm for fm in even]
     bijection_ok = len(images) == len(odd) and set(images) == set(odd)
@@ -603,13 +575,11 @@ class BraidConfReport:
         return self.verdict.kind == "yes"
 
 
-def check_braid_conf(
-    k: int, *, budget: int = DEFAULT_ISO_BUDGET, k_bound: int = DEFAULT_K_BOUND
-) -> BraidConfReport:
+def check_braid_conf(k: int, *, budget: int = DEFAULT_ISO_BUDGET) -> BraidConfReport:
     """Decide whether the length-k configuration component and the weight-2k
     braid component have isomorphic coalgebras."""
-    conf_c = extract_coalgebra(Family.CONF, k, k_bound=k_bound)
-    braid_c = extract_coalgebra(Family.BRAID, 2 * k, k_bound=k_bound)
+    conf_c = extract_coalgebra(Family.CONF, k)
+    braid_c = extract_coalgebra(Family.BRAID, 2 * k)
     return BraidConfReport(k, coalgebras_isomorphic(conf_c, braid_c, budget))
 
 
@@ -642,9 +612,7 @@ class TheoremReport:
         return self.k in (1, 3) and self.iso is not None and self.iso.kind == "inconclusive"
 
 
-def theorem_main(
-    k: int, *, iso_budget: int = DEFAULT_ISO_BUDGET, k_bound: int = DEFAULT_K_BOUND
-) -> TheoremReport:
+def theorem_main(k: int, *, iso_budget: int = DEFAULT_ISO_BUDGET) -> TheoremReport:
     """Compare S(x) and S(y) for the two top classes at parameter k.
 
     When k+1 is not a power of two, additionally verifies the witness
@@ -653,8 +621,8 @@ def theorem_main(
     verifies 5 separates the supports while 2 lies in neither.  When the
     supports agree, a full isomorphism check is run and reported.
     """
-    x = top_class(Family.RAT, k, k_bound=k_bound)
-    y = top_class(Family.BRAID, k, k_bound=k_bound)
+    x = top_class(Family.RAT, k)
+    y = top_class(Family.BRAID, k)
     sx = s_set(x)
     sy = s_set(y)
     distinct = sx != sy
@@ -680,8 +648,8 @@ def theorem_main(
     iso = None
     if not distinct:
         iso = coalgebras_isomorphic(
-            extract_coalgebra(Family.BRAID, 2 * k, k_bound=k_bound),
-            extract_coalgebra(Family.RAT, k, k_bound=k_bound),
+            extract_coalgebra(Family.BRAID, 2 * k),
+            extract_coalgebra(Family.RAT, k),
             iso_budget,
         )
     return TheoremReport(

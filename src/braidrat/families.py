@@ -35,8 +35,8 @@ from .ambient import (
 )
 from .operations import _check_field_range, _field_bound, _pack, _view, iterated_q
 
-DEFAULT_K_BOUND = 1024
 BASIS_BOUND = 4096
+SUPPORT_BOUND = 1 << 28
 
 
 class Family(enum.Enum):
@@ -192,35 +192,46 @@ def _exponent_vectors(weights: list[int], total: int, exact: bool) -> Iterator[t
     yield from rec(0, total)
 
 
-def _check_k(k: int, k_bound: int) -> None:
+def _check_k(k: int) -> None:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if k > k_bound:
-        raise ValueError(f"k={k} exceeds the enumeration bound {k_bound}")
 
 
-def check_basis_size(family: Family, k: int, *, k_bound: int = DEFAULT_K_BOUND) -> None:
+def check_basis_size(family: Family, k: int) -> None:
     """Raise ``ValueError`` when the basis of ``family`` at k, counted
     without enumerating it, has more than ``BASIS_BOUND`` monomials."""
-    _check_k(k, k_bound)
     # For k >= 2 every family has more than k/2 basis monomials (the
     # partitions of k into 1s and 2s alone number floor(k/2) + 1), so such
     # a k is refused without the O(k) count.
     if k >= 2 * BASIS_BOUND:
         raise ValueError(f"basis size above {k // 2} exceeds bound {BASIS_BOUND}")
-    total = basis_size(family, k, k_bound=k_bound)
+    total = basis_size(family, k)
     if total > BASIS_BOUND:
         raise ValueError(f"basis size {total} exceeds bound {BASIS_BOUND}")
 
 
-def basis(family: Family, k: int, *, k_bound: int = DEFAULT_K_BOUND) -> list[FamilyMonomial]:
+def check_top_class_size(family: Family, k: int) -> None:
+    """Raise ``ValueError`` when the support of the top class at k, predicted
+    from k alone, costs ``s_set`` more than ``SUPPORT_BOUND`` bits of mask
+    work: one mask of dim + 1 bits per monomial of the embedding, where
+    dim = 2k - popcount(k) and the embedding has 2^popcount(k >> 1)
+    monomials for rat (rho_0 embeds as one monomial, each rho_j, j >= 1, as
+    two) and one for braid."""
+    _check_k(k)
+    terms = 1 << (k >> 1).bit_count() if family is Family.RAT else 1
+    cost = terms * (2 * k - k.bit_count() + 1)
+    if cost > SUPPORT_BOUND:
+        raise ValueError(f"top-class support cost {cost} exceeds bound {SUPPORT_BOUND}")
+
+
+def basis(family: Family, k: int) -> list[FamilyMonomial]:
     """Monomials of weight exactly k (braid, rat) or weight <= k (conf).
 
     The list is sorted by dimension, then lexicographically on exponent
     vectors, so output order is deterministic.  Its size is checked by
     ``check_basis_size`` before any enumeration.
     """
-    check_basis_size(family, k, k_bound=k_bound)
+    check_basis_size(family, k)
     idxs = _generator_indices(family, k)
     weights = [generator_bigrade(family, i).weight for i in idxs]
     exact = family is not Family.CONF
@@ -232,10 +243,19 @@ def basis(family: Family, k: int, *, k_bound: int = DEFAULT_K_BOUND) -> list[Fam
     return [fm for _, _, fm in entries]
 
 
-def basis_size(family: Family, k: int, *, k_bound: int = DEFAULT_K_BOUND) -> int:
+def _basis_by_dim(family: Family, k: int) -> list[list[FamilyMonomial]]:
+    """``basis`` grouped by dimension, one row per dimension 0..top."""
+    bas = basis(family, k)
+    out: list[list[FamilyMonomial]] = [[] for _ in range(bas[-1].dim + 1)]
+    for fm in bas:
+        out[fm.dim].append(fm)
+    return out
+
+
+def basis_size(family: Family, k: int) -> int:
     """``len(basis(family, k))``, counted without enumerating: the number of
     partitions of k (of each weight <= k for ``conf``) into generator weights."""
-    _check_k(k, k_bound)
+    _check_k(k)
     ways = [1] + [0] * k
     for idx in _generator_indices(family, k):
         w = generator_bigrade(family, idx).weight
@@ -244,26 +264,23 @@ def basis_size(family: Family, k: int, *, k_bound: int = DEFAULT_K_BOUND) -> int
     return sum(ways) if family is Family.CONF else ways[k]
 
 
-def top_class(family: Family, k: int, *, k_bound: int = DEFAULT_K_BOUND) -> FamilyMonomial:
+def top_class(family: Family, k: int) -> FamilyMonomial:
     """The unique basis monomial of maximal dimension.
 
     For ``rat`` this is prod rho_j over the binary expansion k = sum 2^j; for
     ``braid`` the argument denotes the 2k-strand space and the top class is
-    prod gamma_{j+1}.  Raises ``ValueError`` for k > k_bound, as ``basis`` does.
+    prod gamma_{j+1}.  Raises ``ValueError`` when ``check_top_class_size``
+    refuses k.
     """
     if family is Family.CONF:
         raise ValueError("top_class is defined for the braid and rat families")
-    _check_k(k, k_bound)
+    check_top_class_size(family, k)
     bits = [j for j in range(k.bit_length()) if (k >> j) & 1]
     if family is Family.RAT:
         return FamilyMonomial(family, tuple((j, 1) for j in bits))
     return FamilyMonomial(family, tuple((j + 1, 1) for j in bits))
 
 
-def poincare_vector(family: Family, k: int, *, k_bound: int = DEFAULT_K_BOUND) -> list[int]:
+def poincare_vector(family: Family, k: int) -> list[int]:
     """Number of basis monomials in each dimension, indexed 0..top."""
-    dims = [fm.dim for fm in basis(family, k, k_bound=k_bound)]
-    out = [0] * (max(dims) + 1)
-    for d in dims:
-        out[d] += 1
-    return out
+    return [len(row) for row in _basis_by_dim(family, k)]

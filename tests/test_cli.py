@@ -164,8 +164,9 @@ def test_global_flags_after_subcommand(capsys):
     assert before[0] == after[0] == 1
     assert before[1] == after[1]
     assert json.loads(after[1])["verdict"]["kind"] == "inconclusive"
-    code, out, err = run(capsys, "s-set", "--family", "braid", "--k", "5", "--k-bound", "4")
-    assert code == 2 and "exceeds the enumeration bound" in err
+    split = run(capsys, "--format", "json", "iso", "--a", "braid:6", "--b", "rat:3",
+                "--iso-budget", "1")
+    assert split[:2] == after[:2]
 
 
 def test_iso_bad_spec(capsys):
@@ -211,16 +212,25 @@ def test_unknown_family_rejected(capsys):
     assert exc.value.code == 2
 
 
-def test_top_class_commands_fail_fast_on_huge_k(capsys):
+def test_top_class_commands_fail_fast_on_huge_k(capsys, monkeypatch):
+    # rat:32767 embeds as 2^14 monomials of dimension 65519, and braid:2^40
+    # has dimension 2^41 - 2; theorem-main refuses its range at k = 32767
+    # before it computes k = 100
+    counts = _count_builds(monkeypatch)
     for argv in (
-        ("s-set", "--family", "rat", "--k", "4095"),
-        ("theorem-main", "--from", "1025", "--to", "1025"),
-        ("--k-bound", "4", "s-set", "--family", "braid", "--k", "5"),
+        ("s-set", "--family", "rat", "--k", "32767"),
+        ("s-set", "--family", "braid", "--k", str(1 << 40)),
+        ("theorem-main", "--from", "100", "--to", "40000"),
     ):
+        start = time.perf_counter()
         code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
         assert code == 2
-        assert err.startswith("error:") and "exceeds the enumeration bound" in err
+        assert err.startswith("error:") and "top-class support cost" in err
         assert out == ""
+    assert counts == {"build": 0, "enumerate": 0, "embed": 0}
+    code, data = run_json(capsys, "s-set", "--family", "rat", "--k", "4095")
+    assert code == 0 and data["dim"] == 8178
 
 
 def test_extraction_fails_fast_on_predicted_basis_size(capsys):
@@ -229,7 +239,7 @@ def test_extraction_fails_fast_on_predicted_basis_size(capsys):
     for argv, message in (
         (("iso", "--a", "rat:200", "--b", "braid:400"),
          "basis size 7389572 exceeds bound 4096"),
-        (("iso", "--a", "rat:3000000", "--b", "braid:2", "--k-bound", "3000000"),
+        (("iso", "--a", "rat:3000000", "--b", "braid:2"),
          "exceeds bound 4096"),
     ):
         start = time.perf_counter()
@@ -305,10 +315,11 @@ def test_steenrod_fails_fast_on_predicted_basis_size(capsys):
 
 def test_coproduct_field_range_exits_two(capsys):
     # the top class of rat:2^32 holds rho_32, whose embedding has index 33
-    k = str(1 << 32)
-    code, out, err = run(capsys, "s-set", "--family", "rat", "--k", k, "--k-bound", k)
+    # and leaves the packed field range (test_coproduct_field_range_guard);
+    # its predicted support cost, 2 * 2^33 bits, refuses it first
+    code, out, err = run(capsys, "s-set", "--family", "rat", "--k", str(1 << 32))
     assert code == 2
-    assert err.startswith("error:") and "field range" in err
+    assert err.startswith("error:") and f"cost {1 << 34} exceeds bound" in err
     assert out == ""
 
 

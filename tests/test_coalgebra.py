@@ -312,7 +312,7 @@ def test_s_set_matches_packed_coproduct_dims(monkeypatch):
     assert {fm.family for fm in randoms} == set(Family)
     cases = [top_class(f, k) for f in (Family.RAT, Family.BRAID) for k in range(1, 301)]
     # wide masks with few bits, read through several runs of nonzero bytes
-    cases += [top_class(Family.RAT, k, k_bound=k) for k in (1 << 20, (1 << 20) + 5)]
+    cases += [top_class(Family.RAT, k) for k in (1 << 20, (1 << 20) + 5)]
     for fm in cases + randoms:
         dims = coproduct_dims(embed(fm))
         assert all(s + t == fm.dim for s, t in dims)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from braidrat import gf2
+from braidrat import families, gf2
 from braidrat.ambient import Bigrade, element, monomial, q_gen
 from braidrat.families import (
     Family,
@@ -10,6 +10,7 @@ from braidrat.families import (
     _embed,
     basis,
     basis_size,
+    check_top_class_size,
     embed,
     family_monomial,
     generator_bigrade,
@@ -92,11 +93,7 @@ def test_basis_bounds():
     with pytest.raises(ValueError):
         basis(Family.BRAID, 0)
     with pytest.raises(ValueError):
-        basis(Family.BRAID, 10, k_bound=5)
-    with pytest.raises(ValueError):
         basis_size(Family.BRAID, 0)
-    with pytest.raises(ValueError):
-        basis_size(Family.BRAID, 10, k_bound=5)
 
 
 def test_basis_size_counts_the_enumerated_basis():
@@ -160,10 +157,35 @@ def test_top_class_values():
     with pytest.raises(ValueError):
         top_class(Family.CONF, 2)
     assert top_class(Family.RAT, 1024) == family_monomial(Family.RAT, {10: 1})
-    with pytest.raises(ValueError, match="k=1025 exceeds the enumeration bound 1024"):
-        top_class(Family.RAT, 1025)
-    with pytest.raises(ValueError, match="k=5 exceeds the enumeration bound 4"):
-        top_class(Family.BRAID, 5, k_bound=4)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        top_class(Family.RAT, 0)
+    for k in range(1, 1 << 14):
+        for family in (Family.RAT, Family.BRAID):
+            check_top_class_size(family, k)
+    # braid:2^27 costs exactly SUPPORT_BOUND = 2^28 bits, one more k exceeds it
+    assert top_class(Family.BRAID, 1 << 27).dim == (1 << 28) - 1
+    for family, k, cost in ((Family.BRAID, (1 << 27) + 1, (1 << 28) + 1),
+                            (Family.RAT, (1 << 15) - 1, (1 << 14) * ((1 << 16) - 16))):
+        with pytest.raises(ValueError, match=f"cost {cost} exceeds bound {1 << 28}"):
+            top_class(family, k)
+
+
+def test_top_class_size_guard_predicts_the_embedding(monkeypatch):
+    # the guard's cost is terms * (dim + 1), with terms the monomials of the
+    # embedding: check it against the embedding at the bound and one below
+    for family in (Family.RAT, Family.BRAID):
+        for k in range(1, 2049):
+            x = top_class(family, k)
+            terms = len(_embed(x))
+            assert terms == (1 << (k >> 1).bit_count() if family is Family.RAT else 1)
+            assert x.dim == 2 * k - k.bit_count()
+            cost = terms * (x.dim + 1)
+            with monkeypatch.context() as patch:
+                patch.setattr(families, "SUPPORT_BOUND", cost)
+                check_top_class_size(family, k)
+                patch.setattr(families, "SUPPORT_BOUND", cost - 1)
+                with pytest.raises(ValueError, match="exceeds bound"):
+                    check_top_class_size(family, k)
 
 
 def test_top_class_dimension_for_all_ones_weights():
