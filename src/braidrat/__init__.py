@@ -43,7 +43,6 @@ from .families import (
     basis,
     basis_size,
     check_basis_size,
-    check_top_class_size,
     embed,
     family_monomial,
     poincare_vector,

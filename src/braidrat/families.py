@@ -210,18 +210,35 @@ def check_basis_size(family: Family, k: int) -> None:
         raise ValueError(f"basis size {total} exceeds bound {BASIS_BOUND}")
 
 
-def check_top_class_size(family: Family, k: int) -> None:
-    """Raise ``ValueError`` when the support of the top class at k, predicted
-    from k alone, costs ``s_set`` more than ``SUPPORT_BOUND`` bits of mask
-    work: one mask of dim + 1 bits per monomial of the embedding, where
+def _top_class_cost(family: Family, k: int) -> int:
+    """Bits of mask work ``s_set`` spends on the top class at k, from k
+    alone: one mask of dim + 1 bits per monomial of the embedding, where
     dim = 2k - popcount(k) and the embedding has 2^popcount(k >> 1)
     monomials for rat (rho_0 embeds as one monomial, each rho_j, j >= 1, as
     two) and one for braid."""
-    _check_k(k)
     terms = 1 << (k >> 1).bit_count() if family is Family.RAT else 1
-    cost = terms * (2 * k - k.bit_count() + 1)
+    return terms * (2 * k - k.bit_count() + 1)
+
+
+def check_top_class_size(family: Family, k: int) -> None:
+    """Raise ``ValueError`` when the top class at k costs more than ``SUPPORT_BOUND`` bits."""
+    _check_k(k)
+    cost = _top_class_cost(family, k)
     if cost > SUPPORT_BOUND:
         raise ValueError(f"top-class support cost {cost} exceeds bound {SUPPORT_BOUND}")
+
+
+def check_top_class_range(lo: int, hi: int) -> None:
+    """Raise ``ValueError`` when the top classes of both families at k = lo..hi
+    cost more than ``SUPPORT_BOUND`` bits together, which bounds the supports a
+    sweep keeps; each k adds over 2k bits, so this stops within 2^14 steps."""
+    _check_k(lo)
+    total = 0
+    for k in range(lo, hi + 1):
+        total += _top_class_cost(Family.RAT, k) + _top_class_cost(Family.BRAID, k)
+        if total > SUPPORT_BOUND:
+            raise ValueError(f"top-class support cost {total} of k = {lo}..{k}"
+                             f" exceeds bound {SUPPORT_BOUND}")
 
 
 def basis(family: Family, k: int) -> list[FamilyMonomial]:

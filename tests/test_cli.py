@@ -214,13 +214,15 @@ def test_unknown_family_rejected(capsys):
 
 def test_top_class_commands_fail_fast_on_huge_k(capsys, monkeypatch):
     # rat:32767 embeds as 2^14 monomials of dimension 65519, and braid:2^40
-    # has dimension 2^41 - 2; theorem-main refuses its range at k = 32767
-    # before it computes k = 100
+    # has dimension 2^41 - 2; theorem-main refuses a range whose supports
+    # cost more than 2^28 bits together (here by k = 1999 and k = 1998),
+    # before it computes the first k
     counts = _count_builds(monkeypatch)
     for argv in (
         ("s-set", "--family", "rat", "--k", "32767"),
         ("s-set", "--family", "braid", "--k", str(1 << 40)),
         ("theorem-main", "--from", "100", "--to", "40000"),
+        ("theorem-main", "--from", "1", "--to", "16383"),
     ):
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)

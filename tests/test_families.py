@@ -10,6 +10,7 @@ from braidrat.families import (
     _embed,
     basis,
     basis_size,
+    check_top_class_range,
     check_top_class_size,
     embed,
     family_monomial,
@@ -168,6 +169,21 @@ def test_top_class_values():
                             (Family.RAT, (1 << 15) - 1, (1 << 14) * ((1 << 16) - 16))):
         with pytest.raises(ValueError, match=f"cost {cost} exceeds bound {1 << 28}"):
             top_class(family, k)
+
+
+def test_top_class_range_bounds_the_summed_cost():
+    # rat and braid at k = 1..1997 cost 267,489,462 bits together, within
+    # SUPPORT_BOUND = 2^28; k = 1998 adds 1,025,173.  Every k of such a range
+    # passes check_top_class_size on its own.
+    check_top_class_range(1, 1997)
+    check_top_class_range(16383, 16383)
+    for lo, hi, stop, cost in ((1, 1998, 1998, 268514635), (1, 16383, 1998, 268514635),
+                               (100, 40000, 1999, 269432724),
+                               (1 << 26, 1 << 26, 1 << 26, 3 << 27)):
+        with pytest.raises(ValueError, match=f"cost {cost} of k = {lo}..{stop} exceeds"):
+            check_top_class_range(lo, hi)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        check_top_class_range(0, 5)
 
 
 def test_top_class_size_guard_predicts_the_embedding(monkeypatch):
