@@ -7,7 +7,6 @@ from .ambient import (
     Bigrade,
     GeneratorLimitError,
     TensorElement,
-    bigrade_components,
     element,
     monomial,
     q_gen,

@@ -60,13 +60,6 @@ class AmbientMonomial:
             merged[i] = merged.get(i, 0) + e
         return AmbientMonomial(self.g_exp + other.g_exp, tuple(sorted(merged.items())))
 
-    def __pow__(self, n: int) -> "AmbientMonomial":
-        if n < 0:
-            raise ValueError("monomial powers must be nonnegative")
-        if n == 0:
-            return AmbientMonomial()
-        return AmbientMonomial(self.g_exp * n, tuple((i, e * n) for i, e in self.q_exps))
-
     def to_json(self) -> dict:
         return {"g": self.g_exp, "q": {str(i): e for i, e in self.q_exps}}
 
@@ -177,14 +170,6 @@ ZERO = element()
 ONE = element(monomial())
 G = monomial(1)
 G_INV = monomial(-1)
-
-
-def bigrade_components(e: AmbientElement) -> dict[Bigrade, AmbientElement]:
-    """Partition an element into its homogeneous (weight, dim) pieces."""
-    buckets: dict[Bigrade, set[AmbientMonomial]] = {}
-    for m in e.terms:
-        buckets.setdefault(m.bigrade, set()).add(m)
-    return {bg: AmbientElement(frozenset(ms)) for bg, ms in buckets.items()}
 
 
 MonomialPair = tuple[AmbientMonomial, AmbientMonomial]

@@ -195,11 +195,16 @@ def _cmd_theorem_main(args, config: RunConfig) -> int:
     return 0 if result == "pass" else 1
 
 
+def _check_max_k(max_k: int) -> None:
+    if max_k < 1:
+        raise ValueError("need --max-k >= 1")
+
+
 def _cmd_lemma_braid(args, config: RunConfig) -> int:
-    if args.max_k >= 1:
-        # Braid basis sizes grow with the weight, so the largest one, checked
-        # first, bounds every basis the loop enumerates.
-        check_basis_size(Family.BRAID, 2 * args.max_k + 1)
+    _check_max_k(args.max_k)
+    # Braid basis sizes grow with the weight, so the largest one, checked
+    # first, bounds every basis the loop enumerates.
+    check_basis_size(Family.BRAID, 2 * args.max_k + 1)
     reports = []
     lines = []
     statuses = []
@@ -287,6 +292,7 @@ def _cmd_steenrod(args, config: RunConfig) -> int:
 
 
 def _cmd_braid_conf(args, config: RunConfig) -> int:
+    _check_max_k(args.max_k)
     reports = []
     lines = []
     statuses = []
@@ -371,6 +377,8 @@ def main(argv: list[str] | None = None) -> int:
     config = RunConfig(**{
         f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)
     })
+    if config.iso_budget < 0:
+        parser.error(f"argument --iso-budget: must be >= 0, got {config.iso_budget}")
     start = time.perf_counter()
     try:
         code = args.handler(args, config)

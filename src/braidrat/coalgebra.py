@@ -114,25 +114,6 @@ class GradedCoalgebra:
                         return False
         return True
 
-    def to_json(self) -> dict:
-        entries = []
-        for d in range(len(self.labels)):
-            for a, label in enumerate(self.labels[d]):
-                for s in range(d + 1):
-                    pairs = sorted(self.delta[(d, s)][a])
-                    if not pairs:
-                        continue
-                    entries.append(
-                        {
-                            "from": label,
-                            "split": [s, d - s],
-                            "pairs": [
-                                [self.labels[s][i], self.labels[d - s][j]] for i, j in pairs
-                            ],
-                        }
-                    )
-        return {"degrees": [list(l) for l in self.labels], "delta": entries}
-
 
 def _coordinates(vectors: Sequence[Iterable[int]], what: str) -> Callable[[Iterable[int]], int]:
     """Coordinate map onto ``vectors`` (sets of packed halves), from one

@@ -24,16 +24,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Mapping
 
-from .ambient import (
-    G_INV,
-    AmbientElement,
-    Bigrade,
-    element,
-    monomial,
-    q_gen,
-    xor_all,
-)
-from .operations import _check_field_range, _field_bound, _pack, _view, iterated_q
+from .ambient import AmbientElement, Bigrade, xor_all
+from .operations import _G, _QG, _check_field_range, _half_bound, _q, _view
 
 BASIS_BOUND = 4096
 SUPPORT_BOUND = 1 << 28
@@ -132,22 +124,24 @@ def family_monomial(family: Family, exps: Mapping[int, int]) -> FamilyMonomial:
 @lru_cache(maxsize=None)
 def _generator_halves(family: Family, idx: int) -> tuple[frozenset[int], int]:
     """The packed terms of a generator's embedding, and the largest
-    ``_field_bound`` among them.  Q runs on monomial objects, once per
-    generator."""
-    if family is Family.BRAID:
-        gen = element(monomial(1) if idx == 0 else q_gen(idx))
-    elif family is Family.RAT:
-        gen = element(monomial(1)) if idx == -1 else iterated_q(element(G_INV * q_gen(1)), idx)
-    else:
-        gen = iterated_q(element(monomial(-2) * q_gen(1)), idx)
-    return frozenset(map(_pack, gen.terms)), max(map(_field_bound, gen.terms))
+    ``_half_bound`` among them.  Each generator is Q applied idx times to its
+    seed (g for braid, g^-1 Qg for rat, g^-2 Qg for conf), on packed halves;
+    rat's g, idx -1, is its own seed."""
+    generator_bigrade(family, idx)  # validates the index
+    seed = {Family.BRAID: _G, Family.RAT: _QG - _G, Family.CONF: _QG - 2 * _G}[family]
+    if idx == -1:
+        seed, idx = _G, 0
+    halves = {seed}
+    for _ in range(idx):
+        halves = _q(halves)
+    return frozenset(halves), max(map(_half_bound, halves))
 
 
 def _embed(fm: FamilyMonomial) -> frozenset[int]:
     """The embedding of ``fm`` as packed halves (see ``operations._pack``).
 
     A power is a product of Frobenius squares, h^(2^b) = h << b, and a
-    product is ``xor_all`` of int adds.  ``_field_bound`` is subadditive, so
+    product is ``xor_all`` of int adds.  ``_half_bound`` is subadditive, so
     no field of any partial product leaves the digit range when the bounds
     of the factors sum below it; otherwise ``GeneratorLimitError`` is raised
     before any product is formed.

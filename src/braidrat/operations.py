@@ -6,15 +6,15 @@ Q(Q^i g) = Q^{i+1} g), the diagonal coproduct (an algebra map with
 psi(g^a) = g^a (x) g^a and psi(Q^i g) = g^{2^i} (x) Q^i g + Q^i g (x) g^{2^i}),
 and the dual Steenrod operations Sq_j^*.
 
-The coproduct and the dual Steenrod operations run on packed ints: a
-monomial is one int, its half, and a monomial pair is two halves in one int,
-so multiplying is integer addition and F2 cancellation is set symmetric
-difference.  Coalgebra extraction and the Steenrod matrices call the packed
-``_psi`` and ``_sqj`` directly; ``coproduct``, ``sq1_dual`` and ``sqj_dual``
-are views that pack their argument and unpack the result.  Q stays on
-monomial objects: it builds each family generator once.
-``coproduct_left_dims`` reads the left dims of the pairs of one monomial in
-closed form, without forming a pair.
+All three run on packed ints: a monomial is one int, its half, and a
+monomial pair is two halves in one int, so multiplying is integer addition
+and F2 cancellation is set symmetric difference.  The family generators are
+built by the packed ``_q``, and coalgebra extraction and the Steenrod
+matrices call the packed ``_psi`` and ``_sqj`` directly; ``araki_kudo_q``,
+``iterated_q``, ``coproduct``, ``sq1_dual`` and ``sqj_dual`` are views that
+pack their argument and unpack the result.  ``coproduct_left_dims`` reads
+the left dims of the pairs of one monomial in closed form, without forming
+a pair.
 
 Per-monomial results are memoized in write-once caches (the coproduct memo
 maps each half to a frozenset of packed pairs); entries are never mutated
@@ -25,75 +25,15 @@ from __future__ import annotations
 from typing import Iterable
 
 from .ambient import (
-    ZERO,
     AmbientElement,
     AmbientMonomial,
     GeneratorLimitError,
     TensorElement,
-    element,
-    monomial,
-    q_gen,
     xor_all,
 )
 
-_Q_CACHE: dict[AmbientMonomial, AmbientElement] = {}
 _PSI_CACHE: dict[int, frozenset[int]] = {}
 _SQJ_CACHE: dict[tuple[int, int], frozenset[int]] = {}
-
-
-def _f2_sum(parts: Iterable[AmbientElement]) -> AmbientElement:
-    return AmbientElement(frozenset(xor_all(p.terms for p in parts)))
-
-
-def _q_of_g_power(a: int) -> AmbientElement:
-    # Closed form, validated against the recursive Cartan splitting in tests:
-    # Q(g^a) = g^{2(a-1)} Qg for odd a and 0 for even a (squares die).
-    if a & 1 == 0:
-        return ZERO
-    return element(monomial(2 * (a - 1), {1: 1}))
-
-
-def _q_of_q_power(i: int, e: int) -> AmbientElement:
-    if e & 1 == 0:
-        return ZERO
-    return element(monomial(0, {i: 2 * (e - 1), i + 1: 1}) if e > 1 else q_gen(i + 1))
-
-
-def _q_monomial(m: AmbientMonomial) -> AmbientElement:
-    """Cartan recursion, splitting off the leading generator power."""
-    cached = _Q_CACHE.get(m)
-    if cached is not None:
-        return cached
-    if m.g_exp != 0:
-        head = monomial(m.g_exp)
-        rest = AmbientMonomial(0, m.q_exps)
-        q_head = _q_of_g_power(m.g_exp)
-    elif m.q_exps:
-        (i, e) = m.q_exps[0]
-        head = monomial(0, {i: e})
-        rest = AmbientMonomial(0, m.q_exps[1:])
-        q_head = _q_of_q_power(i, e)
-    else:
-        _Q_CACHE[m] = ZERO
-        return ZERO
-    if rest.g_exp == 0 and not rest.q_exps:
-        out = q_head
-    else:
-        out = element(head * head) * _q_monomial(rest) + q_head * element(rest * rest)
-    _Q_CACHE[m] = out
-    return out
-
-
-def araki_kudo_q(e: AmbientElement) -> AmbientElement:
-    """Apply Q linearly over F2; doubles weight and sends dimension d to 2d+1."""
-    return _f2_sum(map(_q_monomial, e.terms))
-
-
-def iterated_q(e: AmbientElement, n: int) -> AmbientElement:
-    """Q applied n times."""
-    for _ in range(n):
-        e = araki_kudo_q(e)
-    return e
 
 
 # Packed half-monomials.  The monomial g^a * prod_i (Q^i g)^(e_i) is one int,
@@ -116,14 +56,16 @@ def _slot(field: int) -> int:
     return 1 << (_W * field)
 
 
-_G_PAIR = _slot(1) + (_slot(1) << _B)  # g (x) g
+_G = _slot(1)  # g
+_QG = _slot(2) + 1  # Qg, of dim 1
+_G_PAIR = _G + (_G << _B)  # g (x) g
 
 
-def _field_bound(m: AmbientMonomial) -> int:
-    """|a| + sum_i e_i 2^i, a bound on every field of ``m`` and of both
-    halves of every pair of psi(m).  It is subadditive under products, and
-    Sq_j^* keeps it."""
-    return abs(m.g_exp) + sum(e << i for i, e in m.q_exps)
+def _field_bound(g_exp: int, exps: Iterable[tuple[int, int]]) -> int:
+    """|a| + sum_i e_i 2^i for g^a prod_i (Q^i g)^(e_i), a bound on every
+    field of that monomial and of both halves of every pair of its
+    coproduct.  It is subadditive under products, and Sq_j^* keeps it."""
+    return abs(g_exp) + sum(e << i for i, e in exps)
 
 
 def _check_field_range(bound: int, what: object) -> None:
@@ -134,7 +76,7 @@ def _check_field_range(bound: int, what: object) -> None:
 def _pack(m: AmbientMonomial) -> int:
     """``m`` as a packed half; raises ``GeneratorLimitError`` when a field of
     it or of its coproduct could leave the digit range."""
-    _check_field_range(_field_bound(m), m)
+    _check_field_range(_field_bound(m.g_exp, m.q_exps), m)
     return m.dim + m.g_exp * _slot(1) + sum(e * _slot(i + 1) for i, e in m.q_exps)
 
 
@@ -155,6 +97,12 @@ def _unpack(h: int) -> AmbientMonomial:
     return AmbientMonomial(g_exp, tuple((i, e) for i, e in enumerate(exps, 1) if e))
 
 
+def _half_bound(h: int) -> int:
+    """``_field_bound`` of the monomial the packed half ``h`` holds."""
+    g_exp, *exps = _fields(h)[1:] or [0]
+    return _field_bound(g_exp, enumerate(exps, 1))
+
+
 def _split(x: int) -> tuple[int, int]:
     """The halves (u, v) of the packed pair x = u + (v << _B): rounding
     recovers v even when u is negative."""
@@ -164,6 +112,40 @@ def _split(x: int) -> tuple[int, int]:
 
 def _view(halves: Iterable[int]) -> AmbientElement:
     return AmbientElement(frozenset(map(_unpack, halves)))
+
+
+def _q_half(h: int) -> list[int]:
+    # Repeating the Cartan formula, Q(m) is the sum over the factors f of m
+    # with an odd exponent of m^2 Q(f) / f^2: Q kills squares, so
+    # Q(f^e) = f^(2e - 2) Q(f) for odd e, where Q(g^a) = g^(2a - 2) Qg and
+    # Q(Q^i g) = Q^{i+1} g.  Each term doubles the fields, trades two copies
+    # of f for one of the next generator and has dim 2 dim + 1.  Its field
+    # bound is twice that of m, plus 4 when a is odd and negative, since
+    # then |2a - 2| = 2|a| + 2 and Qg adds 2.
+    fields = _fields(h)
+    odd = [f for f, e in enumerate(fields[1:], 1) if e & 1]
+    if odd:
+        a = fields[1]
+        _check_field_range(2 * _half_bound(h) + (4 if a < 0 and a & 1 else 0), "Q of a monomial")
+    return [2 * h + _slot(f + 1) - 2 * _slot(f) + 1 for f in odd]
+
+
+def _q(halves: Iterable[int]) -> set[int]:
+    """Q of the F2 sum of distinct ``halves``, as packed halves."""
+    return xor_all(map(_q_half, halves))
+
+
+def araki_kudo_q(e: AmbientElement) -> AmbientElement:
+    """Apply Q linearly over F2; doubles weight and sends dimension d to 2d+1."""
+    return _view(_q(map(_pack, e.terms)))
+
+
+def iterated_q(e: AmbientElement, n: int) -> AmbientElement:
+    """Q applied n times."""
+    halves = set(map(_pack, e.terms))
+    for _ in range(n):
+        halves = _q(halves)
+    return _view(halves)
 
 
 def _submasks(e: int) -> Iterable[int]:

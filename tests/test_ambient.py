@@ -9,7 +9,6 @@ from braidrat.ambient import (
     G,
     G_INV,
     TensorElement,
-    bigrade_components,
     element,
     monomial,
     q_gen,
@@ -46,13 +45,6 @@ def test_monomial_product_adds_exponents():
     assert monomial(2, {1: 1}) * monomial(-1, {2: 2}) == monomial(1, {1: 1, 2: 2})
 
 
-def test_monomial_power():
-    assert monomial(-1, {1: 1}) ** 4 == monomial(-4, {1: 4})
-    assert monomial(3, {2: 2}) ** 0 == monomial()
-    with pytest.raises(ValueError):
-        monomial(1) ** -1
-
-
 def test_element_cancellation_on_construction():
     assert element(q_gen(1), q_gen(1)) == ZERO
     assert element(q_gen(1), q_gen(2), q_gen(1)) == element(q_gen(2))
@@ -80,26 +72,6 @@ def test_element_power_matches_repeated_multiplication():
         by_mul = by_mul * x
     assert x ** 5 == by_mul
     assert x ** 0 == ONE
-
-
-def test_bigrade_components_examples():
-    assert bigrade_components(element(G) + element(q_gen(1))) == {
-        Bigrade(1, 0): element(G),
-        Bigrade(2, 1): element(q_gen(1)),
-    }
-    assert bigrade_components(ZERO) == {}
-    mixed = element(monomial(-2, {2: 1}), monomial(-4, {1: 3}))
-    assert bigrade_components(mixed) == {Bigrade(2, 3): mixed}
-
-
-def test_bigrade_components_partition_recovers_input():
-    e = element(G, q_gen(1), monomial(0, {1: 2}), monomial(5))
-    parts = bigrade_components(e)
-    total = ZERO
-    for part in parts.values():
-        assert not part.is_zero
-        total = total + part
-    assert total == e
 
 
 def test_tensor_components_splits_by_left_dimension():

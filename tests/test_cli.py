@@ -111,6 +111,32 @@ def test_iso_inconclusive_exits_one(capsys):
     assert data["verdict"]["kind"] == "inconclusive"
 
 
+def test_sweeps_refuse_max_k_below_one(capsys):
+    # an empty sweep checks nothing, so it must not report a pass
+    for command in ("lemma-braid", "braid-conf"):
+        for max_k in ("0", "-3"):
+            code, out, err = run(capsys, "--format", "json", command, "--max-k", max_k)
+            assert code == 2
+            assert err.startswith("error:") and "--max-k" in err
+            assert out == ""
+
+
+def test_negative_iso_budget_is_a_usage_error(capsys):
+    # refused when parsed, also where no search would run
+    for argv in (("iso", "--a", "conf:2", "--b", "braid:4"),
+                 ("theorem-main", "--from", "5", "--to", "6")):
+        with pytest.raises(SystemExit) as exc:
+            main(["--iso-budget", "-1", *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--iso-budget" in captured.err and captured.out == ""
+    # a budget of 0 decides by the invariants alone
+    code, data = run_json(capsys, "--iso-budget", "0", "iso", "--a", "conf:2", "--b", "braid:4")
+    assert code == 1 and data["verdict"]["kind"] == "inconclusive"
+    code, data = run_json(capsys, "--iso-budget", "0", "iso", "--a", "rat:4", "--b", "braid:8")
+    assert code == 0 and data["verdict"]["kind"] == "no"
+
+
 def test_inconclusive_search_is_not_reported_falsified(capsys):
     code, out, _ = run(
         capsys, "--iso-budget", "1", "theorem-main", "--from", "3", "--to", "3"

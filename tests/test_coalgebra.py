@@ -155,17 +155,6 @@ def test_oracle_generator_expression_embeds_correctly():
         assert total == element(monomial(1) if i == 0 else q_gen(i))
 
 
-def test_coalgebra_json_shape():
-    c = extract_coalgebra(Family.BRAID, 2)
-    data = c.to_json()
-    assert data["degrees"] == [["g^2"], ["gamma_1"]]
-    assert {
-        "from": "gamma_1",
-        "split": [0, 1],
-        "pairs": [["g^2", "gamma_1"]],
-    } in data["delta"]
-
-
 def test_graded_coalgebra_validation_rejects_bad_counit():
     labels = (("a",), ("b",))
     delta = {

@@ -17,7 +17,14 @@ from braidrat.ambient import (
 )
 from braidrat import operations
 from braidrat.coalgebra import s_set
-from braidrat.families import Family, FamilyMonomial, embed, family_monomial, top_class
+from braidrat.families import (
+    Family,
+    FamilyMonomial,
+    _generator_halves,
+    embed,
+    family_monomial,
+    top_class,
+)
 from braidrat.operations import (
     araki_kudo_q,
     coproduct,
@@ -28,6 +35,7 @@ from braidrat.operations import (
 )
 
 from helpers import (
+    _reference_generator,
     coproduct_dims,
     pair_digits,
     q_recursive_element,
@@ -195,14 +203,16 @@ def test_coproduct_left_dims_match_packed_pairs():
 
 @pytest.mark.parametrize(
     "m",
-    [monomial(-(1 << 40)), monomial(-(1 << 40), {1: 1}), q_gen(1) ** (1 << 40),
+    [monomial(-(1 << 40)), monomial(-(1 << 40), {1: 1}), monomial(0, {1: 1 << 40}),
      monomial(operations._HALF), monomial(-operations._HALF),
-     monomial(1 - operations._HALF, {1: 1}), family_monomial(Family.RAT, {32: 1})],
+     monomial(1 - operations._HALF, {1: 1}), family_monomial(Family.RAT, {32: 1}),
+     family_monomial(Family.BRAID, {31: 1}), family_monomial(Family.CONF, {29: 1})],
 )
 def test_coproduct_field_range_guard(m):
     if isinstance(m, FamilyMonomial):
-        # rho_32 embeds with index 33; the CLI refuses its top classes by
-        # their predicted support cost before they reach this guard
+        # the first generator of each family that no packed half can hold
+        # (test_packed_generators_fill_the_field_range); the CLI refuses top
+        # classes that reach one by their predicted support cost first
         with pytest.raises(GeneratorLimitError):
             s_set(m)
         return
@@ -212,6 +222,29 @@ def test_coproduct_field_range_guard(m):
     with pytest.raises(GeneratorLimitError):
         coproduct_left_dims(m)
     assert m not in operations._PSI_CACHE
+
+
+GENERATOR_LIMITS = {Family.BRAID: 31, Family.RAT: 29, Family.CONF: 29}
+
+
+def test_packed_generators_fill_the_field_range():
+    for family, limit in GENERATOR_LIMITS.items():
+        for idx in range(-1 if family is Family.RAT else 0, limit):
+            halves, _ = _generator_halves(family, idx)
+            if idx <= 6:  # the recursive oracle is too deep past this
+                expected = _reference_generator(family, idx)
+                assert halves == set(map(operations._pack, expected.terms))
+        with pytest.raises(GeneratorLimitError):
+            _generator_halves(family, limit)
+    # the view keeps exact answers up to the range, and refuses past it
+    assert araki_kudo_q(element(q_gen(29))) == element(q_gen(30))
+    with pytest.raises(GeneratorLimitError):
+        araki_kudo_q(element(q_gen(30)))
+    # Q(g^a) = g^(2a - 2) Qg has field bound 2|a| + 4 when a is odd and negative
+    a = 3 - (1 << 30)
+    assert araki_kudo_q(element(monomial(a))) == element(monomial(2 * a - 2, {1: 1}))
+    with pytest.raises(GeneratorLimitError):
+        araki_kudo_q(element(monomial(a - 2)))
 
 
 def test_coproduct_at_field_range_edge():

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from braidrat.ambient import (
     ZERO,
-    bigrade_components,
     element,
     monomial,
     tensor_components,
@@ -71,19 +70,6 @@ def test_addition_self_cancels(a):
 def test_bigrades_add_under_multiplication(m, n):
     assert (m * n).weight == m.weight + n.weight
     assert (m * n).dim == m.dim + n.dim
-
-
-@SETTINGS
-@given(elements())
-def test_bigrade_components_partition(e):
-    parts = bigrade_components(e)
-    total = ZERO
-    for bg, part in parts.items():
-        assert not part.is_zero
-        for m in part.terms:
-            assert m.bigrade == bg
-        total = total + part
-    assert total == e
 
 
 @SETTINGS
