@@ -44,6 +44,7 @@ from .families import (
     check_basis_size,
     embed,
     family_monomial,
+    generator_coproduct,
     poincare_vector,
     top_class,
 )

@@ -29,6 +29,7 @@ from .coalgebra import (
     coalgebras_isomorphic,
     component_coalgebra,
     component_steenrod,
+    extract_coalgebra,
     s_set,
     theorem_main,
 )
@@ -240,11 +241,16 @@ def _cmd_lemma_braid(args, config: RunConfig) -> int:
 def _cmd_iso(args, config: RunConfig) -> int:
     fam_a, k_a = _parse_spec(args.a)
     fam_b, k_b = _parse_spec(args.b)
-    # Each component is enumerated, embedded and eliminated once, for its
-    # coalgebra and its Steenrod matrices alike.
-    comps = [build_component(fam, k) for fam, k in ((fam_a, k_a), (fam_b, k_b))]
-    ca, cb = map(component_coalgebra, comps)
-    steenrod = tuple(map(component_steenrod, comps)) if args.steenrod else None
+    specs = ((fam_a, k_a), (fam_b, k_b))
+    if args.steenrod:
+        # Each component is enumerated once, for its coalgebra and its
+        # Steenrod matrices alike; only Sq_j^* needs the ambient build.
+        comps = [build_component(fam, k) for fam, k in specs]
+        ca, cb = (component_coalgebra(c.by_dim) for c in comps)
+        steenrod = tuple(map(component_steenrod, comps))
+    else:
+        ca, cb = (extract_coalgebra(fam, k) for fam, k in specs)
+        steenrod = None
     verdict = coalgebras_isomorphic(ca, cb, config.iso_budget, steenrod=steenrod)
     payload = {
         "schema": SCHEMA_VERSION,

@@ -18,8 +18,16 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import gf2
 from .ambient import xor_all
-from .families import Family, FamilyMonomial, _basis_by_dim, _embed, basis, top_class
-from .operations import _G_PAIR, _MASK, _left_dims, _psi, _split, _sqj, _unpack
+from .families import (
+    Family,
+    FamilyMonomial,
+    _basis_by_dim,
+    _embed,
+    basis,
+    generator_coproduct,
+    top_class,
+)
+from .operations import _G_PAIR, _MASK, _left_dims, _psi, _sqj, _unpack
 
 DEFAULT_ISO_BUDGET = 10**6
 
@@ -147,7 +155,7 @@ def _coordinates(vectors: Sequence[Iterable[int]], what: str) -> Callable[[Itera
 
 
 class Component(NamedTuple):
-    """One weight-graded component, built once for extraction and the
+    """One weight-graded component embedded in the ambient algebra, for the
     Steenrod matrices: the basis by degree, the packed embedding of each
     basis element, and per degree the coordinate map onto the embedded basis
     (see ``_coordinates``)."""
@@ -176,42 +184,77 @@ def build_component(family: Family, k: int) -> Component:
 
 def extract_coalgebra(family: Family, k: int) -> GradedCoalgebra:
     """Structure constants of the weight-graded component in the family basis
-    (see ``component_coalgebra``)."""
-    return component_coalgebra(build_component(family, k))
+    (see ``component_coalgebra``).  Raises ``ValueError``, before any
+    enumeration, if the predicted basis size is above ``BASIS_BOUND``."""
+    return component_coalgebra(_basis_by_dim(family, k))
 
 
-def component_coalgebra(c: Component) -> GradedCoalgebra:
-    """Structure constants of a built component in its family basis.
+def component_coalgebra(by_dim: Sequence[Sequence[FamilyMonomial]]) -> GradedCoalgebra:
+    """Structure constants of a component given by its basis by degree, a
+    whole component as ``families.basis`` enumerates it.
 
-    The split-s part T of the coproduct of a degree-d element is
-    sum C_ij e_i (x) f_j over the degree s and d-s bases.  Grouped by right
-    factor v, T's left factors solve to y_v[i] = sum_j C_ij f_j[v]; the v
-    with bit i set in y_v solve to row i of C.  Either solve raises
-    ``SpanError`` exactly when T leaves span(e (x) f), since the component
-    must be a sub-coalgebra.  A pair whose dims do not add up to d raises
-    ``ValueError``.
+    Each basis element's coproduct is the product of its generators'
+    coproducts (``families.generator_coproduct``), multiplied out on packed
+    ints: an exponent vector is one int with a field of W bits per
+    generator, W = k.bit_length() for the component's top weight k, and a
+    pair is ``l + (r << B)`` with B the width of all fields.  Powers are
+    Frobenius shifts and products are ``xor_all`` of adds, as in
+    ``families._embed``, whose loop this repeats rather than shares, since
+    the ambient route through ``_embed`` is this route's test oracle.
+    Every field of a partial product is at most the sum, over its factors,
+    of the largest field of their generator pairs; the sum is checked below
+    2^W before any product is formed, so no field carries into the next.
+    Each half is then looked up among the packed basis monomials: a half
+    outside the basis raises ``SpanError``, and a pair whose dims do not add
+    up to the element's raises ``ValueError``.
     """
-    labels = tuple(tuple(fm.label() for fm in row) for row in c.by_dim)
-    delta = {(d, s): [] for d in range(len(c.by_dim)) for s in range(d + 1)}
-    for d, row in enumerate(c.embeds):
-        for e in row:
-            parts: dict[int, dict] = {}  # left dim -> right half -> left halves
-            for x in _psi(e):
-                u, v = _split(x)
-                s, t = u & _MASK, v & _MASK
+    gens = sorted({idx for row in by_dim for fm in row for idx, _ in fm.exps})
+    width = max(fm.weight for row in by_dim for fm in row).bit_length()
+    slot = {idx: 1 << (width * p) for p, idx in enumerate(gens)}
+    shift = width * len(gens)
+    low = (1 << shift) - 1
+
+    def pack(fm: FamilyMonomial) -> int:
+        try:
+            return sum(e * slot[idx] for idx, e in fm.exps)
+        except KeyError:  # a generator no basis element holds
+            raise SpanError(f"{fm} leaves the generators of the component") from None
+
+    where = {pack(fm): (d, i) for d, row in enumerate(by_dim) for i, fm in enumerate(row)}
+    family = by_dim[0][0].family
+    pairs, bound = {}, {}
+    for idx in gens:
+        closed = generator_coproduct(family, idx)
+        pairs[idx] = [pack(l) + (pack(r) << shift) for l, r in closed]
+        bound[idx] = max((e for pair in closed for fm in pair for _, e in fm.exps), default=0)
+    labels = tuple(tuple(fm.label() for fm in row) for row in by_dim)
+    delta = {(d, s): [] for d in range(len(by_dim)) for s in range(d + 1)}
+    for d, row in enumerate(by_dim):
+        for fm in row:
+            if sum(bound[idx] * e for idx, e in fm.exps) >> width:
+                raise ValueError(f"coproduct of {fm} exceeds the packed field width {width}")
+            acc = {0}
+            for idx, e in fm.exps:
+                for b in range(e.bit_length()):
+                    if e >> b & 1:
+                        power = [x << b for x in pairs[idx]]
+                        # For a fixed a the sums a + x over distinct x are distinct.
+                        acc = xor_all({a + x for x in power} for a in acc)
+            parts: list[list] = [[] for _ in range(d + 1)]
+            for x in acc:
+                try:
+                    (s, i), (t, j) = where[x & low], where[x >> shift]
+                except KeyError:
+                    raise SpanError(
+                        f"a coproduct pair of {fm} leaves the basis of the component"
+                    ) from None
                 if s + t != d:
                     raise ValueError(
                         f"coproduct pair of dimensions ({s}, {t}) has total {s + t}, expected {d}"
                     )
-                parts.setdefault(s, {}).setdefault(v, []).append(u)
-            for s in range(d + 1):
-                by_left: dict[int, list] = {}
-                for v, us in parts.get(s, {}).items():
-                    for i in _bits(c.coords[s](us)):
-                        by_left.setdefault(i, []).append(v)
-                delta[(d, s)].append(frozenset(
-                    (i, j) for i, vs in by_left.items() for j in _bits(c.coords[d - s](vs))
-                ))
+                parts[s].append((i, j))
+            for s, ij in enumerate(parts):
+                delta[(d, s)].append(frozenset(ij))
     return GradedCoalgebra(labels, {key: tuple(comps) for key, comps in delta.items()})
 
 
@@ -297,14 +340,16 @@ def verify_coalgebra_map(
     for d, n in enumerate(dims):
         if not gf2.is_invertible(list(phi[d]), n):
             return False
+    # images[d][src]: the basis elements of b in phi_d(e_src), read once per call
+    images = [[_phi_image(phi[d], src) for src in range(n)] for d, n in enumerate(dims)]
     for d in range(len(dims)):
         for src in range(dims[d]):
-            img = _phi_image(phi[d], src)
+            img = images[d][src]
             for s in range(d + 1):
                 t = d - s
                 lhs = xor_all(b.delta[(d, s)][m] for m in img)
                 rhs = xor_all(
-                    {(p, q) for p in _phi_image(phi[s], i) for q in _phi_image(phi[t], j)}
+                    {(p, q) for p in images[s][i] for q in images[t][j]}
                     for i, j in a.delta[(d, s)][src]
                 )
                 if lhs != rhs:

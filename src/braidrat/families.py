@@ -163,6 +163,73 @@ def embed(fm: FamilyMonomial) -> AmbientElement:
     return _view(_embed(fm))
 
 
+def _rat_q_terms(i: int) -> frozenset[FamilyMonomial]:
+    """The terms of Q^i g written in the rat generators, i >= 1: Qg = g rho_0
+    and Q^(m+1) g = g^(2^m) rho_m + rho_0^(2^m) Q^m g (see
+    ``generator_coproduct``).  Only the new term holds rho_m, so no two
+    terms are equal and Q^i g has i of them."""
+    terms = frozenset({FamilyMonomial(Family.RAT, ((-1, 1), (0, 1)))})
+    for m in range(1, i):
+        rho0_pow = FamilyMonomial(Family.RAT, ((0, 1 << m),))
+        head = FamilyMonomial(Family.RAT, ((-1, 1 << m), (m, 1)))
+        terms = frozenset({rho0_pow * p for p in terms} | {head})
+    return terms
+
+
+@lru_cache(maxsize=None)
+def generator_coproduct(
+    family: Family, idx: int
+) -> frozenset[tuple[FamilyMonomial, FamilyMonomial]]:
+    """psi of one generator as pairs of family monomials, in closed form:
+
+    * conf: c_i is primitive, 1 (x) c_i + c_i (x) 1;
+    * braid: g is grouplike, g (x) g, and gamma_i, i >= 1, is
+      g^(2^i)-twisted primitive, g^(2^i) (x) gamma_i + gamma_i (x) g^(2^i);
+    * rat: g and rho_0 likewise, and rho_i, i >= 1, has in addition
+      p (x) rho_0^(2^i) + rho_0^(2^i) (x) p for each term p of Q^i g
+      (``_rat_q_terms``).
+
+    Proof sketch.  psi is an algebra map with psi(g) = g (x) g and
+    psi(Q^i g) = g^(2^i) (x) Q^i g + Q^i g (x) g^(2^i), and Q kills squares,
+    so Q(s y) = s^2 Qy when s is a square.  Hence c_i = g^(-2^(i+1))
+    Q^(i+1) g, and psi(c_i) is primitive once g^(-2^(i+1)) (x) g^(-2^(i+1))
+    cancels the twists.  rho_0 = g^-1 Qg gives g (x) rho_0 + rho_0 (x) g.
+    For i >= 1, rho_1 = g^-2 Q^2 g + rho_0^2 g^-2 Qg (as Q(g^-1) =
+    g^-4 Qg), and applying Q i - 1 more times gives rho_i =
+    G^-1 (Q^(i+1) g + R P) with G = g^(2^i), R = rho_0^(2^i) and
+    P = Q^i g, which is also the recursion of ``_rat_q_terms``.  With
+    psi(R) = G (x) R + R (x) G and psi(P) = G (x) P + P (x) G, expanding
+    psi(G^-1) psi(Q^(i+1) g + R P) gives G (x) rho_i + rho_i (x) G +
+    P (x) R + R (x) P.  None of these pairs cancels: the four kinds have
+    the distinct left dims 0, 2^(i+1) - 1, 2^i - 1 and 2^i, and the terms
+    p of P are distinct.  These are identities between embedded classes;
+    the embedding is injective on each component (``build_component``
+    raises ``SpanError`` otherwise), so they hold in the family.
+
+    A basis monomial's coproduct is the product of its generators'
+    coproducts.  Every pair of a generator has halves of its weight (braid,
+    rat) or weights summing to it (conf), with dims summing to its dim; so
+    every pair of a weight-k monomial has halves in the component's basis
+    and dims summing to its dim, and the component is a sub-coalgebra.
+    """
+    generator_bigrade(family, idx)  # validates the index
+    unit = FamilyMonomial(family, ())
+    gen = FamilyMonomial(family, ((idx, 1),))
+    if family is Family.CONF:
+        return frozenset({(unit, gen), (gen, unit)})
+    g_idx = 0 if family is Family.BRAID else -1
+    if idx == g_idx:
+        return frozenset({(gen, gen)})
+    weight = generator_bigrade(family, idx).weight
+    twist = FamilyMonomial(family, ((g_idx, weight),))
+    out = {(twist, gen), (gen, twist)}
+    if family is Family.RAT and idx >= 1:
+        rho0_pow = FamilyMonomial(family, ((0, weight),))
+        for p in _rat_q_terms(idx):
+            out |= {(p, rho0_pow), (rho0_pow, p)}
+    return frozenset(out)
+
+
 def _generator_indices(family: Family, k: int) -> list[int]:
     top = max(w for w in range(k.bit_length()) if (1 << w) <= k) if k >= 1 else -1
     idxs = list(range(top + 1))

@@ -6,9 +6,11 @@ forms, the reference coproduct multiplies sets of monomial pairs with its
 own ``Counter`` parity instead of packed ints and ``ambient.xor_all``, the
 closed-form left dims of ``s_set`` are checked against the dims of the
 pairs the packed coproduct kernel forms, the top-class support for the
-braid family comes from subset sums, the family-level structure constants
-are obtained by multiplying out generator coproducts term by term with no
-elimination step, isomorphisms are counted by enumerating every invertible
+braid family comes from subset sums, the structure constants are obtained
+both by the ambient route (embed the basis, run the packed psi kernel and
+eliminate, with no generator coproduct in closed form) and by multiplying
+out a copy of the generator coproducts term by term with no elimination
+step, isomorphisms are counted by enumerating every invertible
 per-degree map, coassociativity is checked one element and one split at a
 time, trivial splits included, the packed embedding and dual Steenrod
 operations are checked against ``AmbientElement`` products and monomial
@@ -34,11 +36,14 @@ from braidrat.ambient import (
     q_gen,
 )
 from braidrat.coalgebra import (
+    Component,
     _basis_by_dim,
+    build_component,
     verify_coalgebra_map,
     verify_steenrod_intertwining,
 )
 from braidrat.families import Family, FamilyMonomial, family_monomial
+from braidrat.operations import _MASK, _psi, _split
 
 # ---------------------------------------------------------------------------
 # Recursive Cartan splitting, one generator copy at a time.
@@ -289,6 +294,70 @@ def brute_force_delta(family: Family, k: int):
                 frozenset(per_degree[d][a].get(s, set())) for a in range(len(row))
             )
     return delta
+
+
+# ---------------------------------------------------------------------------
+# Ambient structure constants: embed the basis, run the packed psi kernel and
+# eliminate, with no generator coproduct in closed form.  The split-s part T
+# of the coproduct of a degree-d element is sum C_ij e_i (x) f_j over the
+# degree s and d-s bases.  Grouped by right factor v, T's left factors solve
+# to y_v[i] = sum_j C_ij f_j[v]; the v with bit i set in y_v solve to row i
+# of C.  Either solve raises ``SpanError`` exactly when T leaves
+# span(e (x) f), and a pair whose dims do not add up to d raises
+# ``ValueError``.
+
+
+def _bits(vec: int) -> list[int]:
+    return [i for i in range(vec.bit_length()) if vec >> i & 1]
+
+
+def _ambient_row(c: Component, d: int, e: frozenset) -> list[frozenset]:
+    """Per split s = 0..d, the index pairs of the coproduct of the embedded
+    degree-d element ``e`` of the built component ``c``."""
+    parts: dict[int, dict] = {}  # left dim -> right half -> left halves
+    for x in _psi(e):
+        u, v = _split(x)
+        s, t = u & _MASK, v & _MASK
+        if s + t != d:
+            raise ValueError(
+                f"coproduct pair of dimensions ({s}, {t}) has total {s + t}, expected {d}"
+            )
+        parts.setdefault(s, {}).setdefault(v, []).append(u)
+    row = []
+    for s in range(d + 1):
+        by_left: dict[int, list] = {}
+        for v, us in parts.get(s, {}).items():
+            for i in _bits(c.coords[s](us)):
+                by_left.setdefault(i, []).append(v)
+        row.append(frozenset(
+            (i, j) for i, vs in by_left.items() for j in _bits(c.coords[d - s](vs))
+        ))
+    return row
+
+
+def ambient_delta(family: Family, k: int):
+    """Structure constants shaped like GradedCoalgebra.delta, by the ambient
+    route."""
+    c = build_component(family, k)
+    rows = [[_ambient_row(c, d, e) for e in embeds] for d, embeds in enumerate(c.embeds)]
+    return {
+        (d, s): tuple(row[s] for row in rows[d])
+        for d in range(len(rows)) for s in range(d + 1)
+    }
+
+
+def ambient_generator_coproduct(family: Family, idx: int) -> frozenset:
+    """The coproduct of one generator as pairs of family monomials, by the
+    ambient route in the component of the generator's weight, which holds
+    the generator and, unless the coproduct is wrong, every half of its
+    pairs."""
+    gen = family_monomial(family, {idx: 1})
+    c = build_component(family, gen.weight)
+    d = gen.dim
+    row = _ambient_row(c, d, c.embeds[d][c.by_dim[d].index(gen)])
+    return frozenset(
+        (c.by_dim[s][i], c.by_dim[d - s][j]) for s, pairs in enumerate(row) for i, j in pairs
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface."""
 
+import hashlib
 import json
 import re
 import time
@@ -320,6 +321,20 @@ def test_iso_with_steenrod_builds_each_component_once(capsys, monkeypatch):
     assert counts == {"build": 2, "enumerate": 2, "embed": 2 * sum(data["dims"])}
 
 
+def test_iso_without_steenrod_enumerates_each_component_and_embeds_nothing(capsys, monkeypatch):
+    counts = _count_builds(monkeypatch)
+    code, data = run_json(capsys, "iso", "--a", "rat:13", "--b", "braid:26")
+    assert code == 0 and data["verdict"]["kind"] == "no"
+    assert counts == {"build": 0, "enumerate": 2, "embed": 0}
+
+
+def test_braid_conf_embeds_nothing(capsys, monkeypatch):
+    counts = _count_builds(monkeypatch)
+    code, data = run_json(capsys, "braid-conf", "--max-k", "4")
+    assert code == 0 and data["all_isomorphic"] is True
+    assert counts == {"build": 0, "enumerate": 8, "embed": 0}
+
+
 def test_steenrod_reads_its_column_counts_from_the_component(capsys, monkeypatch):
     dims = build_component(Family.CONF, 8).dims
     counts = _count_builds(monkeypatch)
@@ -360,3 +375,31 @@ def test_readme_lists_every_global_flag():
         if opt.startswith("--") and opt != "--help"
     }
     assert set(re.findall(r"--[a-z][a-z-]*", paragraph)) == flags
+
+
+# sha256 of the --format json stdout, with the exit code, recorded when the
+# structure constants were still solved from the ambient coproduct
+PINNED_JSON = [
+    (("theorem-main", "--from", "65", "--to", "100"), 0,
+     "5e0a0e67a86780fd1f3b325745faacabc4f52c6a8196b8617d4e9372fa9cdec6"),
+    (("iso", "--a", "rat:13", "--b", "braid:26", "--steenrod"), 0,
+     "af3eb1a3827debabd0abfd1bbfa480755ea2905ffbe2fbaf39b2e7b3a62ec8ca"),
+    (("--iso-budget", "15000", "iso", "--a", "conf:6", "--b", "braid:12"), 0,
+     "43fc6bb5794a482e9d947c8432af788f8e5649d8725009add129ee7b221e7f7e"),
+    (("braid-conf", "--max-k", "8"), 0,
+     "65eaa035f67e61f7c865937d112a6db80e7700796dd31ea15eb7f6abd552e00e"),
+    (("steenrod", "--family", "rat", "--k", "12", "--j", "2", "--extended"), 0,
+     "eb5b4f6cc091028d7f7dd48d4c9f2aa3ea74c1877c573cc07c95f77247611bda"),
+    (("iso", "--a", "conf:16", "--b", "braid:32", "--steenrod"), 0,
+     "9279461d98234155f13f1aabeacebbd8599a68d0629dde31e30e804804762f9d"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", PINNED_JSON, ids=[
+    "support-sweep", "extract-compare", "iso-search", "braid-conf", "steenrod", "iso-steenrod",
+])
+def test_json_stdout_is_pinned(capsys, argv, code, digest):
+    # the first three are the benchmark's workloads
+    got, out, _ = run(capsys, "--format", "json", *argv)
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+import helpers
 from braidrat import coalgebra, operations
 from braidrat.cli import main
 from braidrat.coalgebra import (
@@ -26,10 +27,19 @@ from braidrat.coalgebra import (
     verify_steenrod_intertwining,
 )
 from braidrat.ambient import TensorElement, element, monomial, q_gen, tensor_components
-from braidrat.families import Family, FamilyMonomial, family_monomial, top_class, embed, _embed
+from braidrat.families import (
+    Family,
+    FamilyMonomial,
+    _embed,
+    embed,
+    family_monomial,
+    generator_coproduct,
+    top_class,
+)
 from braidrat.operations import _B, _pack, _psi, _sqj, coproduct
 
 from helpers import (
+    ambient_delta,
     braid_top_support,
     brute_force_delta,
     brute_force_isomorphism_count,
@@ -68,11 +78,12 @@ def test_extract_rat_weight_two_four_term_splits():
 
 
 def test_extracted_structure_matches_brute_force_small():
-    # up to braid:20 and rat/conf:10 the two-step solve meets degrees with
-    # several basis elements on both sides of a split
+    # up to braid:20 and rat/conf:10 the ambient oracle's two-step solve
+    # meets degrees with several basis elements on both sides of a split
     for family, top in ((Family.BRAID, 20), (Family.RAT, 10), (Family.CONF, 10)):
         for k in range(1, top + 1):
             c = extract_coalgebra(family, k)
+            assert c.delta == ambient_delta(family, k), (family, k)
             assert c.delta == brute_force_delta(family, k), (family, k)
 
 
@@ -83,15 +94,15 @@ def _equal_embeddings(monkeypatch):
 
 
 def _stray_coproduct_pair(monkeypatch):
-    # the top class A + B of rat:3 gains the pair A (x) 1: its terms are all
-    # embedded halves, but the part B (x) 1 that remains is outside the
-    # product span
+    # in the ambient oracle, the top class A + B of rat:3 gains the pair
+    # A (x) 1: its terms are all embedded halves, but the part B (x) 1 that
+    # remains is outside the product span
     by_dim = _basis_by_dim(Family.RAT, 3)
     top = _embed(by_dim[4][0])
     (unit,) = _embed(by_dim[0][0])
     stray = min(top) + (unit << _B)
     monkeypatch.setattr(
-        coalgebra, "_psi", lambda hs: _psi(hs) ^ {stray} if hs == top else _psi(hs)
+        helpers, "_psi", lambda hs: _psi(hs) ^ {stray} if hs == top else _psi(hs)
     )
 
 
@@ -102,46 +113,88 @@ def _steenrod_image_off_span(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "patch, extract_fails, steenrod_fails",
+    "patch, oracle_fails, steenrod_fails",
     [
         (_equal_embeddings, True, True),
         (_stray_coproduct_pair, True, False),
         (_steenrod_image_off_span, False, True),
     ],
 )
-def test_span_errors(monkeypatch, capsys, patch, extract_fails, steenrod_fails):
+def test_span_errors(monkeypatch, capsys, patch, oracle_fails, steenrod_fails):
+    # the ambient faults reach the ambient oracle and the Steenrod matrices;
+    # production extraction never embeds
     patch(monkeypatch)
     runs = [
-        (extract_fails, lambda: extract_coalgebra(Family.RAT, 3),
-         ["iso", "--a", "rat:3", "--b", "braid:6"]),
+        (oracle_fails, lambda: ambient_delta(Family.RAT, 3), []),
         (steenrod_fails, lambda: steenrod_matrix(Family.RAT, 3),
-         ["steenrod", "--family", "rat", "--k", "3"]),
+         [["iso", "--a", "rat:3", "--b", "braid:6", "--steenrod"],
+          ["steenrod", "--family", "rat", "--k", "3"]]),
     ]
-    for fails, call, argv in runs:
+    for fails, call, argvs in runs:
         if not fails:
             call()
             continue
         with pytest.raises(SpanError):
             call()
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("error: ")
+        for argv in argvs:
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: ")
+    assert extract_coalgebra(Family.RAT, 3).delta == brute_force_delta(Family.RAT, 3)
+
+
+def _inject_closed_form_pair(monkeypatch, pair):
+    # rho_0's closed-form coproduct gains ``pair``
+    def patched(family, idx):
+        out = generator_coproduct(family, idx)
+        return out ^ {pair} if (family, idx) == (Family.RAT, 0) else out
+
+    monkeypatch.setattr(coalgebra, "generator_coproduct", patched)
+
+
+def _assert_iso_exits_two(capsys):
+    assert main(["iso", "--a", "rat:3", "--b", "braid:6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
 
 
 def test_extraction_rejects_inhomogeneous_pairs(monkeypatch, capsys):
-    # the pair g^3 (x) g^3 has dims (0, 0), in the coproduct of a degree-4 class
+    # ambient oracle: the pair g^3 (x) g^3 has dims (0, 0), in the coproduct
+    # of a degree-4 class
     by_dim = _basis_by_dim(Family.RAT, 3)
     top = _embed(by_dim[4][0])
     (unit,) = _embed(by_dim[0][0])
     stray = unit + (unit << _B)
     monkeypatch.setattr(
-        coalgebra, "_psi", lambda hs: _psi(hs) | {stray} if hs == top else _psi(hs)
+        helpers, "_psi", lambda hs: _psi(hs) | {stray} if hs == top else _psi(hs)
     )
     with pytest.raises(ValueError, match=r"\(0, 0\) has total 0, expected 4"):
+        ambient_delta(Family.RAT, 3)
+    # closed forms: g (x) g in psi(rho_0) puts g^3 (x) g^3 into psi(g^2 rho_0)
+    g = family_monomial(Family.RAT, {-1: 1})
+    _inject_closed_form_pair(monkeypatch, (g, g))
+    with pytest.raises(ValueError, match=r"\(0, 0\) has total 0, expected 1"):
         extract_coalgebra(Family.RAT, 3)
-    assert main(["iso", "--a", "rat:3", "--b", "braid:6"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error: ")
+    _assert_iso_exits_two(capsys)
+
+
+def test_extraction_rejects_closed_form_pair_outside_the_basis(monkeypatch, capsys):
+    # 1 (x) rho_0 in psi(rho_0) puts g^2 (x) g^2 rho_0 into psi(g^2 rho_0); its
+    # dims add up, but g^2 has weight 2, outside rat:3
+    unit = FamilyMonomial(Family.RAT, ())
+    _inject_closed_form_pair(monkeypatch, (unit, family_monomial(Family.RAT, {0: 1})))
+    with pytest.raises(SpanError, match="leaves the basis"):
+        extract_coalgebra(Family.RAT, 3)
+    _assert_iso_exits_two(capsys)
+
+
+def test_extraction_guards_the_packed_field_width(monkeypatch, capsys):
+    # g^4 (x) g^4 would carry out of rat:3's 2-bit exponent fields
+    g4 = family_monomial(Family.RAT, {-1: 4})
+    _inject_closed_form_pair(monkeypatch, (g4, g4))
+    with pytest.raises(ValueError, match="packed field width 2"):
+        extract_coalgebra(Family.RAT, 3)
+    _assert_iso_exits_two(capsys)
 
 
 def test_oracle_generator_expression_embeds_correctly():

@@ -5,6 +5,7 @@ import pytest
 from braidrat import families, gf2
 from braidrat.ambient import Bigrade, element, monomial, q_gen
 from braidrat.families import (
+    BASIS_BOUND,
     Family,
     FamilyMonomial,
     _embed,
@@ -15,12 +16,13 @@ from braidrat.families import (
     embed,
     family_monomial,
     generator_bigrade,
+    generator_coproduct,
     poincare_vector,
     top_class,
 )
 from braidrat.operations import _pack
 
-from helpers import reference_embed
+from helpers import ambient_generator_coproduct, reference_embed
 
 
 def test_generator_bigrades():
@@ -265,3 +267,18 @@ def test_packed_embedding_matches_object_products():
                 expected = reference_embed(fm)
                 assert embed(fm) == expected, fm
                 assert _embed(fm) == frozenset(map(_pack, expected.terms)), fm
+
+
+def test_generator_coproducts_match_the_ambient_route():
+    # every generator that a component admitted by BASIS_BOUND can hold.
+    # Multiplying by g (braid, rat) or including weight <= k in weight
+    # <= k + 1 (conf) injects each basis into the next, so basis sizes never
+    # fall and the first refused k bounds every admitted one.
+    for family in Family:
+        k = 1
+        while basis_size(family, k + 1) <= BASIS_BOUND:
+            k += 1
+        low = -1 if family is Family.RAT else 0
+        for idx in range(low, k.bit_length()):
+            assert generator_coproduct(family, idx) == ambient_generator_coproduct(family, idx), (
+                family, idx)
