@@ -15,14 +15,12 @@ from .ambient import (
 )
 from .coalgebra import (
     BraidConfReport,
-    Component,
     GradedCoalgebra,
     InvariantRecord,
     IsoVerdict,
     LemmaBraidReport,
     SpanError,
     TheoremReport,
-    build_component,
     check_braid_conf,
     check_lemma_braid,
     coalgebra_invariants,
@@ -45,6 +43,7 @@ from .families import (
     embed,
     family_monomial,
     generator_coproduct,
+    generator_steenrod,
     poincare_vector,
     top_class,
 )

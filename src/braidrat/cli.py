@@ -23,17 +23,17 @@ from .coalgebra import (
     DEFAULT_ISO_BUDGET,
     IsoVerdict,
     SpanError,
-    build_component,
     check_braid_conf,
     check_lemma_braid,
     coalgebras_isomorphic,
     component_coalgebra,
     component_steenrod,
-    extract_coalgebra,
     s_set,
     theorem_main,
 )
-from .families import Family, basis, check_basis_size, check_top_class_range, embed, top_class
+from .families import (
+    Family, _basis_by_dim, basis, check_basis_size, check_top_class_range, embed, top_class,
+)
 
 SCHEMA_VERSION = 2
 
@@ -241,16 +241,11 @@ def _cmd_lemma_braid(args, config: RunConfig) -> int:
 def _cmd_iso(args, config: RunConfig) -> int:
     fam_a, k_a = _parse_spec(args.a)
     fam_b, k_b = _parse_spec(args.b)
-    specs = ((fam_a, k_a), (fam_b, k_b))
-    if args.steenrod:
-        # Each component is enumerated once, for its coalgebra and its
-        # Steenrod matrices alike; only Sq_j^* needs the ambient build.
-        comps = [build_component(fam, k) for fam, k in specs]
-        ca, cb = (component_coalgebra(c.by_dim) for c in comps)
-        steenrod = tuple(map(component_steenrod, comps))
-    else:
-        ca, cb = (extract_coalgebra(fam, k) for fam, k in specs)
-        steenrod = None
+    # Each component is enumerated once, for its coalgebra and its Steenrod
+    # matrices alike.
+    comps = [_basis_by_dim(fam, k) for fam, k in ((fam_a, k_a), (fam_b, k_b))]
+    ca, cb = map(component_coalgebra, comps)
+    steenrod = tuple(map(component_steenrod, comps)) if args.steenrod else None
     verdict = coalgebras_isomorphic(ca, cb, config.iso_budget, steenrod=steenrod)
     payload = {
         "schema": SCHEMA_VERSION,
@@ -280,10 +275,9 @@ def _cmd_steenrod(args, config: RunConfig) -> int:
     if args.j >= 2 and not args.extended:
         raise ValueError("dual operations with j >= 2 require --extended")
     family = Family(args.family)
-    comp = build_component(family, args.k)
-    mats = component_steenrod(comp, args.j)
-    sizes = comp.dims
-    matrices = {str(d): _matrix_json(mat, sizes[d]) for d, mat in sorted(mats.items())}
+    by_dim = _basis_by_dim(family, args.k)
+    mats = component_steenrod(by_dim, args.j)
+    matrices = {str(d): _matrix_json(mat, len(by_dim[d])) for d, mat in sorted(mats.items())}
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "steenrod",

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import compress, count
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 from . import gf2
 from .ambient import xor_all
@@ -25,9 +25,10 @@ from .families import (
     _embed,
     basis,
     generator_coproduct,
+    generator_steenrod,
     top_class,
 )
-from .operations import _G_PAIR, _MASK, _left_dims, _psi, _sqj, _unpack
+from .operations import _G_PAIR, _MASK, _left_dims, _psi, _unpack
 
 DEFAULT_ISO_BUDGET = 10**6
 
@@ -123,65 +124,6 @@ class GradedCoalgebra:
         return True
 
 
-def _coordinates(vectors: Sequence[Iterable[int]], what: str) -> Callable[[Iterable[int]], int]:
-    """Coordinate map onto ``vectors`` (sets of packed halves), from one
-    elimination.
-
-    Raises ``SpanError`` if the vectors are dependent.  ``coords(terms)``,
-    for distinct terms, is the bit mask over ``vectors`` summing to
-    ``terms``; it raises ``SpanError`` when ``terms`` leaves their span.
-    """
-    index: dict = {}
-    rows = []
-    for terms in vectors:
-        row = 0
-        for t in terms:
-            row |= 1 << index.setdefault(t, len(index))
-        rows.append(row)
-    solve, null = gf2.solver(rows)
-    if null:
-        raise SpanError(f"the embedded {what} basis is linearly dependent")
-
-    def coords(terms) -> int:
-        try:
-            combo = solve(sum([1 << index[t] for t in terms]))
-        except KeyError:  # a term no basis element has
-            combo = None
-        if combo is None:
-            raise SpanError(f"a class leaves the span of the embedded {what} basis")
-        return combo
-
-    return coords
-
-
-class Component(NamedTuple):
-    """One weight-graded component embedded in the ambient algebra, for the
-    Steenrod matrices: the basis by degree, the packed embedding of each
-    basis element, and per degree the coordinate map onto the embedded basis
-    (see ``_coordinates``)."""
-
-    by_dim: list[list[FamilyMonomial]]
-    embeds: list[list[frozenset[int]]]
-    coords: list[Callable[[Iterable[int]], int]]
-
-    @property
-    def dims(self) -> list[int]:
-        return [len(row) for row in self.by_dim]
-
-
-def build_component(family: Family, k: int) -> Component:
-    """Enumerate, embed and eliminate the weight-k component of ``family``.
-
-    The basis size is predicted before any enumeration, and a size above
-    ``BASIS_BOUND`` raises ``ValueError``; a dependent embedded basis raises
-    ``SpanError``.
-    """
-    by_dim = _basis_by_dim(family, k)
-    embeds = [[_embed(fm) for fm in row] for row in by_dim]
-    coords = [_coordinates(row, f"degree-{d}") for d, row in enumerate(embeds)]
-    return Component(by_dim, embeds, coords)
-
-
 def extract_coalgebra(family: Family, k: int) -> GradedCoalgebra:
     """Structure constants of the weight-graded component in the family basis
     (see ``component_coalgebra``).  Raises ``ValueError``, before any
@@ -189,24 +131,26 @@ def extract_coalgebra(family: Family, k: int) -> GradedCoalgebra:
     return component_coalgebra(_basis_by_dim(family, k))
 
 
-def component_coalgebra(by_dim: Sequence[Sequence[FamilyMonomial]]) -> GradedCoalgebra:
-    """Structure constants of a component given by its basis by degree, a
-    whole component as ``families.basis`` enumerates it.
+def _multiply_out(by_dim: Sequence[Sequence[FamilyMonomial]], image, arity: int, what: str):
+    """Multiply out a ring map over a component given by its basis by degree,
+    a whole component as ``families.basis`` enumerates it.
+    ``image(family, idx)`` is a generator's image as ``arity``-tuples of
+    family monomials, ``arity`` 1 or 2.  Yields (d, i, terms) for basis
+    element i of degree d, in order: for each term of the product of the
+    images of its generators, its place (degree, index) in ``by_dim``, or a
+    pair of places when ``arity`` is 2.
 
-    Each basis element's coproduct is the product of its generators'
-    coproducts (``families.generator_coproduct``), multiplied out on packed
-    ints: an exponent vector is one int with a field of W bits per
-    generator, W = k.bit_length() for the component's top weight k, and a
-    pair is ``l + (r << B)`` with B the width of all fields.  Powers are
-    Frobenius shifts and products are ``xor_all`` of adds, as in
+    An exponent vector is one int with a field of W bits per generator,
+    W = k.bit_length() for the component's top weight k, and a tuple packs
+    its n-th monomial at bit n * B, with B the width of all fields.  Powers
+    are Frobenius shifts and products are ``xor_all`` of adds, as in
     ``families._embed``, whose loop this repeats rather than shares, since
-    the ambient route through ``_embed`` is this route's test oracle.
-    Every field of a partial product is at most the sum, over its factors,
-    of the largest field of their generator pairs; the sum is checked below
-    2^W before any product is formed, so no field carries into the next.
-    Each half is then looked up among the packed basis monomials: a half
-    outside the basis raises ``SpanError``, and a pair whose dims do not add
-    up to the element's raises ``ValueError``.
+    the ambient route through ``_embed`` is this route's test oracle.  Every
+    field of a partial product is at most the sum, over its factors, of the
+    largest field of their generator images; the sum is checked below 2^W
+    before any product is formed, so no field carries into the next.  Each
+    monomial is then looked up among the packed basis monomials, and one
+    outside the basis raises ``SpanError``.
     """
     gens = sorted({idx for row in by_dim for fm in row for idx, _ in fm.exps})
     width = max(fm.weight for row in by_dim for fm in row).bit_length()
@@ -222,39 +166,52 @@ def component_coalgebra(by_dim: Sequence[Sequence[FamilyMonomial]]) -> GradedCoa
 
     where = {pack(fm): (d, i) for d, row in enumerate(by_dim) for i, fm in enumerate(row)}
     family = by_dim[0][0].family
-    pairs, bound = {}, {}
+    packed, bound = {}, {}
     for idx in gens:
-        closed = generator_coproduct(family, idx)
-        pairs[idx] = [pack(l) + (pack(r) << shift) for l, r in closed]
-        bound[idx] = max((e for pair in closed for fm in pair for _, e in fm.exps), default=0)
-    labels = tuple(tuple(fm.label() for fm in row) for row in by_dim)
-    delta = {(d, s): [] for d in range(len(by_dim)) for s in range(d + 1)}
+        closed = image(family, idx)
+        packed[idx] = [sum(pack(fm) << (shift * n) for n, fm in enumerate(t)) for t in closed]
+        bound[idx] = max((e for t in closed for fm in t for _, e in fm.exps), default=0)
     for d, row in enumerate(by_dim):
-        for fm in row:
+        for i, fm in enumerate(row):
             if sum(bound[idx] * e for idx, e in fm.exps) >> width:
-                raise ValueError(f"coproduct of {fm} exceeds the packed field width {width}")
+                raise ValueError(f"{what} of {fm} exceeds the packed field width {width}")
             acc = {0}
             for idx, e in fm.exps:
                 for b in range(e.bit_length()):
                     if e >> b & 1:
-                        power = [x << b for x in pairs[idx]]
+                        power = [x << b for x in packed[idx]]
                         # For a fixed a the sums a + x over distinct x are distinct.
                         acc = xor_all({a + x for x in power} for a in acc)
-            parts: list[list] = [[] for _ in range(d + 1)]
-            for x in acc:
-                try:
-                    (s, i), (t, j) = where[x & low], where[x >> shift]
-                except KeyError:
-                    raise SpanError(
-                        f"a coproduct pair of {fm} leaves the basis of the component"
-                    ) from None
-                if s + t != d:
-                    raise ValueError(
-                        f"coproduct pair of dimensions ({s}, {t}) has total {s + t}, expected {d}"
-                    )
-                parts[s].append((i, j))
-            for s, ij in enumerate(parts):
-                delta[(d, s)].append(frozenset(ij))
+            try:
+                terms = ([(where[x & low], where[x >> shift]) for x in acc] if arity == 2
+                         else [where[x] for x in acc])
+            except KeyError:
+                raise SpanError(
+                    f"a term of the {what} of {fm} leaves the basis of the component"
+                ) from None
+            yield d, i, terms
+
+
+def component_coalgebra(by_dim: Sequence[Sequence[FamilyMonomial]]) -> GradedCoalgebra:
+    """Structure constants of a component given by its basis by degree.
+
+    psi is a ring map, so each basis element's coproduct is the product of
+    its generators' coproducts (``families.generator_coproduct``),
+    multiplied out by ``_multiply_out`` on pairs; a pair whose dims do not
+    add up to the element's raises ``ValueError``.
+    """
+    labels = tuple(tuple(fm.label() for fm in row) for row in by_dim)
+    delta = {(d, s): [] for d in range(len(by_dim)) for s in range(d + 1)}
+    for d, _, pairs in _multiply_out(by_dim, generator_coproduct, 2, "coproduct"):
+        parts: list[list] = [[] for _ in range(d + 1)]
+        for (s, i), (t, j) in pairs:
+            if s + t != d:
+                raise ValueError(
+                    f"coproduct pair of dimensions ({s}, {t}) has total {s + t}, expected {d}"
+                )
+            parts[s].append((i, j))
+        for s, ij in enumerate(parts):
+            delta[(d, s)].append(frozenset(ij))
     return GradedCoalgebra(labels, {key: tuple(comps) for key, comps in delta.items()})
 
 
@@ -362,7 +319,8 @@ def verify_steenrod_intertwining(
     sq_b: Mapping[int, Sequence[int]],
     phi: Sequence[Sequence[int]],
 ) -> bool:
-    """Check phi_{d-1} . S_a^{(d)} == S_b^{(d)} . phi_d for every degree d."""
+    """Check phi_{d-1} . S_a^{(d)} == S_b^{(d)} . phi_d for every degree d,
+    for Sq_1^* matrices S (degree d to d - 1)."""
     for d in sorted(sq_a):
         if d < 1 or d >= len(phi):
             continue
@@ -402,8 +360,20 @@ def coalgebras_isomorphic(
     Invariants are compared first; on mismatch the verdict is ``no`` with the
     distinguishing invariant.  Otherwise a complete search for an isomorphism
     runs (see ``_search_isomorphism``), intertwining the dual Steenrod action
-    as well when ``steenrod`` matrices for both sides are supplied.
+    as well when ``steenrod`` matrices for both sides are supplied.  These
+    are Sq_1^* matrices, as ``steenrod_matrix`` gives for j = 1: a degree
+    d >= 1 with basis elements must map onto the dims[d-1] rows below it,
+    else ``ValueError`` is raised.
     """
+    for c, sq in zip((a, b), steenrod or ()):
+        dims = c.dims
+        for d in range(1, len(dims)):
+            rows = len(sq.get(d, ()))
+            if dims[d] and rows != dims[d - 1]:
+                raise ValueError(
+                    f"Steenrod matrix of degree {d} has {rows} rows, expected {dims[d - 1]}"
+                    " for Sq_1^*"
+                )
     ia = coalgebra_invariants(a)
     ib = coalgebra_invariants(b)
     for name in ("dims", "component_ranks", "top_support"):
@@ -532,31 +502,37 @@ def steenrod_matrix(family: Family, k: int, *, j: int = 1) -> dict[int, tuple[in
     """Per-degree matrices of the dual Steenrod operation in the family basis
     (see ``component_steenrod``).  Raises ``ValueError``, before any
     enumeration, if the predicted basis size is above ``BASIS_BOUND``."""
-    return component_steenrod(build_component(family, k), j)
+    return component_steenrod(_basis_by_dim(family, k), j)
 
 
-def component_steenrod(c: Component, j: int = 1) -> dict[int, tuple[int, ...]]:
-    """Per-degree matrices of Sq_j^* on a built component.
+def _total_steenrod(family: Family, idx: int) -> list[tuple[FamilyMonomial]]:
+    """Sq_* = sum_j Sq_j^* of one generator x: x + Sq_1^* x."""
+    gen = FamilyMonomial(family, ((idx, 1),))
+    return [(gen,)] + [(fm,) for fm in generator_steenrod(family, idx)]
 
-    Entry ``out[d]`` maps degree d to degree d-j; rows are indexed by the
-    target basis, with bit b set when the image of source b hits that row.
-    Raises ``SpanError`` if an image leaves the family span.
+
+def component_steenrod(
+    by_dim: Sequence[Sequence[FamilyMonomial]], j: int = 1
+) -> dict[int, tuple[int, ...]]:
+    """Per-degree matrices of Sq_j^* on a component given by its basis by degree.
+
+    Entry ``out[d]``, for each degree d >= 1 with basis elements, maps
+    degree d to degree d-j; rows are indexed by the target basis, with bit b
+    set when the image of source b hits that row.  Sq_* is a ring map that
+    sends each generator x to x + Sq_1^* x (``families.generator_steenrod``),
+    so Sq_j^* of a degree-d element is the degree-(d-j) part of the product
+    of those images, multiplied out by ``_multiply_out``.  Raises
+    ``SpanError`` if a term leaves the basis.
     """
     if j < 1:
         raise ValueError(f"j must be >= 1, got {j}")
-    dims = c.dims
-    out: dict[int, tuple[int, ...]] = {}
-    for d in range(1, len(dims)):
-        if not dims[d]:
-            continue
-        below = d - j
-        to_basis = c.coords[below] if below >= 0 else _coordinates([], f"degree-{below}")
-        matrix = [0] * (dims[below] if below >= 0 else 0)
-        for col, e in enumerate(c.embeds[d]):
-            for t_idx in _bits(to_basis(_sqj(e, j))):
-                matrix[t_idx] |= 1 << col
-        out[d] = tuple(matrix)
-    return out
+    dims = [len(row) for row in by_dim]
+    out = {d: [0] * (dims[d - j] if d >= j else 0) for d in range(1, len(dims)) if dims[d]}
+    for d, col, terms in _multiply_out(by_dim, _total_steenrod, 1, "dual Steenrod image"):
+        for s, t in terms:
+            if s == d - j:
+                out[d][t] |= 1 << col
+    return {d: tuple(matrix) for d, matrix in out.items()}
 
 
 @dataclass(frozen=True)

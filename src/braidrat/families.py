@@ -203,8 +203,9 @@ def generator_coproduct(
     P (x) R + R (x) P.  None of these pairs cancels: the four kinds have
     the distinct left dims 0, 2^(i+1) - 1, 2^i - 1 and 2^i, and the terms
     p of P are distinct.  These are identities between embedded classes;
-    the embedding is injective on each component (``build_component``
-    raises ``SpanError`` otherwise), so they hold in the family.
+    the embedding is injective on each component (the ambient test oracle
+    in ``tests/helpers.py`` eliminates each embedded basis and raises
+    ``SpanError`` otherwise), so they hold in the family.
 
     A basis monomial's coproduct is the product of its generators'
     coproducts.  Every pair of a generator has halves of its weight (braid,
@@ -228,6 +229,33 @@ def generator_coproduct(
         for p in _rat_q_terms(idx):
             out |= {(p, rho0_pow), (rho0_pow, p)}
     return frozenset(out)
+
+
+@lru_cache(maxsize=None)
+def generator_steenrod(family: Family, idx: int) -> frozenset[FamilyMonomial]:
+    """Sq_1^* of one generator as family monomials, in closed form: the square
+    of the generator one index down for braid gamma_i, i >= 2, and for rat
+    rho_i and conf c_i, i >= 1; zero on g, gamma_1, rho_0 and c_0.  Every
+    Sq_j^*, j >= 2, is zero on every generator.
+
+    Proof sketch.  The total dual operation Sq_* = sum_j Sq_j^* is a ring map
+    with Sq_*(Q^i g) = Q^i g + (Q^(i-1) g)^2 for i >= 2, fixing g^(+-1) and
+    Qg.  That is the braid rule, and Sq_* fixes every power of g and of
+    rho_0 = g^-1 Qg.  conf: c_i = g^(-2^(i+1)) Q^(i+1) g
+    (see ``generator_coproduct``), so Sq_* c_i = c_i + (g^(-2^i) Q^i g)^2 =
+    c_i + c_(i-1)^2 for i >= 1.  rat: rho_i = G^-1 (Q^(i+1) g + R P) with
+    G = g^(2^i), R = rho_0^(2^i) and P = Q^i g; Sq_* fixes G and R, so
+    Sq_* rho_i = rho_i + G^-1 ((Q^i g)^2 + R (Q^(i-1) g)^2), which is the
+    square of the same identity one index down, rho_(i-1)^2; for i = 1 it is
+    g^-2 (Qg)^2 = rho_0^2.  Each image has the weight of its generator and
+    one dim less.  As for ``generator_coproduct``, these identities between
+    embedded classes hold in the family, and Sq_* of a basis monomial is the
+    product of x + Sq_1^* x over its generators x.
+    """
+    generator_bigrade(family, idx)  # validates the index
+    if idx < (2 if family is Family.BRAID else 1):
+        return frozenset()
+    return frozenset({FamilyMonomial(family, ((idx - 1, 2),))})
 
 
 def _generator_indices(family: Family, k: int) -> list[int]:

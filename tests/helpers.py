@@ -10,11 +10,14 @@ braid family comes from subset sums, the structure constants are obtained
 both by the ambient route (embed the basis, run the packed psi kernel and
 eliminate, with no generator coproduct in closed form) and by multiplying
 out a copy of the generator coproducts term by term with no elimination
-step, isomorphisms are counted by enumerating every invertible
-per-degree map, coassociativity is checked one element and one split at a
-time, trivial splits included, the packed embedding and dual Steenrod
-operations are checked against ``AmbientElement`` products and monomial
-objects, and packed pairs are read back digit by digit.
+step, the dual Steenrod matrices and generator images come from the
+ambient route alone (the packed ``_sqj`` of the embedded basis, eliminated,
+with no generator image in closed form), isomorphisms are counted by
+enumerating every invertible per-degree map, coassociativity is checked one
+element and one split at a time, trivial splits included, the packed
+embedding and dual Steenrod operations are checked against
+``AmbientElement`` products and monomial objects, and packed pairs are read
+back digit by digit.
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ import itertools
 import math
 import random
 from collections import Counter
+from typing import Callable, Iterable, NamedTuple
 
-from braidrat import operations
+from braidrat import gf2, operations
 from braidrat.ambient import (
     ONE,
     ZERO,
@@ -35,15 +39,9 @@ from braidrat.ambient import (
     monomial,
     q_gen,
 )
-from braidrat.coalgebra import (
-    Component,
-    _basis_by_dim,
-    build_component,
-    verify_coalgebra_map,
-    verify_steenrod_intertwining,
-)
-from braidrat.families import Family, FamilyMonomial, family_monomial
-from braidrat.operations import _MASK, _psi, _split
+from braidrat.coalgebra import SpanError, verify_coalgebra_map, verify_steenrod_intertwining
+from braidrat.families import Family, FamilyMonomial, _basis_by_dim, _embed, family_monomial
+from braidrat.operations import _MASK, _psi, _split, _sqj
 
 # ---------------------------------------------------------------------------
 # Recursive Cartan splitting, one generator copy at a time.
@@ -297,18 +295,104 @@ def brute_force_delta(family: Family, k: int):
 
 
 # ---------------------------------------------------------------------------
-# Ambient structure constants: embed the basis, run the packed psi kernel and
-# eliminate, with no generator coproduct in closed form.  The split-s part T
-# of the coproduct of a degree-d element is sum C_ij e_i (x) f_j over the
-# degree s and d-s bases.  Grouped by right factor v, T's left factors solve
-# to y_v[i] = sum_j C_ij f_j[v]; the v with bit i set in y_v solve to row i
-# of C.  Either solve raises ``SpanError`` exactly when T leaves
-# span(e (x) f), and a pair whose dims do not add up to d raises
-# ``ValueError``.
+# The ambient route: embed a component's basis and eliminate once per degree.
+
+
+def _coordinates(vectors, what: str) -> Callable[[Iterable[int]], int]:
+    """Coordinate map onto ``vectors`` (sets of packed halves), from one
+    elimination.
+
+    Raises ``SpanError`` if the vectors are dependent.  ``coords(terms)``,
+    for distinct terms, is the bit mask over ``vectors`` summing to
+    ``terms``; it raises ``SpanError`` when ``terms`` leaves their span.
+    """
+    index: dict = {}
+    rows = []
+    for terms in vectors:
+        row = 0
+        for t in terms:
+            row |= 1 << index.setdefault(t, len(index))
+        rows.append(row)
+    solve, null = gf2.solver(rows)
+    if null:
+        raise SpanError(f"the embedded {what} basis is linearly dependent")
+
+    def coords(terms) -> int:
+        try:
+            combo = solve(sum([1 << index[t] for t in terms]))
+        except KeyError:  # a term no basis element has
+            combo = None
+        if combo is None:
+            raise SpanError(f"a class leaves the span of the embedded {what} basis")
+        return combo
+
+    return coords
+
+
+class Component(NamedTuple):
+    """One weight-graded component embedded in the ambient algebra: the basis
+    by degree, the packed embedding of each basis element, and per degree
+    the coordinate map onto the embedded basis."""
+
+    by_dim: list[list[FamilyMonomial]]
+    embeds: list[list[frozenset[int]]]
+    coords: list[Callable[[Iterable[int]], int]]
+
+
+def build_component(family: Family, k: int) -> Component:
+    """Enumerate, embed and eliminate the weight-k component of ``family``;
+    a dependent embedded basis raises ``SpanError``."""
+    by_dim = _basis_by_dim(family, k)
+    embeds = [[_embed(fm) for fm in row] for row in by_dim]
+    coords = [_coordinates(row, f"degree-{d}") for d, row in enumerate(embeds)]
+    return Component(by_dim, embeds, coords)
 
 
 def _bits(vec: int) -> list[int]:
     return [i for i in range(vec.bit_length()) if vec >> i & 1]
+
+
+def ambient_steenrod(family: Family, k: int, j: int = 1) -> dict[int, tuple[int, ...]]:
+    """Matrices shaped like ``steenrod_matrix``, by the ambient route: the
+    packed ``_sqj`` of each embedded basis element, solved onto the embedded
+    basis of the degree j below."""
+    c = build_component(family, k)
+    dims = [len(row) for row in c.by_dim]
+    out: dict[int, tuple[int, ...]] = {}
+    for d in range(1, len(dims)):
+        if not dims[d]:
+            continue
+        below = d - j
+        to_basis = c.coords[below] if below >= 0 else _coordinates([], f"degree-{below}")
+        matrix = [0] * (dims[below] if below >= 0 else 0)
+        for col, e in enumerate(c.embeds[d]):
+            for t_idx in _bits(to_basis(_sqj(e, j))):
+                matrix[t_idx] |= 1 << col
+        out[d] = tuple(matrix)
+    return out
+
+
+def ambient_generator_steenrod(family: Family, idx: int, j: int = 1) -> frozenset:
+    """Sq_j^* of one generator as family monomials, by the ambient route in
+    the component of the generator's weight."""
+    gen = family_monomial(family, {idx: 1})
+    c = build_component(family, gen.weight)
+    d = gen.dim
+    if d < j:
+        return frozenset()
+    image = c.coords[d - j](_sqj(c.embeds[d][c.by_dim[d].index(gen)], j))
+    return frozenset(c.by_dim[d - j][i] for i in _bits(image))
+
+
+# ---------------------------------------------------------------------------
+# Ambient structure constants: run the packed psi kernel on the embedded
+# basis and eliminate, with no generator coproduct in closed form.  The
+# split-s part T of the coproduct of a degree-d element is sum C_ij e_i (x)
+# f_j over the degree s and d-s bases.  Grouped by right factor v, T's left factors solve
+# to y_v[i] = sum_j C_ij f_j[v]; the v with bit i set in y_v solve to row i
+# of C.  Either solve raises ``SpanError`` exactly when T leaves
+# span(e (x) f), and a pair whose dims do not add up to d raises
+# ``ValueError``.
 
 
 def _ambient_row(c: Component, d: int, e: frozenset) -> list[frozenset]:

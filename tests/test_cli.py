@@ -10,8 +10,8 @@ import pytest
 
 from braidrat import cli, coalgebra, families
 from braidrat.cli import main
-from braidrat.coalgebra import LemmaBraidReport, build_component
-from braidrat.families import Family, basis_size
+from braidrat.coalgebra import LemmaBraidReport
+from braidrat.families import Family, basis_size, poincare_vector
 
 
 def run(capsys, *argv):
@@ -257,7 +257,7 @@ def test_top_class_commands_fail_fast_on_huge_k(capsys, monkeypatch):
         assert code == 2
         assert err.startswith("error:") and "top-class support cost" in err
         assert out == ""
-    assert counts == {"build": 0, "enumerate": 0, "embed": 0}
+    assert counts == {"enumerate": 0, "embed": 0}
     code, data = run_json(capsys, "s-set", "--family", "rat", "--k", "4095")
     assert code == 0 and data["dim"] == 8178
 
@@ -297,8 +297,8 @@ def test_basis_and_lemma_braid_fail_fast_on_predicted_basis_size(capsys):
 
 
 def _count_builds(monkeypatch):
-    """Count component builds, basis enumerations and basis embeddings."""
-    counts = {"build": 0, "enumerate": 0, "embed": 0}
+    """Count basis enumerations and basis embeddings."""
+    counts = {"enumerate": 0, "embed": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -306,7 +306,6 @@ def _count_builds(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(cli, "build_component", counted("build", build_component))
     monkeypatch.setattr(
         families, "_exponent_vectors", counted("enumerate", families._exponent_vectors)
     )
@@ -318,29 +317,29 @@ def test_iso_with_steenrod_builds_each_component_once(capsys, monkeypatch):
     counts = _count_builds(monkeypatch)
     code, data = run_json(capsys, "iso", "--a", "rat:13", "--b", "braid:26", "--steenrod")
     assert code == 0 and data["verdict"]["kind"] == "no"
-    assert counts == {"build": 2, "enumerate": 2, "embed": 2 * sum(data["dims"])}
+    assert counts == {"enumerate": 2, "embed": 0}
 
 
 def test_iso_without_steenrod_enumerates_each_component_and_embeds_nothing(capsys, monkeypatch):
     counts = _count_builds(monkeypatch)
     code, data = run_json(capsys, "iso", "--a", "rat:13", "--b", "braid:26")
     assert code == 0 and data["verdict"]["kind"] == "no"
-    assert counts == {"build": 0, "enumerate": 2, "embed": 0}
+    assert counts == {"enumerate": 2, "embed": 0}
 
 
 def test_braid_conf_embeds_nothing(capsys, monkeypatch):
     counts = _count_builds(monkeypatch)
     code, data = run_json(capsys, "braid-conf", "--max-k", "4")
     assert code == 0 and data["all_isomorphic"] is True
-    assert counts == {"build": 0, "enumerate": 8, "embed": 0}
+    assert counts == {"enumerate": 8, "embed": 0}
 
 
 def test_steenrod_reads_its_column_counts_from_the_component(capsys, monkeypatch):
-    dims = build_component(Family.CONF, 8).dims
+    dims = poincare_vector(Family.CONF, 8)
     counts = _count_builds(monkeypatch)
     code, data = run_json(capsys, "steenrod", "--family", "conf", "--k", "8")
     assert code == 0
-    assert counts == {"build": 1, "enumerate": 1, "embed": sum(dims)}
+    assert counts == {"enumerate": 1, "embed": 0}
     assert {d: len(rows[0]) for d, rows in data["matrices"].items() if rows} == {
         str(d): dims[d] for d in range(1, len(dims)) if dims[d - 1] and dims[d]
     }
@@ -378,7 +377,8 @@ def test_readme_lists_every_global_flag():
 
 
 # sha256 of the --format json stdout, with the exit code, recorded when the
-# structure constants were still solved from the ambient coproduct
+# structure constants (first six) and the Steenrod matrices (last three)
+# were still solved on the ambient algebra
 PINNED_JSON = [
     (("theorem-main", "--from", "65", "--to", "100"), 0,
      "5e0a0e67a86780fd1f3b325745faacabc4f52c6a8196b8617d4e9372fa9cdec6"),
@@ -392,11 +392,18 @@ PINNED_JSON = [
      "eb5b4f6cc091028d7f7dd48d4c9f2aa3ea74c1877c573cc07c95f77247611bda"),
     (("iso", "--a", "conf:16", "--b", "braid:32", "--steenrod"), 0,
      "9279461d98234155f13f1aabeacebbd8599a68d0629dde31e30e804804762f9d"),
+    (("steenrod", "--family", "conf", "--k", "32", "--j", "2", "--extended"), 0,
+     "72d960adfa97b498a82ff8924d14da6eda55783d55ccc2c060c69c6b1061a3f7"),
+    (("steenrod", "--family", "braid", "--k", "64", "--j", "3", "--extended"), 0,
+     "242fde0fbf7563c3dd86657380825779e9e1183b597e4d4101a3ccab0fbaf4c0"),
+    (("steenrod", "--family", "rat", "--k", "60"), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ]
 
 
 @pytest.mark.parametrize("argv, code, digest", PINNED_JSON, ids=[
     "support-sweep", "extract-compare", "iso-search", "braid-conf", "steenrod", "iso-steenrod",
+    "steenrod-conf-j2", "steenrod-braid-j3", "steenrod-refused",
 ])
 def test_json_stdout_is_pinned(capsys, argv, code, digest):
     # the first three are the benchmark's workloads

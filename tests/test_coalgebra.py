@@ -34,12 +34,14 @@ from braidrat.families import (
     embed,
     family_monomial,
     generator_coproduct,
+    generator_steenrod,
     top_class,
 )
 from braidrat.operations import _B, _pack, _psi, _sqj, coproduct
 
 from helpers import (
     ambient_delta,
+    ambient_steenrod,
     braid_top_support,
     brute_force_delta,
     brute_force_isomorphism_count,
@@ -88,9 +90,9 @@ def test_extracted_structure_matches_brute_force_small():
 
 
 def _equal_embeddings(monkeypatch):
-    # the two degree-3 basis elements of rat:3 embed equal
+    # the two degree-3 basis elements of rat:3 embed equal in the ambient oracles
     first, second = _basis_by_dim(Family.RAT, 3)[3]
-    monkeypatch.setattr(coalgebra, "_embed", lambda fm: _embed(first if fm == second else fm))
+    monkeypatch.setattr(helpers, "_embed", lambda fm: _embed(first if fm == second else fm))
 
 
 def _stray_coproduct_pair(monkeypatch):
@@ -107,40 +109,58 @@ def _stray_coproduct_pair(monkeypatch):
 
 
 def _steenrod_image_off_span(monkeypatch):
-    # every dual Steenrod image gains Q3g, which no embedded basis element has
+    # in the ambient oracle, every dual Steenrod image gains Q3g, which no
+    # embedded basis element has
     stray = _pack(q_gen(3))
-    monkeypatch.setattr(coalgebra, "_sqj", lambda hs, j: _sqj(hs, j) ^ {stray})
+    monkeypatch.setattr(helpers, "_sqj", lambda hs, j: _sqj(hs, j) ^ {stray})
+
+
+_STEENROD_ARGVS = (["iso", "--a", "rat:3", "--b", "braid:6", "--steenrod"],
+                   ["steenrod", "--family", "rat", "--k", "3"])
 
 
 @pytest.mark.parametrize(
-    "patch, oracle_fails, steenrod_fails",
+    "patch, delta_fails, steenrod_fails",
     [
         (_equal_embeddings, True, True),
         (_stray_coproduct_pair, True, False),
         (_steenrod_image_off_span, False, True),
     ],
 )
-def test_span_errors(monkeypatch, capsys, patch, oracle_fails, steenrod_fails):
-    # the ambient faults reach the ambient oracle and the Steenrod matrices;
-    # production extraction never embeds
+def test_span_errors(monkeypatch, patch, delta_fails, steenrod_fails):
+    # the ambient faults reach the ambient oracles only: production
+    # extraction and Steenrod matrices never embed
+    sq = steenrod_matrix(Family.RAT, 3)
     patch(monkeypatch)
-    runs = [
-        (oracle_fails, lambda: ambient_delta(Family.RAT, 3), []),
-        (steenrod_fails, lambda: steenrod_matrix(Family.RAT, 3),
-         [["iso", "--a", "rat:3", "--b", "braid:6", "--steenrod"],
-          ["steenrod", "--family", "rat", "--k", "3"]]),
-    ]
-    for fails, call, argvs in runs:
+    for fails, oracle in ((delta_fails, lambda: ambient_delta(Family.RAT, 3)),
+                          (steenrod_fails, lambda: ambient_steenrod(Family.RAT, 3))):
         if not fails:
-            call()
+            oracle()
             continue
         with pytest.raises(SpanError):
-            call()
-        for argv in argvs:
-            assert main(argv) == 2
-            captured = capsys.readouterr()
-            assert captured.out == "" and captured.err.startswith("error: ")
+            oracle()
     assert extract_coalgebra(Family.RAT, 3).delta == brute_force_delta(Family.RAT, 3)
+    assert steenrod_matrix(Family.RAT, 3) == sq
+    for argv in _STEENROD_ARGVS:
+        assert main(argv) == 0
+
+
+def test_steenrod_rejects_closed_form_image_outside_the_basis(monkeypatch, capsys):
+    # g in Sq_1^* rho_1 puts g^2 into the image of g rho_1; its dim is 1 less,
+    # but g^2 has weight 2, outside rat:3
+    g = family_monomial(Family.RAT, {-1: 1})
+
+    def patched(family, idx):
+        out = generator_steenrod(family, idx)
+        return out | {g} if (family, idx) == (Family.RAT, 1) else out
+
+    monkeypatch.setattr(coalgebra, "generator_steenrod", patched)
+    with pytest.raises(SpanError, match="leaves the basis"):
+        steenrod_matrix(Family.RAT, 3)
+    for argv in _STEENROD_ARGVS:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
 
 
 def _inject_closed_form_pair(monkeypatch, pair):
@@ -472,6 +492,13 @@ def test_steenrod_matrices_reference_values():
     assert sq_rat[4] == (1, 0)
 
 
+def test_steenrod_matrices_match_the_ambient_route():
+    # beyond the components of the pinned digest below
+    for family, k in ((Family.RAT, 20), (Family.BRAID, 40), (Family.CONF, 16)):
+        for j in (1, 2, 3):
+            assert steenrod_matrix(family, k, j=j) == ambient_steenrod(family, k, j), (family, k, j)
+
+
 def test_steenrod_matrices_pinned():
     # the digest was recorded from the per-target elimination this route replaced
     data = [
@@ -497,6 +524,20 @@ def test_steenrod_conf_span_closure():
 def test_steenrod_extended_operations_matrix():
     sq2 = steenrod_matrix(Family.BRAID, 6, j=2)
     assert isinstance(sq2, dict)
+
+
+def test_iso_rejects_steenrod_matrices_other_than_sq1():
+    # Sq_2^* matrices map degree 1 onto no rows, while dims[0] = 1: taken for
+    # Sq_1^*, they raised IndexError on the first pair and made the search
+    # report a meaningless 'no' after 38 nodes on the second
+    for (fa, ka), (fb, kb) in (((Family.BRAID, 6), (Family.RAT, 3)),
+                               ((Family.CONF, 6), (Family.BRAID, 12))):
+        ca, cb = extract_coalgebra(fa, ka), extract_coalgebra(fb, kb)
+        sq2 = (steenrod_matrix(fa, ka, j=2), steenrod_matrix(fb, kb, j=2))
+        with pytest.raises(ValueError, match="degree 1 has 0 rows, expected 1"):
+            coalgebras_isomorphic(ca, cb, steenrod=sq2)
+        sq1 = (steenrod_matrix(fa, ka), steenrod_matrix(fb, kb))
+        assert coalgebras_isomorphic(ca, cb, steenrod=sq1).kind == "yes"
 
 
 def test_iso_witness_steenrod_distinction():

@@ -17,12 +17,14 @@ from braidrat.families import (
     family_monomial,
     generator_bigrade,
     generator_coproduct,
+    generator_steenrod,
     poincare_vector,
     top_class,
 )
 from braidrat.operations import _pack
 
-from helpers import ambient_generator_coproduct, reference_embed
+import helpers
+from helpers import ambient_generator_coproduct, ambient_generator_steenrod, reference_embed
 
 
 def test_generator_bigrades():
@@ -269,16 +271,35 @@ def test_packed_embedding_matches_object_products():
                 assert _embed(fm) == frozenset(map(_pack, expected.terms)), fm
 
 
-def test_generator_coproducts_match_the_ambient_route():
-    # every generator that a component admitted by BASIS_BOUND can hold.
-    # Multiplying by g (braid, rat) or including weight <= k in weight
-    # <= k + 1 (conf) injects each basis into the next, so basis sizes never
-    # fall and the first refused k bounds every admitted one.
+def _admitted_generators():
+    """Every generator that a component admitted by BASIS_BOUND can hold.
+    Multiplying by g (braid, rat) or including weight <= k in weight <= k + 1
+    (conf) injects each basis into the next, so basis sizes never fall and
+    the first refused k bounds every admitted one."""
     for family in Family:
         k = 1
         while basis_size(family, k + 1) <= BASIS_BOUND:
             k += 1
         low = -1 if family is Family.RAT else 0
         for idx in range(low, k.bit_length()):
-            assert generator_coproduct(family, idx) == ambient_generator_coproduct(family, idx), (
-                family, idx)
+            yield family, idx
+
+
+def test_generator_coproducts_match_the_ambient_route():
+    for family, idx in _admitted_generators():
+        assert generator_coproduct(family, idx) == ambient_generator_coproduct(family, idx), (
+            family, idx)
+
+
+def test_generator_steenrod_images_match_the_ambient_route():
+    # Sq_1^* as in closed form, and Sq_2^*, Sq_3^* zero on every generator;
+    # the oracle shares no code with the closed forms
+    assert not {"generator_steenrod", "component_steenrod", "steenrod_matrix"} & vars(helpers).keys()
+    seen = set()
+    for family, idx in _admitted_generators():
+        image = generator_steenrod(family, idx)
+        assert image == ambient_generator_steenrod(family, idx), (family, idx)
+        for j in (2, 3):
+            assert ambient_generator_steenrod(family, idx, j) == frozenset(), (family, idx, j)
+        seen.add((family, bool(image)))
+    assert len(seen) == 2 * len(Family)
