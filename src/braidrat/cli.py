@@ -293,6 +293,10 @@ def _cmd_steenrod(args, config: RunConfig) -> int:
 
 def _cmd_braid_conf(args, config: RunConfig) -> int:
     _check_max_k(args.max_k)
+    # Both basis sizes grow with k, so the largest ones, checked first, bound
+    # every basis the loop enumerates.
+    check_basis_size(Family.CONF, args.max_k)
+    check_basis_size(Family.BRAID, 2 * args.max_k)
     reports = []
     lines = []
     statuses = []

@@ -32,56 +32,53 @@ from .operations import _G_PAIR, _MASK, _left_dims, _psi, _unpack
 
 DEFAULT_ISO_BUDGET = 10**6
 
-PairSet = frozenset
-
 
 class SpanError(RuntimeError):
     """A computed class left the span of the family basis."""
 
 
-def _columns(comps: Sequence[PairSet]) -> dict[tuple[int, int], int]:
-    """Transpose one split's structure constants: (i, j) -> the mask of the
-    elements a with (i, j) in ``comps[a]``."""
-    cols: dict = {}
+def _columns(comps: Sequence[tuple[int, ...]], width: int) -> list[tuple[int, int, int]]:
+    """Transpose one split's structure constants: (i, j, mask) for each
+    distinct x = i * width + j in them, mask the elements a with x in
+    ``comps[a]``."""
+    cols: dict[int, int] = {}
     for a, pairs in enumerate(comps):
         bit = 1 << a
-        for ij in pairs:
-            cols[ij] = cols.get(ij, 0) | bit
-    return cols
+        for x in pairs:
+            cols[x] = cols.get(x, 0) | bit
+    return [(*divmod(x, width), mask) for x, mask in cols.items()]
 
 
 @dataclass(frozen=True)
 class GradedCoalgebra:
-    """A finite graded F2 coalgebra given by basis labels and structure constants.
+    """A finite graded F2 coalgebra given by its dims and structure constants.
 
-    ``delta[(d, s)][a]`` is the set of index pairs (i, j) such that the
+    ``delta[(d, s)][a]`` is a sorted tuple of distinct ints
+    ``i * dims[d - s] + j``, one for each index pair (i, j) such that the
     (degree s, degree d-s) component of the coproduct of basis element ``a``
-    of degree d contains b_i (x) b_j.  Index ranges, the counit rows and
+    of degree d contains b_i (x) b_j.  This form, the counit rows and
     coassociativity are checked on construction.
     """
 
-    labels: tuple[tuple[str, ...], ...]
-    delta: Mapping[tuple[int, int], tuple[PairSet, ...]]
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(len(l) for l in self.labels)
+    dims: tuple[int, ...]
+    delta: Mapping[tuple[int, int], tuple[tuple[int, ...], ...]]
 
     def __post_init__(self) -> None:
         dims = self.dims
         for d in range(len(dims)):
             for s in range(d + 1):
                 comps = self.delta.get((d, s))
+                size = dims[s] * dims[d - s]
+                # each entry must rise strictly from -1 to size: sorted,
+                # distinct and in range
                 if comps is None or len(comps) != dims[d] or not all(
-                    0 <= i < dims[s] and 0 <= j < dims[d - s] for pairs in comps for i, j in pairs
+                    x < y for pairs in comps for x, y in zip((-1, *pairs), (*pairs, size))
                 ):
                     raise ValueError(f"missing or malformed structure constants at {(d, s)}")
         if dims and dims[0] == 1:
             for d in range(len(dims)):
                 for a in range(dims[d]):
-                    if self.delta[(d, 0)][a] != frozenset({(0, a)}):
-                        raise ValueError(f"counit row violated at degree {d}, element {a}")
-                    if self.delta[(d, d)][a] != frozenset({(a, 0)}):
+                    if not self.delta[(d, 0)][a] == self.delta[(d, d)][a] == (a,):
                         raise ValueError(f"counit row violated at degree {d}, element {a}")
         if not self._coassociative():
             raise ValueError("structure constants are not coassociative")
@@ -93,29 +90,25 @@ class GradedCoalgebra:
         key, to the mask of the elements whose image contains it, and the
         two sides agree when their XOR is zero at every key."""
         dims = self.dims
-        offsets = {  # (e, t) -> per element, p * dims[e - t] + q for each pair (p, q)
-            (e, t): [[p * dims[e - t] + q for p, q in pairs] for pairs in comps]
-            for (e, t), comps in self.delta.items()
-        }
         # With the counit rows checked, the splits s = 0, t = 0 and s + t = d
         # hold for any structure constants: both sides are then
         # {(0, p, q) : (p, q) in delta(d, t)[a]}, {(i, 0, j) : (i, j) in
         # delta(d, s)[a]} and {(i, j, 0) : (i, j) in delta(d, s)[a]}.
         lo = 1 if dims[:1] == (1,) else 0
         for d in range(len(dims)):
-            cols = [_columns(self.delta[(d, s)]) for s in range(d + 1)]
+            cols = [_columns(self.delta[(d, s)], dims[d - s]) for s in range(d + 1)]
             for s in range(lo, d + 1 - lo):
                 for t in range(lo, d - s + 1 - lo):
                     width = dims[d - s - t]
                     diff: dict[int, int] = {}  # left side XOR right side
-                    inner = offsets[(d - s, t)]
-                    for (i, j), mask in cols[s].items():
+                    inner = self.delta[(d - s, t)]
+                    for i, j, mask in cols[s]:
                         base = i * dims[t] * width
                         for off in inner[j]:
                             key = base + off
                             diff[key] = diff.get(key, 0) ^ mask
-                    inner = offsets[(s + t, s)]
-                    for (m, c), mask in cols[s + t].items():
+                    inner = self.delta[(s + t, s)]
+                    for m, c, mask in cols[s + t]:
                         for off in inner[m]:
                             key = off * width + c
                             diff[key] = diff.get(key, 0) ^ mask
@@ -200,8 +193,8 @@ def component_coalgebra(by_dim: Sequence[Sequence[FamilyMonomial]]) -> GradedCoa
     multiplied out by ``_multiply_out`` on pairs; a pair whose dims do not
     add up to the element's raises ``ValueError``.
     """
-    labels = tuple(tuple(fm.label() for fm in row) for row in by_dim)
-    delta = {(d, s): [] for d in range(len(by_dim)) for s in range(d + 1)}
+    dims = tuple(len(row) for row in by_dim)
+    delta = {(d, s): [] for d in range(len(dims)) for s in range(d + 1)}
     for d, _, pairs in _multiply_out(by_dim, generator_coproduct, 2, "coproduct"):
         parts: list[list] = [[] for _ in range(d + 1)]
         for (s, i), (t, j) in pairs:
@@ -209,10 +202,10 @@ def component_coalgebra(by_dim: Sequence[Sequence[FamilyMonomial]]) -> GradedCoa
                 raise ValueError(
                     f"coproduct pair of dimensions ({s}, {t}) has total {s + t}, expected {d}"
                 )
-            parts[s].append((i, j))
-        for s, ij in enumerate(parts):
-            delta[(d, s)].append(frozenset(ij))
-    return GradedCoalgebra(labels, {key: tuple(comps) for key, comps in delta.items()})
+            parts[s].append(i * dims[t] + j)
+        for s, xs in enumerate(parts):
+            delta[(d, s)].append(tuple(sorted(xs)))
+    return GradedCoalgebra(dims, {key: tuple(comps) for key, comps in delta.items()})
 
 
 _DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
@@ -269,11 +262,8 @@ def coalgebra_invariants(c: GradedCoalgebra) -> InvariantRecord:
     ranks = []
     for d in range(len(dims)):
         for s in range(d + 1):
-            t = d - s
-            rows = [
-                sum(1 << (i * max(dims[t], 1) + j) for i, j in c.delta[(d, s)][a])
-                for a in range(dims[d])
-            ]
+            # the ints of an entry are distinct, so their sum is their OR
+            rows = [sum(1 << x for x in pairs) for pairs in c.delta[(d, s)]]
             ranks.append((d, s, gf2.rank(rows)))
     top = max((d for d in range(len(dims)) if dims[d]), default=0)
     top_support = None
@@ -303,11 +293,11 @@ def verify_coalgebra_map(
         for src in range(dims[d]):
             img = images[d][src]
             for s in range(d + 1):
-                t = d - s
+                width = dims[d - s]
                 lhs = xor_all(b.delta[(d, s)][m] for m in img)
                 rhs = xor_all(
-                    {(p, q) for p in images[s][i] for q in images[t][j]}
-                    for i, j in a.delta[(d, s)][src]
+                    {p * width + q for p in images[s][i] for q in images[d - s][j]}
+                    for i, j in (divmod(x, width) for x in a.delta[(d, s)][src])
                 )
                 if lhs != rhs:
                     return False
@@ -407,7 +397,8 @@ def _equation(
     for s in range(1, d):
         width = dims[d - s]
         vec <<= dims[s] * width
-        for i, j in c.delta[(d, s)][src]:
+        for x in c.delta[(d, s)][src]:
+            i, j = divmod(x, width)
             right = col(d - s, j)
             for p in _bits(col(s, i)):
                 vec ^= right << (p * width)

@@ -337,23 +337,21 @@ def basis(family: Family, k: int) -> list[FamilyMonomial]:
     vectors, so output order is deterministic.  Its size is checked by
     ``check_basis_size`` before any enumeration.
     """
-    check_basis_size(family, k)
-    idxs = _generator_indices(family, k)
-    weights = [generator_bigrade(family, i).weight for i in idxs]
-    exact = family is not Family.CONF
-    entries = []
-    for vec in _exponent_vectors(weights, k, exact):
-        fm = FamilyMonomial(family, tuple((i, e) for i, e in zip(idxs, vec) if e))
-        entries.append((fm.dim, vec, fm))
-    entries.sort(key=lambda t: (t[0], t[1]))
-    return [fm for _, _, fm in entries]
+    return [fm for row in _basis_by_dim(family, k) for fm in row]
 
 
 def _basis_by_dim(family: Family, k: int) -> list[list[FamilyMonomial]]:
-    """``basis`` grouped by dimension, one row per dimension 0..top."""
-    bas = basis(family, k)
-    out: list[list[FamilyMonomial]] = [[] for _ in range(bas[-1].dim + 1)]
-    for fm in bas:
+    """``basis`` grouped by dimension, one row per dimension 0..top.  The
+    exponent vectors come in ascending lexicographic order, so appending
+    each monomial to the row of its dimension sorts every row."""
+    check_basis_size(family, k)
+    idxs = _generator_indices(family, k)
+    weights = [generator_bigrade(family, i).weight for i in idxs]
+    out: list[list[FamilyMonomial]] = []
+    for vec in _exponent_vectors(weights, k, family is not Family.CONF):
+        fm = FamilyMonomial(family, tuple((i, e) for i, e in zip(idxs, vec) if e))
+        while len(out) <= fm.dim:
+            out.append([])
         out[fm.dim].append(fm)
     return out
 

@@ -9,10 +9,11 @@ and the dual Steenrod operations Sq_j^*.
 All three run on packed ints: a monomial is one int, its half, and a
 monomial pair is two halves in one int, so multiplying is integer addition
 and F2 cancellation is set symmetric difference.  The family generators are
-built by the packed ``_q``, and coalgebra extraction and the Steenrod
-matrices call the packed ``_psi`` and ``_sqj`` directly; ``araki_kudo_q``,
-``iterated_q``, ``coproduct``, ``sq1_dual`` and ``sqj_dual`` are views that
-pack their argument and unpack the result.  ``coproduct_left_dims`` reads
+built by the packed ``_q``, and ``check_lemma_braid`` calls the packed
+``_psi`` directly; coalgebra extraction and the Steenrod matrices use the
+closed-form generator images of ``families`` and call neither ``_psi`` nor
+``_sqj``.  ``araki_kudo_q``, ``iterated_q``, ``coproduct``, ``sq1_dual`` and
+``sqj_dual`` are views that pack their argument and unpack the result.  ``coproduct_left_dims`` reads
 the left dims of the pairs of one monomial in closed form, without forming
 a pair.
 

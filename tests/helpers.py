@@ -10,14 +10,15 @@ braid family comes from subset sums, the structure constants are obtained
 both by the ambient route (embed the basis, run the packed psi kernel and
 eliminate, with no generator coproduct in closed form) and by multiplying
 out a copy of the generator coproducts term by term with no elimination
-step, the dual Steenrod matrices and generator images come from the
-ambient route alone (the packed ``_sqj`` of the embedded basis, eliminated,
-with no generator image in closed form), isomorphisms are counted by
-enumerating every invertible per-degree map, coassociativity is checked one
-element and one split at a time, trivial splits included, the packed
-embedding and dual Steenrod operations are checked against
-``AmbientElement`` products and monomial objects, and packed pairs are read
-back digit by digit.
+step, both as sets of index pairs that a converter of their own packs into
+the sorted ints of ``GradedCoalgebra.delta``, the dual Steenrod matrices
+and generator images come from the ambient route alone (the packed ``_sqj``
+of the embedded basis, eliminated, with no generator image in closed form),
+isomorphisms are counted by enumerating every invertible per-degree map,
+coassociativity is checked one element and one split at a time, trivial
+splits included, the packed embedding and dual Steenrod operations are
+checked against ``AmbientElement`` products and monomial objects, and
+packed pairs are read back digit by digit.
 """
 
 from __future__ import annotations
@@ -269,8 +270,9 @@ def family_generator_coproduct(family: Family, idx: int) -> frozenset:
 
 
 def brute_force_delta(family: Family, k: int):
-    """Structure constants shaped like GradedCoalgebra.delta, computed by
-    direct family-level tensor expansion."""
+    """Structure constants as sets of index pairs (i, j), keyed like
+    GradedCoalgebra.delta (see ``packed_delta``), computed by direct
+    family-level tensor expansion."""
     by_dim = _basis_by_dim(family, k)
     index = {fm: i for row in by_dim for i, fm in enumerate(row)}
     unit = FamilyMonomial(family, ())
@@ -420,8 +422,8 @@ def _ambient_row(c: Component, d: int, e: frozenset) -> list[frozenset]:
 
 
 def ambient_delta(family: Family, k: int):
-    """Structure constants shaped like GradedCoalgebra.delta, by the ambient
-    route."""
+    """Structure constants as sets of index pairs (i, j), keyed like
+    GradedCoalgebra.delta (see ``packed_delta``), by the ambient route."""
     c = build_component(family, k)
     rows = [[_ambient_row(c, d, e) for e in embeds] for d, embeds in enumerate(c.embeds)]
     return {
@@ -445,7 +447,18 @@ def ambient_generator_coproduct(family: Family, idx: int) -> frozenset:
 
 
 # ---------------------------------------------------------------------------
-# Per-element checks of structure constants shaped like GradedCoalgebra.delta.
+# Per-element checks of structure constants as sets of index pairs (i, j).
+
+
+def packed_delta(delta):
+    """GradedCoalgebra.delta from structure constants given as sets of index
+    pairs (i, j): each set becomes the sorted tuple of i * n + j, with n the
+    number of elements of the right degree d - s, read off ``delta``."""
+    n = [len(delta[(d, 0)]) for d in range(1 + max(d for d, _ in delta))]
+    return {
+        (d, s): tuple(tuple(sorted(i * n[d - s] + j for i, j in pairs)) for pairs in comps)
+        for (d, s), comps in delta.items()
+    }
 
 
 def counit_rows_hold(delta, dims) -> bool:

@@ -296,6 +296,20 @@ def test_basis_and_lemma_braid_fail_fast_on_predicted_basis_size(capsys):
         assert out == ""
 
 
+def test_braid_conf_fails_fast_on_predicted_basis_size(capsys, monkeypatch):
+    # conf:40 and braid:80 have 4124 basis monomials each; the k = 1..39
+    # that pass may not run before the refusal
+    counts = _count_builds(monkeypatch)
+    for max_k in ("40", "1000000"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "braid-conf", "--max-k", max_k)
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert err.startswith("error:") and "exceeds bound" in err
+        assert out == ""
+    assert counts == {"enumerate": 0, "embed": 0}
+
+
 def _count_builds(monkeypatch):
     """Count basis enumerations and basis embeddings."""
     counts = {"enumerate": 0, "embed": 0}
@@ -377,8 +391,10 @@ def test_readme_lists_every_global_flag():
 
 
 # sha256 of the --format json stdout, with the exit code, recorded when the
-# structure constants (first six) and the Steenrod matrices (last three)
-# were still solved on the ambient algebra
+# structure constants (first six) and the Steenrod matrices (next three)
+# were still solved on the ambient algebra; the last two, which cover the
+# k = 1 and k = 3 isomorphism witnesses of theorem-main and a
+# Steenrod-compatible yes, before the structure constants were packed
 PINNED_JSON = [
     (("theorem-main", "--from", "65", "--to", "100"), 0,
      "5e0a0e67a86780fd1f3b325745faacabc4f52c6a8196b8617d4e9372fa9cdec6"),
@@ -398,12 +414,17 @@ PINNED_JSON = [
      "242fde0fbf7563c3dd86657380825779e9e1183b597e4d4101a3ccab0fbaf4c0"),
     (("steenrod", "--family", "rat", "--k", "60"), 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("theorem-main", "--from", "1", "--to", "8"), 0,
+     "ba68ba33681d63476bc0da1e8ac9f66e4f4e9ca71ad122e23976fae98306ce7f"),
+    (("iso", "--a", "braid:6", "--b", "rat:3", "--steenrod"), 0,
+     "4e42fb390176cf07ddf2c74c5c07efc49e3f3cbd52b47f00ed4a0c49358a7c4c"),
 ]
 
 
 @pytest.mark.parametrize("argv, code, digest", PINNED_JSON, ids=[
     "support-sweep", "extract-compare", "iso-search", "braid-conf", "steenrod", "iso-steenrod",
-    "steenrod-conf-j2", "steenrod-braid-j3", "steenrod-refused",
+    "steenrod-conf-j2", "steenrod-braid-j3", "steenrod-refused", "theorem-main-witnesses",
+    "iso-steenrod-yes",
 ])
 def test_json_stdout_is_pinned(capsys, argv, code, digest):
     # the first three are the benchmark's workloads

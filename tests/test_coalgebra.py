@@ -31,10 +31,12 @@ from braidrat.families import (
     Family,
     FamilyMonomial,
     _embed,
+    basis,
     embed,
     family_monomial,
     generator_coproduct,
     generator_steenrod,
+    poincare_vector,
     top_class,
 )
 from braidrat.operations import _B, _pack, _psi, _sqj, coproduct
@@ -50,33 +52,51 @@ from helpers import (
     counit_rows_hold,
     family_generator_coproduct,
     fpairs_mul,
+    packed_delta,
     random_family_monomial,
 )
 
 
+def _labels(family, k):
+    return [fm.label() for fm in basis(family, k)]
+
+
 def test_extract_braid_weight_two():
     c = extract_coalgebra(Family.BRAID, 2)
-    assert c.labels == (("g^2",), ("gamma_1",))
-    assert c.delta[(1, 0)][0] == frozenset({(0, 0)})
-    assert c.delta[(1, 1)][0] == frozenset({(0, 0)})
-    assert c.delta[(0, 0)][0] == frozenset({(0, 0)})
+    assert _labels(Family.BRAID, 2) == ["g^2", "gamma_1"]
+    assert c.dims == (1, 1)
+    assert c.delta == packed_delta({key: ({(0, 0)},) for key in ((0, 0), (1, 0), (1, 1))})
 
 
 def test_extract_rat_weight_one():
     c = extract_coalgebra(Family.RAT, 1)
-    assert c.labels == (("g",), ("rho_0",))
-    assert c.delta[(1, 0)][0] == frozenset({(0, 0)})
-    assert c.delta[(1, 1)][0] == frozenset({(0, 0)})
+    assert _labels(Family.RAT, 1) == ["g", "rho_0"]
+    assert c.dims == (1, 1)
+    assert c.delta == packed_delta({key: ({(0, 0)},) for key in ((0, 0), (1, 0), (1, 1))})
 
 
 def test_extract_rat_weight_two_four_term_splits():
     c = extract_coalgebra(Family.RAT, 2)
-    assert c.labels == (("g^2",), ("g*rho_0",), ("rho_0^2",), ("rho_1",))
-    # the degree-3 class pairs with every split
-    assert c.delta[(3, 0)][0] == frozenset({(0, 0)})
-    assert c.delta[(3, 1)][0] == frozenset({(0, 0)})
-    assert c.delta[(3, 2)][0] == frozenset({(0, 0)})
-    assert c.delta[(3, 3)][0] == frozenset({(0, 0)})
+    assert _labels(Family.RAT, 2) == ["g^2", "g*rho_0", "rho_0^2", "rho_1"]
+    assert c.dims == (1, 1, 1, 1)
+    # the degree-3 class pairs with every split, the square rho_0^2 with the
+    # outer ones only
+    assert c.delta == packed_delta({
+        (d, s): (set() if (d, s) == (2, 1) else {(0, 0)},)
+        for d in range(4) for s in range(d + 1)
+    })
+
+
+def test_extracted_structure_constants_are_sorted_distinct_packed_pairs():
+    for family, k in ((Family.RAT, 13), (Family.BRAID, 26), (Family.CONF, 16)):
+        c = extract_coalgebra(family, k)
+        dims = c.dims
+        assert set(c.delta) == {(d, s) for d in range(len(dims)) for s in range(d + 1)}
+        for (d, s), comps in c.delta.items():
+            assert len(comps) == dims[d]
+            for pairs in comps:
+                assert type(pairs) is tuple and list(pairs) == sorted(set(pairs))
+                assert all(type(x) is int and x in range(dims[s] * dims[d - s]) for x in pairs)
 
 
 def test_extracted_structure_matches_brute_force_small():
@@ -85,8 +105,8 @@ def test_extracted_structure_matches_brute_force_small():
     for family, top in ((Family.BRAID, 20), (Family.RAT, 10), (Family.CONF, 10)):
         for k in range(1, top + 1):
             c = extract_coalgebra(family, k)
-            assert c.delta == ambient_delta(family, k), (family, k)
-            assert c.delta == brute_force_delta(family, k), (family, k)
+            assert c.delta == packed_delta(ambient_delta(family, k)), (family, k)
+            assert c.delta == packed_delta(brute_force_delta(family, k)), (family, k)
 
 
 def _equal_embeddings(monkeypatch):
@@ -139,7 +159,7 @@ def test_span_errors(monkeypatch, patch, delta_fails, steenrod_fails):
             continue
         with pytest.raises(SpanError):
             oracle()
-    assert extract_coalgebra(Family.RAT, 3).delta == brute_force_delta(Family.RAT, 3)
+    assert extract_coalgebra(Family.RAT, 3).delta == packed_delta(brute_force_delta(Family.RAT, 3))
     assert steenrod_matrix(Family.RAT, 3) == sq
     for argv in _STEENROD_ARGVS:
         assert main(argv) == 0
@@ -229,43 +249,52 @@ def test_oracle_generator_expression_embeds_correctly():
 
 
 def test_graded_coalgebra_validation_rejects_bad_counit():
-    labels = (("a",), ("b",))
-    delta = {
-        (0, 0): (frozenset({(0, 0)}),),
-        (1, 0): (frozenset(),),
-        (1, 1): (frozenset({(0, 0)}),),
-    }
+    delta = packed_delta({
+        (0, 0): ({(0, 0)},),
+        (1, 0): (set(),),
+        (1, 1): ({(0, 0)},),
+    })
     with pytest.raises(ValueError):
-        GradedCoalgebra(labels, delta)
+        GradedCoalgebra((1, 1), delta)
 
 
 def test_graded_coalgebra_validation_rejects_broken_coassociativity():
     c = extract_coalgebra(Family.RAT, 3)
     tampered = dict(c.delta)
     # dropping the (1, 2) split of rho_0^3 contradicts the degree-4 coproduct
-    tampered[(3, 1)] = (frozenset(), tampered[(3, 1)][1])
+    tampered[(3, 1)] = ((), tampered[(3, 1)][1])
     with pytest.raises(ValueError):
-        GradedCoalgebra(c.labels, tampered)
+        GradedCoalgebra(c.dims, tampered)
 
 
-def _doubled(c):
-    """c (+) c: coassociative, but with two degree-0 classes, so no counit
-    rows are checked and every split is."""
-    dims = c.dims
-    delta = {
+@pytest.mark.parametrize("entry", [(1, 0), (0, 0), (0, 2), (-1, 1)])
+def test_graded_coalgebra_validation_rejects_malformed_entries(entry):
+    # delta(4, 1) of rat:3 is ((0, 1),), two of the 1 * 2 pairs of degrees
+    # (1, 3); an entry out of order, repeated or out of range is refused
+    c = extract_coalgebra(Family.RAT, 3)
+    tampered = dict(c.delta)
+    tampered[(4, 1)] = (entry,)
+    with pytest.raises(ValueError, match=r"malformed structure constants at \(4, 1\)"):
+        GradedCoalgebra(c.dims, tampered)
+
+
+def _doubled(dims, delta):
+    """c (+) c for c given by dims and index-pair structure constants:
+    coassociative, but with two degree-0 classes, so no counit rows are
+    checked and every split is."""
+    doubled = {
         (d, s): comps + tuple(
             frozenset((i + dims[s], j + dims[d - s]) for i, j in pairs) for pairs in comps
         )
-        for (d, s), comps in c.delta.items()
+        for (d, s), comps in delta.items()
     }
-    return GradedCoalgebra(tuple(row + row for row in c.labels), delta)
+    return tuple(2 * n for n in dims), doubled
 
 
-def _toggles(c, rng, count):
-    """``count`` random single-pair toggles of c's structure constants, or
-    every one when ``count`` is None, as (d, s, a, (i, j))."""
-    dims = c.dims
-    keys = sorted((d, s) for d, s in c.delta if dims[d] and dims[s] and dims[d - s])
+def _toggles(dims, delta, rng, count):
+    """``count`` random single-pair toggles of index-pair structure
+    constants, or every one when ``count`` is None, as (d, s, a, (i, j))."""
+    keys = sorted((d, s) for d, s in delta if dims[d] and dims[s] and dims[d - s])
     if count is None:
         for d, s in keys:
             for a in range(dims[d]):
@@ -281,28 +310,28 @@ def _toggles(c, rng, count):
 def test_coassociativity_check_agrees_with_per_element_oracle():
     # every toggle of the smallest components, random ones of the rest, in
     # trivial and non-trivial splits alike
+    # trivial and non-trivial splits alike; the toggles and their verdicts
+    # are taken on index pairs, and only the constructor's input is packed
     rng = random.Random(66)
     comps = [
-        extract_coalgebra(fam, k)
+        (tuple(poincare_vector(fam, k)), brute_force_delta(fam, k))
         for fam, top in ((Family.RAT, 8), (Family.CONF, 8), (Family.BRAID, 16))
         for k in range(1, top + 1)
     ]
-    comps += [_doubled(c) for c in comps[::3]]
+    comps += [_doubled(*c) for c in comps[::3]]
     # one class x_d per degree, delta x_d = sum_s x_s (x) x_{d-s}: unlike the
     # family components, delta x_2 has a middle term, so a toggle in the top
     # degree 3 is seen by the split (1, 1) alone
     comps += [
-        GradedCoalgebra(
-            tuple((f"x_{d}",) for d in range(top + 1)),
-            {(d, s): (frozenset({(0, 0)}),) for d in range(top + 1) for s in range(d + 1)},
-        )
+        ((1,) * (top + 1),
+         {(d, s): (frozenset({(0, 0)}),) for d in range(top + 1) for s in range(d + 1)})
         for top in range(1, 6)
     ]
     outcomes = set()
-    for c in comps:
-        dims = c.dims
-        for d, s, a, pair in _toggles(c, rng, None if sum(dims) <= 12 else 20):
-            delta = dict(c.delta)
+    for dims, base in comps:
+        GradedCoalgebra(dims, packed_delta(base))
+        for d, s, a, pair in _toggles(dims, base, rng, None if sum(dims) <= 12 else 20):
+            delta = dict(base)
             delta[(d, s)] = tuple(
                 pairs ^ {pair} if b == a else pairs for b, pairs in enumerate(delta[(d, s)])
             )
@@ -310,11 +339,11 @@ def test_coassociativity_check_agrees_with_per_element_oracle():
                 dims[0] != 1 or counit_rows_hold(delta, dims)
             )
             try:
-                GradedCoalgebra(c.labels, delta)
+                GradedCoalgebra(dims, packed_delta(delta))
                 accepted = True
             except ValueError:
                 accepted = False
-            assert accepted == expected, (c.labels, (d, s), a, pair)
+            assert accepted == expected, (dims, (d, s), a, pair)
             outcomes.add((dims[0] == 1, s in (0, d), accepted))
     # both verdicts occur on doubled inputs, and trivial splits are rejected
     assert {(False, False, True), (False, False, False), (False, True, False),
@@ -476,7 +505,7 @@ def test_iso_search_agrees_with_brute_force_count():
                 if count is None:
                     continue
                 v = _search_isomorphism(ca, cb, DEFAULT_ISO_BUDGET, sq)
-                assert v.kind == ("yes" if count else "no"), (ca.labels, cb.labels, sq)
+                assert v.kind == ("yes" if count else "no"), (ca.dims, cb.dims, sq)
                 kinds.append(v.kind)
     assert len(kinds) == 82 and kinds.count("no") == 12
 
@@ -556,8 +585,6 @@ def test_iso_witness_steenrod_distinction():
 
 
 def test_lemma_braid_small():
-    from braidrat.families import basis
-
     for k in (1, 2, 3, 5, 8):
         rep = check_lemma_braid(k)
         assert rep.verified
