@@ -13,7 +13,6 @@ may be shared freely between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
 
@@ -28,8 +27,7 @@ class GeneratorLimitError(ValueError):
     """A monomial's exponents leave the range of the packed coproduct kernel."""
 
 
-@dataclass(frozen=True, order=True)
-class AmbientMonomial:
+class AmbientMonomial(NamedTuple):
     """A Laurent monomial ``g^a * prod_i (Q^i g)^e_i`` in canonical form.
 
     ``q_exps`` is sorted by generator index and never stores a zero exponent,
@@ -39,6 +37,7 @@ class AmbientMonomial:
 
     g_exp: int = 0
     q_exps: tuple[tuple[int, int], ...] = ()
+    __add__ = __rmul__ = None  # no tuple concatenation or repetition
 
     @property
     def weight(self) -> int:
@@ -106,11 +105,11 @@ def xor_all(parts: Iterable[Iterable]) -> set:
     return out
 
 
-@dataclass(frozen=True)
-class AmbientElement:
+class AmbientElement(NamedTuple):
     """A finite F2-sum of ambient monomials (coefficient 1 each)."""
 
     terms: frozenset[AmbientMonomial] = frozenset()
+    __rmul__ = None  # no tuple repetition
 
     @property
     def is_zero(self) -> bool:
@@ -175,11 +174,11 @@ G_INV = monomial(-1)
 MonomialPair = tuple[AmbientMonomial, AmbientMonomial]
 
 
-@dataclass(frozen=True)
-class TensorElement:
+class TensorElement(NamedTuple):
     """A finite F2-sum of ordered monomial pairs in the two-fold tensor product."""
 
     terms: frozenset[MonomialPair] = frozenset()
+    __rmul__ = None
 
     @property
     def is_zero(self) -> bool:

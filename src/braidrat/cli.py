@@ -17,7 +17,7 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .coalgebra import (
     DEFAULT_ISO_BUDGET,
@@ -38,8 +38,7 @@ from .families import (
 SCHEMA_VERSION = 2
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     iso_budget: int = DEFAULT_ISO_BUDGET
     fmt: str = "text"
 
@@ -378,9 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = RunConfig(**{
-        f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)
-    })
+    config = RunConfig(**{f: getattr(args, f) for f in RunConfig._fields if hasattr(args, f)})
     if config.iso_budget < 0:
         parser.error(f"argument --iso-budget: must be >= 0, got {config.iso_budget}")
     start = time.perf_counter()

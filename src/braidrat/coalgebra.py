@@ -12,9 +12,8 @@ the support-set comparison of top classes.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from itertools import compress, count
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from . import gf2
 from .ambient import xor_all
@@ -49,19 +48,29 @@ def _columns(comps: Sequence[tuple[int, ...]], width: int) -> list[tuple[int, in
     return [(*divmod(x, width), mask) for x, mask in cols.items()]
 
 
-@dataclass(frozen=True)
-class GradedCoalgebra:
+class _Coalgebra(NamedTuple):
+    dims: tuple[int, ...]
+    delta: Mapping[tuple[int, int], tuple[tuple[int, ...], ...]]
+
+
+class GradedCoalgebra(_Coalgebra):
     """A finite graded F2 coalgebra given by its dims and structure constants.
 
     ``delta[(d, s)][a]`` is a sorted tuple of distinct ints
     ``i * dims[d - s] + j``, one for each index pair (i, j) such that the
     (degree s, degree d-s) component of the coproduct of basis element ``a``
     of degree d contains b_i (x) b_j.  This form, the counit rows and
-    coassociativity are checked on construction.
+    coassociativity are checked on construction, ``_replace`` included.
     """
 
-    dims: tuple[int, ...]
-    delta: Mapping[tuple[int, int], tuple[tuple[int, ...], ...]]
+    __slots__ = ()
+
+    def __new__(cls, dims, delta):
+        self = super().__new__(cls, dims, delta)
+        self.__post_init__()
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
     def __post_init__(self) -> None:
         dims = self.dims
@@ -247,8 +256,7 @@ def s_set(fm: FamilyMonomial) -> frozenset[int]:
     return frozenset(_set_bits(mask))
 
 
-@dataclass(frozen=True)
-class InvariantRecord:
+class InvariantRecord(NamedTuple):
     """Isomorphism invariants: per-degree dimensions, component ranks over F2,
     and the support set of the top class when the top degree is a line."""
 
@@ -319,8 +327,7 @@ def verify_steenrod_intertwining(
     return True
 
 
-@dataclass(frozen=True)
-class IsoVerdict:
+class IsoVerdict(NamedTuple):
     """Outcome of an isomorphism decision: yes (with an explicit per-degree
     witness), no (with the distinguishing invariant or an exhausted search),
     or inconclusive (search budget hit).  ``tried`` counts search nodes."""
@@ -526,8 +533,7 @@ def component_steenrod(
     return {d: tuple(matrix) for d, matrix in out.items()}
 
 
-@dataclass(frozen=True)
-class LemmaBraidReport:
+class LemmaBraidReport(NamedTuple):
     """Verification that multiplying by g identifies the even and odd components."""
 
     k: int
@@ -555,8 +561,7 @@ def check_lemma_braid(k: int) -> LemmaBraidReport:
     return LemmaBraidReport(k, bijection_ok, coproduct_ok, len(even))
 
 
-@dataclass(frozen=True)
-class BraidConfReport:
+class BraidConfReport(NamedTuple):
     """Outcome of comparing the weight-2k braid component with the length-k
     configuration component."""
 
@@ -576,8 +581,7 @@ def check_braid_conf(k: int, *, budget: int = DEFAULT_ISO_BUDGET) -> BraidConfRe
     return BraidConfReport(k, coalgebras_isomorphic(conf_c, braid_c, budget))
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     """Support-set comparison of the top classes of the weight-k rational
     component and the weight-2k braid component."""
 
@@ -586,7 +590,7 @@ class TheoremReport:
     support_y: tuple[int, ...]
     distinct: bool
     branch: str  # "power_of_two" | "generic"
-    checks: dict[str, object] = field(default_factory=dict)
+    checks: dict[str, object]
     iso: IsoVerdict | None = None
 
     @property

@@ -20,9 +20,8 @@ all families but weight only for ``braid`` and ``rat``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .ambient import AmbientElement, Bigrade, xor_all
 from .operations import _G, _QG, _check_field_range, _half_bound, _q, _view
@@ -61,12 +60,12 @@ def generator_label(family: Family, idx: int) -> str:
     return f"c_{idx}"
 
 
-@dataclass(frozen=True)
-class FamilyMonomial:
+class FamilyMonomial(NamedTuple):
     """A monomial in the abstract generators of one family, canonical form."""
 
     family: Family
     exps: tuple[tuple[int, int], ...] = ()
+    __add__ = __rmul__ = None  # no tuple concatenation or repetition
 
     @property
     def weight(self) -> int:
@@ -266,7 +265,8 @@ def _generator_indices(family: Family, k: int) -> list[int]:
     return idxs
 
 
-def _exponent_vectors(weights: list[int], total: int, exact: bool) -> Iterator[tuple[int, ...]]:
+def _exponent_vectors(weights: tuple[int, ...], total: int,
+                      exact: bool) -> Iterator[tuple[int, ...]]:
     # Depth-first enumeration in ascending lexicographic order.
     def rec(pos: int, remaining: int) -> Iterator[tuple[int, ...]]:
         if pos == len(weights):
@@ -346,13 +346,13 @@ def _basis_by_dim(family: Family, k: int) -> list[list[FamilyMonomial]]:
     each monomial to the row of its dimension sorts every row."""
     check_basis_size(family, k)
     idxs = _generator_indices(family, k)
-    weights = [generator_bigrade(family, i).weight for i in idxs]
+    weights, dims = zip(*(generator_bigrade(family, i) for i in idxs))
     out: list[list[FamilyMonomial]] = []
     for vec in _exponent_vectors(weights, k, family is not Family.CONF):
-        fm = FamilyMonomial(family, tuple((i, e) for i, e in zip(idxs, vec) if e))
-        while len(out) <= fm.dim:
+        d = sum(map(int.__mul__, dims, vec))
+        while len(out) <= d:
             out.append([])
-        out[fm.dim].append(fm)
+        out[d].append(FamilyMonomial(family, tuple((i, e) for i, e in zip(idxs, vec) if e)))
     return out
 
 

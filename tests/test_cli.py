@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -431,3 +434,27 @@ def test_json_stdout_is_pinned(capsys, argv, code, digest):
     got, out, _ = run(capsys, "--format", "json", *argv)
     assert got == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def fresh_python(*args):
+    """Run a fresh interpreter as the benchmark's children run: the caller's
+    environment without its PYTHON* settings, importing ``src/``."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # dataclasses pulls in inspect, ast and dis, which cost every CLI run
+    # more start-up time than some whole commands take
+    proc = fresh_python("-c", "import sys, braidrat.cli; print(sorted("
+                        "{'dataclasses', 'inspect', 'ast', 'dis'} & sys.modules.keys()))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_help_in_a_fresh_interpreter():
+    proc = fresh_python("-m", "braidrat.cli", "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: braidrat")

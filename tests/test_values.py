@@ -1,0 +1,111 @@
+"""Value semantics of the records and value types, which are ``NamedTuple``s:
+immutable, hashed and ordered by their field tuple, with no tuple
+concatenation or repetition, and ``GradedCoalgebra`` validated on every
+construction."""
+
+import pytest
+
+from braidrat import coalgebra
+from braidrat.ambient import AmbientMonomial, element, monomial, q_gen, tensor
+from braidrat.coalgebra import (
+    GradedCoalgebra,
+    IsoVerdict,
+    TheoremReport,
+    extract_coalgebra,
+    theorem_main,
+)
+from braidrat.families import Family, FamilyMonomial, family_monomial
+
+
+def _values():
+    c = extract_coalgebra(Family.RAT, 3)
+    return [
+        (IsoVerdict("no"), "kind", "yes"),
+        (theorem_main(2), "distinct", False),
+        (family_monomial(Family.RAT, {0: 1}), "exps", ()),
+        (monomial(1, {2: 1}), "g_exp", 0),
+        (c, "dims", (1,)),
+    ]
+
+
+@pytest.mark.parametrize("value, name, new", _values(), ids=[
+    "IsoVerdict", "TheoremReport", "FamilyMonomial", "AmbientMonomial", "GradedCoalgebra",
+])
+def test_assigning_a_field_raises(value, name, new):
+    with pytest.raises(AttributeError):
+        setattr(value, name, new)
+
+
+def test_report_records_are_namedtuples():
+    report = theorem_main(2)
+    assert isinstance(report, TheoremReport)
+    assert report._replace(distinct=False).distinct is False
+    assert report.distinct is True
+
+
+@pytest.mark.parametrize("op", [
+    lambda m, fm: m + m,
+    lambda m, fm: 3 * m,
+    lambda m, fm: m * 3,
+    lambda m, fm: fm + fm,
+    lambda m, fm: 2 * fm,
+    lambda m, fm: 2 * element(m),
+    lambda m, fm: 2 * tensor(element(m), element(m)),
+], ids=["m+m", "3*m", "m*3", "fm+fm", "2*fm", "2*element", "2*tensor"])
+def test_no_tuple_arithmetic(op):
+    m = monomial(1, {1: 2})
+    fm = family_monomial(Family.BRAID, {0: 1, 1: 1})
+    with pytest.raises(TypeError):
+        op(m, fm)
+
+
+def test_equal_values_hash_equal():
+    pairs = [
+        (monomial(-1, {1: 1, 3: 2}), AmbientMonomial(-1, ((1, 1), (3, 2)))),
+        (family_monomial(Family.CONF, {1: 2}), FamilyMonomial(Family.CONF, ((1, 2),))),
+        (element(q_gen(1), q_gen(2)), element(q_gen(2), q_gen(1))),
+        (tensor(element(q_gen(1)), element(monomial(2))),
+         tensor(element(q_gen(1)), element(monomial(2)))),
+    ]
+    for x, y in pairs:
+        assert x == y and x is not y
+        assert hash(x) == hash(y)
+    # the hash of the field tuple, which fixes the iteration order of sets
+    m, fm = pairs[0][0], pairs[1][0]
+    assert hash(m) == hash((m.g_exp, m.q_exps))
+    assert hash(fm) == hash((fm.family, fm.exps))
+
+
+def test_sorted_monomials_follow_the_field_tuple():
+    ms = [monomial(1), monomial(0, {2: 1}), monomial(0, {1: 3}), monomial(-1, {1: 1}),
+          monomial(0), monomial(0, {1: 1, 2: 1})]
+    assert sorted(ms) == sorted(ms, key=lambda m: (m.g_exp, m.q_exps))
+    assert [str(m) for m in sorted(ms)] == ["g^-1*Qg", "1", "Qg*Q2g", "(Qg)^3", "Q2g", "g"]
+
+
+def test_graded_coalgebra_runs_post_init_once_per_construction(monkeypatch):
+    c = extract_coalgebra(Family.RAT, 3)
+    calls = []
+    orig = GradedCoalgebra.__post_init__
+
+    def wrapped(self):
+        calls.append(self.dims)
+        return orig(self)
+
+    # the way bench/tracer.py wraps it: replace the class attribute by name
+    monkeypatch.setattr(coalgebra.GradedCoalgebra, "__post_init__", wrapped)
+    again = GradedCoalgebra(c.dims, c.delta)
+    assert calls == [c.dims]
+    assert again == c
+    assert c._replace(dims=c.dims) == c
+    assert len(calls) == 2
+
+
+def test_graded_coalgebra_replace_validates():
+    c = extract_coalgebra(Family.RAT, 3)
+    tampered = dict(c.delta)
+    tampered[(3, 1)] = ((), tampered[(3, 1)][1])
+    with pytest.raises(ValueError):
+        c._replace(delta=tampered)
+    with pytest.raises(ValueError):
+        GradedCoalgebra(c.dims, tampered)
