@@ -3,8 +3,12 @@
 Subcommands cover basis listings, top-class coproduct supports, the
 component comparison sweep, the odd/even multiplication-by-g check, pairwise
 coalgebra isomorphism, dual-Steenrod matrices, and the braid/configuration
-correspondence.  JSON output is schema-stable and byte-identical for a fixed
-invocation; timing goes to stderr.
+correspondence.  Each handler returns ``(exit_code, body, lines)``: the JSON
+payload without its ``schema`` and ``command`` header, and the text output.
+``main`` adds the header and prints one of the two, so JSON output is
+schema-stable and byte-identical for a fixed invocation; timing goes to
+stderr.  The three sweeps hand their per-k checks to ``_sweep``, the one
+place that turns them into statuses, a result and an exit code.
 
 Exit codes: 0 success (verification passed or a definitive verdict was
 reached), 1 falsification or inconclusive verdict, 2 usage or internal error.
@@ -37,6 +41,9 @@ from .families import (
 
 SCHEMA_VERSION = 2
 
+# A command's outcome: exit code, JSON body without the header, text lines.
+Outcome = tuple[int, dict, list[str]]
+
 
 class RunConfig(NamedTuple):
     iso_budget: int = DEFAULT_ISO_BUDGET
@@ -53,19 +60,13 @@ def _verdict_json(v: IsoVerdict) -> dict:
         out["reason"] = v.reason
     if v.invariant is not None:
         out["invariant"] = v.invariant
-        out["left"] = _plain(v.left)
-        out["right"] = _plain(v.right)
+        out["left"] = v.left
+        out["right"] = v.right
     if v.witness is not None:
         out["witness"] = [
             _matrix_json(mat, v.dims[d]) for d, mat in enumerate(v.witness)
         ]
     return out
-
-
-def _plain(value):
-    if isinstance(value, tuple):
-        return [_plain(v) for v in value]
-    return value
 
 
 def _parse_spec(spec: str) -> tuple[Family, int]:
@@ -76,27 +77,27 @@ def _parse_spec(spec: str) -> tuple[Family, int]:
         raise ValueError(f"bad component spec {spec!r}; expected e.g. braid:6 or rat:3")
 
 
-def _status(ok: bool, undecided: bool) -> str:
-    return "ok" if ok else "INCONCLUSIVE" if undecided else "FALSIFIED"
+def _sweep(inputs: dict, all_key: str, rows) -> Outcome:
+    """Run a sweep's per-k checks, each ``(ok, undecided, entry, line)``.
 
-
-def _result(statuses: list[str], lines: list[str]) -> str:
-    """Append a sweep's text RESULT line; return its JSON ``result`` value."""
+    A k that is neither ok nor undecided falsifies the sweep; otherwise an
+    undecided k leaves it inconclusive.  Only a sweep in which every k is ok
+    passes and exits 0.
+    """
+    reports, lines, statuses = [], [], set()
+    for ok, undecided, entry, line in rows:
+        status = "ok" if ok else "INCONCLUSIVE" if undecided else "FALSIFIED"
+        statuses.add(status)
+        reports.append(entry)
+        lines.append(f"{line}  [{status}]")
     result = "fail" if "FALSIFIED" in statuses else (
         "inconclusive" if "INCONCLUSIVE" in statuses else "pass")
     lines.append("RESULT: " + ("FAIL" if result == "fail" else result))
-    return result
+    body = {"inputs": inputs, "reports": reports, all_key: result == "pass", "result": result}
+    return int(result != "pass"), body, lines
 
 
-def _emit(payload: dict, lines: list[str], config: RunConfig) -> None:
-    if config.fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
-
-
-def _cmd_basis(args, config: RunConfig) -> int:
+def _cmd_basis(args, config: RunConfig) -> Outcome:
     family = Family(args.family)
     rows = []
     lines = [f"basis {family.value} k={args.k}"]
@@ -112,87 +113,65 @@ def _cmd_basis(args, config: RunConfig) -> int:
             }
         )
         lines.append(f"  dim {fm.dim}  weight {fm.weight}  {fm.label()}  =  {emb}")
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "basis",
-        "inputs": {"family": family.value, "k": args.k},
-        "classes": rows,
-    }
-    _emit(payload, lines, config)
-    return 0
+    return 0, {"inputs": {"family": family.value, "k": args.k}, "classes": rows}, lines
 
 
-def _cmd_s_set(args, config: RunConfig) -> int:
+def _cmd_s_set(args, config: RunConfig) -> Outcome:
     family = Family(args.family)
     fm = top_class(family, args.k)
     support = sorted(s_set(fm))
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "s-set",
+    body = {
         "inputs": {"family": family.value, "k": args.k},
         "top_class": fm.label(),
         "dim": fm.dim,
         "support": support,
     }
-    lines = [f"s-set {family.value} k={args.k}: top class {fm.label()} (dim {fm.dim})",
-             f"  S = {{{', '.join(str(s) for s in support)}}}"]
-    _emit(payload, lines, config)
-    return 0
+    return 0, body, [
+        f"s-set {family.value} k={args.k}: top class {fm.label()} (dim {fm.dim})",
+        f"  S = {{{', '.join(str(s) for s in support)}}}",
+    ]
 
 
-def _cmd_theorem_main(args, config: RunConfig) -> int:
+def _cmd_theorem_main(args, config: RunConfig) -> Outcome:
     if not 1 <= args.from_k <= args.to_k:
         raise ValueError("need 1 <= --from <= --to")
     check_top_class_range(args.from_k, args.to_k)
-    reports = []
-    lines = []
-    statuses = []
-    for k in range(args.from_k, args.to_k + 1):
-        rep = theorem_main(k, iso_budget=config.iso_budget)
-        entry = {
-            "k": k,
-            "branch": rep.branch,
-            "support_x": list(rep.support_x),
-            "support_y": list(rep.support_y),
-            "distinct": rep.distinct,
-            "checks": {name: _plain(v) for name, v in sorted(rep.checks.items())},
-            "conforms": rep.conforms,
-        }
-        if rep.iso is not None:
-            entry["iso"] = _verdict_json(rep.iso)
-        reports.append(entry)
-        status = _status(rep.conforms, rep.undecided)
-        statuses.append(status)
-        extra = ""
-        if rep.branch == "generic":
-            w = rep.checks["witness_dim"]
-            extra = (
-                f"  witness dim {w}: in S(x)={rep.checks['witness_in_support_x']},"
-                f" in S(y)={not rep.checks['witness_not_in_support_y']}"
+
+    def rows():
+        for k in range(args.from_k, args.to_k + 1):
+            rep = theorem_main(k, iso_budget=config.iso_budget)
+            entry = {
+                "k": k,
+                "branch": rep.branch,
+                "support_x": rep.support_x,
+                "support_y": rep.support_y,
+                "distinct": rep.distinct,
+                "checks": rep.checks,
+                "conforms": rep.conforms,
+            }
+            if rep.iso is not None:
+                entry["iso"] = _verdict_json(rep.iso)
+            extra = ""
+            if rep.branch == "generic":
+                w = rep.checks["witness_dim"]
+                extra = (
+                    f"  witness dim {w}: in S(x)={rep.checks['witness_in_support_x']},"
+                    f" in S(y)={not rep.checks['witness_not_in_support_y']}"
+                )
+            elif k > 3:
+                extra = (
+                    f"  5 in S(x)={rep.checks['five_in_support_x']},"
+                    f" in S(y)={not rep.checks['five_not_in_support_y']};"
+                    f" 2 in neither={rep.checks['two_not_in_support_x'] and rep.checks['two_not_in_support_y']}"
+                )
+            if rep.iso is not None:
+                extra += f"  isomorphic={rep.iso.kind}"
+            yield rep.conforms, rep.undecided, entry, (
+                f"k={k}  branch={rep.branch}  |S(x)|={len(rep.support_x)}  "
+                f"|S(y)|={len(rep.support_y)}  distinct={rep.distinct}{extra}"
             )
-        elif k > 3:
-            extra = (
-                f"  5 in S(x)={rep.checks['five_in_support_x']},"
-                f" in S(y)={not rep.checks['five_not_in_support_y']};"
-                f" 2 in neither={rep.checks['two_not_in_support_x'] and rep.checks['two_not_in_support_y']}"
-            )
-        if rep.iso is not None:
-            extra += f"  isomorphic={rep.iso.kind}"
-        lines.append(
-            f"k={k}  branch={rep.branch}  |S(x)|={len(rep.support_x)}  "
-            f"|S(y)|={len(rep.support_y)}  distinct={rep.distinct}{extra}  [{status}]"
-        )
-    result = _result(statuses, lines)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "theorem-main",
-        "inputs": {"from": args.from_k, "to": args.to_k},
-        "reports": reports,
-        "all_conform": result == "pass",
-        "result": result,
-    }
-    _emit(payload, lines, config)
-    return 0 if result == "pass" else 1
+
+    return _sweep({"from": args.from_k, "to": args.to_k}, "all_conform", rows())
 
 
 def _check_max_k(max_k: int) -> None:
@@ -200,44 +179,21 @@ def _check_max_k(max_k: int) -> None:
         raise ValueError("need --max-k >= 1")
 
 
-def _cmd_lemma_braid(args, config: RunConfig) -> int:
+def _cmd_lemma_braid(args, config: RunConfig) -> Outcome:
     _check_max_k(args.max_k)
     # Braid basis sizes grow with the weight, so the largest one, checked
     # first, bounds every basis the loop enumerates.
     check_basis_size(Family.BRAID, 2 * args.max_k + 1)
-    reports = []
-    lines = []
-    statuses = []
-    for k in range(1, args.max_k + 1):
-        rep = check_lemma_braid(k)
-        statuses.append(_status(rep.verified, False))
-        reports.append(
-            {
-                "k": k,
-                "bijection_ok": rep.bijection_ok,
-                "coproduct_ok": rep.coproduct_ok,
-                "classes_checked": rep.classes_checked,
-                "verified": rep.verified,
-            }
-        )
-        lines.append(
-            f"k={k}  classes={rep.classes_checked}  bijection={rep.bijection_ok}  "
-            f"coproduct={rep.coproduct_ok}  [{statuses[-1]}]"
-        )
-    result = _result(statuses, lines)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "lemma-braid",
-        "inputs": {"max_k": args.max_k},
-        "reports": reports,
-        "all_verified": result == "pass",
-        "result": result,
-    }
-    _emit(payload, lines, config)
-    return 0 if result == "pass" else 1
+    reps = map(check_lemma_braid, range(1, args.max_k + 1))
+    return _sweep({"max_k": args.max_k}, "all_verified", (
+        (rep.verified, False, {**rep._asdict(), "verified": rep.verified},
+         f"k={rep.k}  classes={rep.classes_checked}  bijection={rep.bijection_ok}  "
+         f"coproduct={rep.coproduct_ok}")
+        for rep in reps
+    ))
 
 
-def _cmd_iso(args, config: RunConfig) -> int:
+def _cmd_iso(args, config: RunConfig) -> Outcome:
     fam_a, k_a = _parse_spec(args.a)
     fam_b, k_b = _parse_spec(args.b)
     # Each component is enumerated once, for its coalgebra and its Steenrod
@@ -246,15 +202,13 @@ def _cmd_iso(args, config: RunConfig) -> int:
     ca, cb = map(component_coalgebra, comps)
     steenrod = tuple(map(component_steenrod, comps)) if args.steenrod else None
     verdict = coalgebras_isomorphic(ca, cb, config.iso_budget, steenrod=steenrod)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "iso",
+    body = {
         "inputs": {
             "a": {"family": fam_a.value, "k": k_a},
             "b": {"family": fam_b.value, "k": k_b},
             "steenrod_constrained": bool(args.steenrod),
         },
-        "dims": list(ca.dims),
+        "dims": ca.dims,
         "verdict": _verdict_json(verdict),
     }
     lines = [
@@ -266,55 +220,37 @@ def _cmd_iso(args, config: RunConfig) -> int:
     if verdict.witness is not None:
         for d, mat in enumerate(verdict.witness):
             lines.append(f"  degree {d}: {_matrix_json(mat, verdict.dims[d])}")
-    _emit(payload, lines, config)
-    return 0 if verdict.kind in ("yes", "no") else 1
+    return int(verdict.kind not in ("yes", "no")), body, lines
 
 
-def _cmd_steenrod(args, config: RunConfig) -> int:
+def _cmd_steenrod(args, config: RunConfig) -> Outcome:
     if args.j >= 2 and not args.extended:
         raise ValueError("dual operations with j >= 2 require --extended")
     family = Family(args.family)
     by_dim = _basis_by_dim(family, args.k)
     mats = component_steenrod(by_dim, args.j)
-    matrices = {str(d): _matrix_json(mat, len(by_dim[d])) for d, mat in sorted(mats.items())}
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "steenrod",
-        "inputs": {"family": family.value, "k": args.k, "j": args.j},
-        "matrices": matrices,
-    }
     lines = [f"steenrod {family.value} k={args.k} j={args.j}"]
-    for d, mat in sorted(matrices.items(), key=lambda kv: int(kv[0])):
-        lines.append(f"  degree {d} -> {int(d) - args.j}: {mat}")
-    _emit(payload, lines, config)
-    return 0
+    matrices = {}
+    for d, mat in sorted(mats.items()):
+        matrices[str(d)] = _matrix_json(mat, len(by_dim[d]))
+        lines.append(f"  degree {d} -> {d - args.j}: {matrices[str(d)]}")
+    body = {"inputs": {"family": family.value, "k": args.k, "j": args.j}, "matrices": matrices}
+    return 0, body, lines
 
 
-def _cmd_braid_conf(args, config: RunConfig) -> int:
+def _cmd_braid_conf(args, config: RunConfig) -> Outcome:
     _check_max_k(args.max_k)
     # Both basis sizes grow with k, so the largest ones, checked first, bound
     # every basis the loop enumerates.
     check_basis_size(Family.CONF, args.max_k)
     check_basis_size(Family.BRAID, 2 * args.max_k)
-    reports = []
-    lines = []
-    statuses = []
-    for k in range(1, args.max_k + 1):
-        rep = check_braid_conf(k, budget=config.iso_budget)
-        statuses.append(_status(rep.isomorphic, rep.verdict.kind == "inconclusive"))
-        reports.append({"k": k, "verdict": _verdict_json(rep.verdict)})
-        lines.append(f"k={k}  isomorphic={rep.isomorphic}  [{statuses[-1]}]")
-    result = _result(statuses, lines)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "braid-conf",
-        "inputs": {"max_k": args.max_k},
-        "reports": reports,
-        "all_isomorphic": result == "pass",
-        "result": result,
-    }
-    _emit(payload, lines, config)
-    return 0 if result == "pass" else 1
+    reps = (check_braid_conf(k, budget=config.iso_budget) for k in range(1, args.max_k + 1))
+    return _sweep({"max_k": args.max_k}, "all_isomorphic", (
+        (rep.isomorphic, rep.verdict.kind == "inconclusive",
+         {"k": rep.k, "verdict": _verdict_json(rep.verdict)},
+         f"k={rep.k}  isomorphic={rep.isomorphic}")
+        for rep in reps
+    ))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -382,7 +318,12 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"argument --iso-budget: must be >= 0, got {config.iso_budget}")
     start = time.perf_counter()
     try:
-        code = args.handler(args, config)
+        code, body, lines = args.handler(args, config)
+        if config.fmt == "json":
+            body = {"schema": SCHEMA_VERSION, "command": args.command, **body}
+            print(json.dumps(body, indent=2, sort_keys=True))
+        else:
+            print("\n".join(lines))
     except (ValueError, SpanError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -258,8 +258,7 @@ def generator_steenrod(family: Family, idx: int) -> frozenset[FamilyMonomial]:
 
 
 def _generator_indices(family: Family, k: int) -> list[int]:
-    top = max(w for w in range(k.bit_length()) if (1 << w) <= k) if k >= 1 else -1
-    idxs = list(range(top + 1))
+    idxs = list(range(k.bit_length()))
     if family is Family.RAT:
         idxs = [-1] + idxs
     return idxs

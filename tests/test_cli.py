@@ -13,7 +13,9 @@ import pytest
 
 from braidrat import cli, coalgebra, families
 from braidrat.cli import main
-from braidrat.coalgebra import LemmaBraidReport
+from braidrat.coalgebra import (
+    BraidConfReport, IsoVerdict, LemmaBraidReport, theorem_main,
+)
 from braidrat.families import Family, basis_size, poincare_vector
 
 
@@ -173,6 +175,27 @@ def test_sweep_json_result_key(capsys, monkeypatch):
     assert code == 1 and data["all_verified"] is False and data["result"] == "fail"
     code, out, _ = run(capsys, "lemma-braid", "--max-k", "2")
     assert out.splitlines()[-1] == "RESULT: FAIL"
+
+
+@pytest.mark.parametrize("argv, key, patch", [
+    (["theorem-main", "--from", "1", "--to", "2"], "all_conform",
+     ("theorem_main", lambda k, **kw: theorem_main(k)._replace(distinct=True))),
+    (["braid-conf", "--max-k", "2"], "all_isomorphic",
+     ("check_braid_conf",
+      lambda k, **kw: BraidConfReport(k, IsoVerdict("no" if k == 1 else "yes", tried=k)))),
+], ids=["theorem-main", "braid-conf"])
+def test_sweep_falsified(capsys, monkeypatch, argv, key, patch):
+    # k = 1 does not conform, k = 2 does
+    monkeypatch.setattr(cli, *patch)
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0].startswith("k=1  ") and lines[0].endswith("  [FALSIFIED]")
+    assert lines[1].endswith("  [ok]")
+    assert lines[-1] == "RESULT: FAIL" and len(lines) == 3
+    code, data = run_json(capsys, *argv)
+    assert code == 1 and data[key] is False and data["result"] == "fail"
+    assert len(data["reports"]) == 2
 
 
 def test_internal_error_exits_two(capsys, monkeypatch):
@@ -395,9 +418,11 @@ def test_readme_lists_every_global_flag():
 
 # sha256 of the --format json stdout, with the exit code, recorded when the
 # structure constants (first six) and the Steenrod matrices (next three)
-# were still solved on the ambient algebra; the last two, which cover the
+# were still solved on the ambient algebra; the next two, which cover the
 # k = 1 and k = 3 isomorphism witnesses of theorem-main and a
-# Steenrod-compatible yes, before the structure constants were packed
+# Steenrod-compatible yes, before the structure constants were packed; the
+# last four, which cover basis, s-set, lemma-braid and an inconclusive sweep,
+# while every handler still printed its own output
 PINNED_JSON = [
     (("theorem-main", "--from", "65", "--to", "100"), 0,
      "5e0a0e67a86780fd1f3b325745faacabc4f52c6a8196b8617d4e9372fa9cdec6"),
@@ -421,17 +446,57 @@ PINNED_JSON = [
      "ba68ba33681d63476bc0da1e8ac9f66e4f4e9ca71ad122e23976fae98306ce7f"),
     (("iso", "--a", "braid:6", "--b", "rat:3", "--steenrod"), 0,
      "4e42fb390176cf07ddf2c74c5c07efc49e3f3cbd52b47f00ed4a0c49358a7c4c"),
+    (("basis", "--family", "rat", "--k", "5"), 0,
+     "0470f9e2890bc6c2158ea6cd79fee654e232bf6380b301d243fc2ea9eaedb7f5"),
+    (("s-set", "--family", "rat", "--k", "37"), 0,
+     "18dc3402234a1c613df91ad01858307c3eb09b4a935257faee2613cdd35c4f72"),
+    (("lemma-braid", "--max-k", "5"), 0,
+     "f5a3594f69fa99b3070d429795c375521df569e4643939b3db234dff53fd443b"),
+    (("--iso-budget", "1", "theorem-main", "--from", "3", "--to", "3"), 1,
+     "4b6a85c0bb69af5cb46c20f595f1e17d1a30a35f919d59e2d07534da02b550aa"),
+]
+
+# sha256 of the --format text stdout, with the exit code, for the argv of
+# PINNED_JSON in the same order, recorded while every handler still printed
+# its own output
+PINNED_TEXT = [
+    (argv, code, digest) for (argv, code, _), digest in zip(PINNED_JSON, [
+        "c838c9f9396f38d3bd170863fc6064bd6c925ee21b250efd9a23e932b5e34e6e",
+        "c01ed157dc593c1c871d48fed8685df816e0a2ef71d552bd4aea3e9e74b2485d",
+        "9e1c4e3e4ec3a156deef9e7c95abdcb93decf7aa9ecd9c0d764f9b7567c4fdf2",
+        "30f016cc3e105df0cbe3ce3810d6a44d5e0715b5d48a8b17560504a833127e11",
+        "df921a7673bd11eed39841a6a65150258e4603946468bed4c501a5d43f9c0e43",
+        "a04e20090e18248433d5da2d64dddd9cff07938b99e6de1233a920bf0b26fc74",
+        "077f0b913f1ae876ddb55764c6dcb4cead4af0d1eee9cdb9d7ba3a89b96b95da",
+        "cb86f908b5650f1e3d952bf61310c488f22de8d950c5e3516b54423684dc4c69",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "294a8edaa6a02f0c11cf14dc77d9fca34cc38f9ac1aaa21787737b04ce7d73ea",
+        "0df2009d4c495c88ab29c29eac5713f2a951b68165e6638a3c1e7ba1d99ff9d3",
+        "e58678460203131df5975ff67087a6ec2b1351d305142e20f0a9e462f0134501",
+        "d7c40dbf22b022897250a7ec374cfbc25091646af5fa058f56294ab3538b71fa",
+        "45337af02a09fc92ec742e6ba31e9a81b83d7cdd387015ce10b26c195733f15a",
+        "e0087c12cbc3e0bb43087a89b73cd849913a471fc9354512c94cda0223daea52",
+    ], strict=True)
+]
+
+PINNED_IDS = [
+    "support-sweep", "extract-compare", "iso-search", "braid-conf", "steenrod", "iso-steenrod",
+    "steenrod-conf-j2", "steenrod-braid-j3", "steenrod-refused", "theorem-main-witnesses",
+    "iso-steenrod-yes", "basis", "s-set", "lemma-braid", "theorem-main-inconclusive",
 ]
 
 
-@pytest.mark.parametrize("argv, code, digest", PINNED_JSON, ids=[
-    "support-sweep", "extract-compare", "iso-search", "braid-conf", "steenrod", "iso-steenrod",
-    "steenrod-conf-j2", "steenrod-braid-j3", "steenrod-refused", "theorem-main-witnesses",
-    "iso-steenrod-yes",
-])
+@pytest.mark.parametrize("argv, code, digest", PINNED_JSON, ids=PINNED_IDS)
 def test_json_stdout_is_pinned(capsys, argv, code, digest):
     # the first three are the benchmark's workloads
     got, out, _ = run(capsys, "--format", "json", *argv)
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, code, digest", PINNED_TEXT, ids=PINNED_IDS)
+def test_text_stdout_is_pinned(capsys, argv, code, digest):
+    got, out, _ = run(capsys, "--format", "text", *argv)
     assert got == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

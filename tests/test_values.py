@@ -6,7 +6,9 @@ construction."""
 import pytest
 
 from braidrat import coalgebra
-from braidrat.ambient import AmbientMonomial, element, monomial, q_gen, tensor
+from braidrat.ambient import (
+    AmbientElement, AmbientMonomial, TensorElement, element, monomial, q_gen, tensor,
+)
 from braidrat.coalgebra import (
     GradedCoalgebra,
     IsoVerdict,
@@ -14,7 +16,8 @@ from braidrat.coalgebra import (
     extract_coalgebra,
     theorem_main,
 )
-from braidrat.families import Family, FamilyMonomial, family_monomial
+from braidrat.families import Family, FamilyMonomial, basis, embed, family_monomial, top_class
+from braidrat.operations import araki_kudo_q, coproduct, iterated_q, sq1_dual, sqj_dual
 
 
 def _values():
@@ -57,6 +60,21 @@ def test_no_tuple_arithmetic(op):
     fm = family_monomial(Family.BRAID, {0: 1, 1: 1})
     with pytest.raises(TypeError):
         op(m, fm)
+
+
+def test_views_return_their_own_type():
+    # a NamedTuple equals any tuple with equal fields, so ``==`` against an
+    # expected value does not check the type of a result; this does
+    for e in (element(q_gen(1), monomial(1, {2: 1})), element(q_gen(3)), element()):
+        for x in (araki_kudo_q(e), iterated_q(e, 2), sq1_dual(e), sqj_dual(e, 2)):
+            assert type(x) is AmbientElement
+        assert type(coproduct(e)) is TensorElement
+        assert type(tensor(e, element(q_gen(2)))) is TensorElement
+    for family in Family:
+        items = basis(family, 4)
+        assert items and all(type(fm) is FamilyMonomial for fm in items)
+        assert all(type(embed(fm)) is AmbientElement for fm in items)
+    assert type(embed(top_class(Family.RAT, 5))) is AmbientElement
 
 
 def test_equal_values_hash_equal():
