@@ -66,7 +66,7 @@ class GradedCoalgebra(_Coalgebra):
     __slots__ = ()
 
     def __new__(cls, dims, delta):
-        self = super().__new__(cls, dims, delta)
+        self = super().__new__(cls, tuple(dims), delta)
         self.__post_init__()
         return self
 
@@ -360,8 +360,10 @@ def coalgebras_isomorphic(
     as well when ``steenrod`` matrices for both sides are supplied.  These
     are Sq_1^* matrices, as ``steenrod_matrix`` gives for j = 1: a degree
     d >= 1 with basis elements must map onto the dims[d-1] rows below it,
-    else ``ValueError`` is raised.
+    else ``ValueError`` is raised, as it is when ``steenrod`` is not a pair.
     """
+    if steenrod is not None and len(steenrod) != 2:
+        raise ValueError(f"steenrod needs one matrix family per side, got {len(steenrod)}")
     for c, sq in zip((a, b), steenrod or ()):
         dims = c.dims
         for d in range(1, len(dims)):

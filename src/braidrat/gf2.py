@@ -54,7 +54,9 @@ def rank(rows: Sequence[int]) -> int:
 
 
 def is_invertible(rows: Sequence[int], n: int) -> bool:
-    return len(rows) == n and rank(rows) == n
+    """Whether ``rows`` is an invertible n x n matrix: n rows, each with no
+    bit outside columns 0..n-1, of rank n."""
+    return len(rows) == n and all(0 <= row < 1 << n for row in rows) and rank(rows) == n
 
 
 def mat_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:

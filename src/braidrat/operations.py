@@ -17,9 +17,10 @@ closed-form generator images of ``families`` and call neither ``_psi`` nor
 the left dims of the pairs of one monomial in closed form, without forming
 a pair.
 
-Per-monomial results are memoized in write-once caches (the coproduct memo
-maps each half to a frozenset of packed pairs); entries are never mutated
-after insertion, so concurrent readers are safe.
+The coproduct memo is the one cache: it maps each half to a frozenset of
+packed pairs, write-once, and entries are never mutated after insertion, so
+concurrent readers are safe.  Sq_j^* is read off the closed-form terms of
+the total operation Sq_* by their dim and needs no memo.
 """
 from __future__ import annotations
 
@@ -34,7 +35,6 @@ from .ambient import (
 )
 
 _PSI_CACHE: dict[int, frozenset[int]] = {}
-_SQJ_CACHE: dict[tuple[int, int], frozenset[int]] = {}
 
 
 # Packed half-monomials.  The monomial g^a * prod_i (Q^i g)^(e_i) is one int,
@@ -219,40 +219,26 @@ def coproduct_left_dims(m: AmbientMonomial) -> int:
     return _left_dims(_pack(m))
 
 
-def _sq1_half(h: int) -> list[int]:
-    # Derivation: hit one factor at a time; Sq_1^*(Q^i g) = (Q^{i-1} g)^2 for
-    # i >= 2 and zero on g and Qg, so only odd powers of Q^i g, i >= 2 survive.
-    # Each trades one Q^i g for two Q^{i-1} g, which lowers the dim by 1.
-    return [h - _slot(i + 1) + 2 * _slot(i) - 1
-            for i, e in enumerate(_fields(h)[3:], 2) if e & 1]
-
-
-def _sqj_half(h: int, j: int) -> Iterable[int]:
-    if h & _MASK < j:
-        return ()
-    if j == 1:
-        return _sq1_half(h)
-    cached = _SQJ_CACHE.get((h, j))
-    if cached is not None:
-        return cached
-    # Peel one copy of the first polynomial generator and apply the dual
-    # Cartan rule; on a single generator only Sq_0^* and Sq_1^* are nonzero.
-    i = next(i for i, e in enumerate(_fields(h)[2:], 1) if e)
-    q = _slot(i + 1) + (1 << i) - 1  # Q^i g
-    rest = h - q
-    out = {q + r for r in _sqj_half(rest, j)}
-    if i >= 2:
-        square = 2 * _slot(i) + (1 << i) - 2  # (Q^{i-1} g)^2
-        out.symmetric_difference_update(square + r for r in _sqj_half(rest, j - 1))
-    cached = _SQJ_CACHE[(h, j)] = frozenset(out)
-    return cached
+def _sq_half(h: int) -> list[int]:
+    # Sq_* = sum_j Sq_j^* is a ring map fixing g^a and Qg, with
+    # Sq_*(Q^i g) = Q^i g + (Q^{i-1} g)^2 for i >= 2.  The summands of
+    # (Q^i g + (Q^{i-1} g)^2)^e are those of the submasks j of e (Lucas):
+    # j copies of Q^i g traded for 2j of Q^{i-1} g, j dims lower.  Reading
+    # field i + 1 from the top index down recovers each j, so the terms are
+    # distinct.
+    terms = [h]
+    for i, e in enumerate(_fields(h)[3:], 2):
+        if e:
+            trade = _slot(i + 1) - 2 * _slot(i) + 1
+            terms = [t - j * trade for t in terms for j in _submasks(e)]
+    return terms
 
 
 def _sqj(halves: Iterable[int], j: int) -> set[int]:
     """Sq_j^* of the F2 sum of distinct ``halves``, as packed halves."""
     if j < 1:
         raise ValueError(f"j must be >= 1, got {j}")
-    return xor_all(_sqj_half(h, j) for h in halves)
+    return xor_all([t for t in _sq_half(h) if t & _MASK == (h & _MASK) - j] for h in halves)
 
 
 def sq1_dual(e: AmbientElement) -> AmbientElement:
@@ -261,7 +247,9 @@ def sq1_dual(e: AmbientElement) -> AmbientElement:
 
 
 def sqj_dual(e: AmbientElement, j: int) -> AmbientElement:
-    """The dual of Sq^j, extended to products by the dual Cartan rule.
+    """The dual of Sq^j: the part j dims lower of the ring map
+    Sq_* = sum_j Sq_j^*, which fixes g^a and Qg and sends Q^i g (i >= 2) to
+    Q^i g + (Q^{i-1} g)^2.
 
     Generator values vanish for j >= 2; j = 1 is ``sq1_dual``.
     """

@@ -584,6 +584,41 @@ def test_iso_witness_steenrod_distinction():
     assert verify_steenrod_intertwining(sq[0], sq[1], constrained.witness)
 
 
+def test_verify_map_rejects_rows_outside_the_basis():
+    # a rank check alone passed rows with a bit at or above n, or negative ones
+    one = extract_coalgebra(Family.BRAID, 1)
+    assert one.dims == (1,)
+    assert verify_coalgebra_map(one, one, ((1,),))
+    assert not verify_coalgebra_map(one, one, ((2,),))
+    assert not verify_coalgebra_map(one, one, ((-1,),))
+    c = extract_coalgebra(Family.BRAID, 6)
+    witness = coalgebras_isomorphic(c, c).witness
+    assert verify_coalgebra_map(c, c, witness)
+    # every column image of the shifted rows is empty
+    shifted = tuple(tuple(row << n for row in phi) for phi, n in zip(witness, c.dims))
+    assert not verify_coalgebra_map(c, c, shifted)
+
+
+def test_graded_coalgebra_stores_dims_as_a_tuple():
+    # list dims compared unequal to tuple dims: a 'no' on dims against c, and
+    # the search refused the coalgebra as not connected
+    c = extract_coalgebra(Family.BRAID, 6)
+    listed = GradedCoalgebra(list(c.dims), c.delta)
+    assert type(listed.dims) is tuple and listed == c
+    assert coalgebras_isomorphic(c, listed).kind == "yes"
+    assert coalgebras_isomorphic(listed, listed).kind == "yes"
+    assert type(c._replace(dims=list(c.dims)).dims) is tuple
+
+
+def test_iso_rejects_steenrod_that_is_not_a_pair():
+    # one side's matrices alone were ignored on a 'no', and failed to unpack
+    # in the search
+    for f, k, g, m in ((Family.RAT, 13, Family.BRAID, 26), (Family.BRAID, 6, Family.BRAID, 6)):
+        a, b = extract_coalgebra(f, k), extract_coalgebra(g, m)
+        with pytest.raises(ValueError, match="one matrix family per side, got 1"):
+            coalgebras_isomorphic(a, b, steenrod=(steenrod_matrix(f, k),))
+
+
 def test_lemma_braid_small():
     for k in (1, 2, 3, 5, 8):
         rep = check_lemma_braid(k)

@@ -92,3 +92,8 @@ def test_is_invertible():
     assert gf2.is_invertible([1, 2, 4], 3)
     assert not gf2.is_invertible([1, 2, 3], 3)
     assert not gf2.is_invertible([1, 2], 3)
+    # a row with a bit outside the n columns, or a negative one
+    assert not gf2.is_invertible([1, 2, 8], 3)
+    assert not gf2.is_invertible([2], 1)
+    assert not gf2.is_invertible([-1], 1)
+    assert not gf2.is_invertible([1, -2], 2)

@@ -324,13 +324,16 @@ def test_q_bigrade_law_spot():
 def test_packed_sqj_matches_object_reference():
     rng = random.Random(7121)
     cases = [
-        random_element(rng, max_terms=4, max_g=16, max_idx=6, max_factors=3, max_exp=9)
+        (random_element(rng, max_terms=4, max_g=16, max_idx=6, max_factors=3, max_exp=9),
+         (1, 2, 3))
         for _ in range(300)
     ]
-    cases += [embed(top_class(f, k)) for f in (Family.RAT, Family.BRAID) for k in range(1, 24)]
-    for e in cases:
+    for t in (top_class(f, k) for f in (Family.RAT, Family.BRAID) for k in range(1, 24)):
+        # on the top classes, of dim d, also the edge of the dim filter
+        cases.append((embed(t), {j for j in (1, 2, 3, t.dim - 1, t.dim, t.dim + 1) if j >= 1}))
+    for e, js in cases:
         halves = list(map(operations._pack, e.terms))
-        for j in (1, 2, 3):
+        for j in js:
             expected = reference_sqj(e, j)
             # packed ints compare the dim field too, which no view decodes
             assert operations._sqj(halves, j) == set(map(operations._pack, expected.terms))
