@@ -32,7 +32,6 @@ from .coalgebra import (
     steenrod_matrix,
     theorem_main,
     verify_coalgebra_map,
-    verify_steenrod_intertwining,
 )
 from .families import (
     Family,

@@ -273,9 +273,9 @@ def coalgebra_invariants(c: GradedCoalgebra) -> InvariantRecord:
             # the ints of an entry are distinct, so their sum is their OR
             rows = [sum(1 << x for x in pairs) for pairs in c.delta[(d, s)]]
             ranks.append((d, s, gf2.rank(rows)))
-    top = max((d for d in range(len(dims)) if dims[d]), default=0)
+    top = max((d for d in range(len(dims)) if dims[d]), default=None)
     top_support = None
-    if dims[top] == 1:
+    if top is not None and dims[top] == 1:
         top_support = tuple(sorted(s for s in range(top + 1) if c.delta[(top, s)][0]))
     return InvariantRecord(dims, tuple(ranks), top_support)
 
@@ -284,11 +284,48 @@ def _phi_image(phi_d: Sequence[int], src: int) -> list[int]:
     return [r for r, row in enumerate(phi_d) if (row >> src) & 1]
 
 
+SteenrodPair = tuple[Mapping[int, Sequence[int]], Mapping[int, Sequence[int]]]
+
+
+def _sq1_columns(a: GradedCoalgebra, b: GradedCoalgebra, steenrod: SteenrodPair | None):
+    """Check a Sq_1^* matrix pair, one family per side as ``steenrod_matrix``
+    gives for j = 1, and read it by column: ``cols[d][src]`` lists the
+    degree-(d-1) elements in Sq_1^* of element src of degree d.  Returns
+    ``(cols_a, cols_b)``, or ``(None, None)`` for no pair.  Raises
+    ``ValueError`` unless ``steenrod`` is a pair whose degrees d >= 1 with
+    basis elements each have dims[d-1] rows in 0..2^dims[d] - 1."""
+    if steenrod is None:
+        return None, None
+    if len(steenrod) != 2:
+        raise ValueError(f"steenrod needs one matrix family per side, got {len(steenrod)}")
+    out = []
+    for c, sq in zip((a, b), steenrod):
+        dims = c.dims
+        cols: list[list[list[int]]] = [[[] for _ in range(n)] for n in dims]
+        for d in range(1, len(dims)):
+            n = dims[d]
+            rows = sq.get(d, ()) if n else ()
+            if n and (len(rows) != dims[d - 1] or not all(0 <= row < 1 << n for row in rows)):
+                raise ValueError(
+                    f"Steenrod matrix of degree {d} has {len(rows)} rows, expected {dims[d - 1]}"
+                    f" for Sq_1^*, each in 0..2^{n} - 1"
+                )
+            for t, row in enumerate(rows):
+                for src in _bits(row):
+                    cols[d][src].append(t)
+        out.append(cols)
+    return tuple(out)
+
+
 def verify_coalgebra_map(
-    a: GradedCoalgebra, b: GradedCoalgebra, phi: Sequence[Sequence[int]]
+    a: GradedCoalgebra, b: GradedCoalgebra, phi: Sequence[Sequence[int]],
+    steenrod: SteenrodPair | None = None,
 ) -> bool:
     """Check that phi (per-degree matrices, columns over a's basis) is an
-    invertible graded map with delta_b(phi(x)) = (phi (x) phi)(delta_a(x))."""
+    invertible graded map with delta_b(phi(x)) = (phi (x) phi)(delta_a(x)),
+    and, given the Sq_1^* pair of ``coalgebras_isomorphic``, with
+    S_b phi_d = phi_{d-1} S_a in every degree (``_sq1_columns`` reads it)."""
+    sq_a, sq_b = _sq1_columns(a, b, steenrod)
     dims = a.dims
     if dims != b.dims or len(phi) != len(dims):
         return False
@@ -309,21 +346,10 @@ def verify_coalgebra_map(
                 )
                 if lhs != rhs:
                     return False
-    return True
-
-
-def verify_steenrod_intertwining(
-    sq_a: Mapping[int, Sequence[int]],
-    sq_b: Mapping[int, Sequence[int]],
-    phi: Sequence[Sequence[int]],
-) -> bool:
-    """Check phi_{d-1} . S_a^{(d)} == S_b^{(d)} . phi_d for every degree d,
-    for Sq_1^* matrices S (degree d to d - 1)."""
-    for d in sorted(sq_a):
-        if d < 1 or d >= len(phi):
-            continue
-        if gf2.mat_mul(phi[d - 1], sq_a[d]) != gf2.mat_mul(sq_b[d], phi[d]):
-            return False
+            if sq_a is not None and xor_all(sq_b[d][m] for m in img) != xor_all(
+                images[d - 1][t] for t in sq_a[d][src]
+            ):
+                return False
     return True
 
 
@@ -342,9 +368,6 @@ class IsoVerdict(NamedTuple):
     tried: int = 0
 
 
-SteenrodPair = tuple[Mapping[int, Sequence[int]], Mapping[int, Sequence[int]]]
-
-
 def coalgebras_isomorphic(
     a: GradedCoalgebra,
     b: GradedCoalgebra,
@@ -358,21 +381,12 @@ def coalgebras_isomorphic(
     distinguishing invariant.  Otherwise a complete search for an isomorphism
     runs (see ``_search_isomorphism``), intertwining the dual Steenrod action
     as well when ``steenrod`` matrices for both sides are supplied.  These
-    are Sq_1^* matrices, as ``steenrod_matrix`` gives for j = 1: a degree
-    d >= 1 with basis elements must map onto the dims[d-1] rows below it,
-    else ``ValueError`` is raised, as it is when ``steenrod`` is not a pair.
+    are Sq_1^* matrices, as ``steenrod_matrix`` gives for j = 1, checked
+    before the invariants: a degree d >= 1 with basis elements must map onto
+    the dims[d-1] rows below it, each in 0..2^dims[d] - 1, else ``ValueError``
+    is raised, as it is when ``steenrod`` is not a pair.
     """
-    if steenrod is not None and len(steenrod) != 2:
-        raise ValueError(f"steenrod needs one matrix family per side, got {len(steenrod)}")
-    for c, sq in zip((a, b), steenrod or ()):
-        dims = c.dims
-        for d in range(1, len(dims)):
-            rows = len(sq.get(d, ()))
-            if dims[d] and rows != dims[d - 1]:
-                raise ValueError(
-                    f"Steenrod matrix of degree {d} has {rows} rows, expected {dims[d - 1]}"
-                    " for Sq_1^*"
-                )
+    _sq1_columns(a, b, steenrod)
     ia = coalgebra_invariants(a)
     ib = coalgebra_invariants(b)
     for name in ("dims", "component_ranks", "top_support"):
@@ -394,13 +408,12 @@ def _bits(vec: int) -> list[int]:
     return out
 
 
-def _equation(
-    c: GradedCoalgebra, sq: Mapping[int, Sequence[int]], d: int, src: int, col
-) -> int:
+def _equation(c: GradedCoalgebra, sq, d: int, src: int, col) -> int:
     """Images under ``col`` of the split-s coproduct components of basis
-    element ``src`` of degree d, s = 1..d-1, and of its dual Steenrod image,
-    packed into one bit-vector.  ``col(s, i)`` is the image of basis element
-    i of degree s, as a bit-vector over the target basis."""
+    element ``src`` of degree d, s = 1..d-1, and, given the Sq_1^* columns
+    ``sq`` of ``_sq1_columns``, of its dual Steenrod image, packed into one
+    bit-vector.  ``col(s, i)`` is the image of basis element i of degree s,
+    as a bit-vector over the target basis."""
     dims = c.dims
     vec = 0
     for s in range(1, d):
@@ -411,10 +424,9 @@ def _equation(
             right = col(d - s, j)
             for p in _bits(col(s, i)):
                 vec ^= right << (p * width)
-    if d:
+    if sq is not None and d:
         vec <<= dims[d - 1]
-    for t, bits in enumerate(sq.get(d, ())):
-        if (bits >> src) & 1:
+        for t in sq[d][src]:
             vec ^= col(d - 1, t)
     return vec
 
@@ -427,32 +439,36 @@ def _search_isomorphism(
     With phi_0..phi_{d-1} fixed, the column y = phi_d(e_src) over b's
     degree-d basis must satisfy, for every split s = 1..d-1,
     sum_m y_m delta_b^{(d,s)}(m) = (phi_s (x) phi_{d-s})(delta_a^{(d,s)}(src)),
-    and with ``steenrod`` also S_b^{(d)} y = phi_{d-1} S_a^{(d)} e_src.  Both
-    are linear in y, so the solutions are one particular solution plus the
-    kernel; the search branches only over kernel choices that keep the
-    columns of phi_d independent.  Splits 0 and d hold for every y because
-    the coalgebras are connected (one degree-0 class, so phi_0 = [1]) and
-    their counit rows are checked in ``GradedCoalgebra.__post_init__``.
+    and with ``steenrod`` (read by ``_sq1_columns``) also S_b^{(d)} y =
+    phi_{d-1} S_a^{(d)} e_src.  Both are linear in y, so the solutions are
+    one particular solution plus the kernel; the search branches only over
+    kernel choices that keep the columns of phi_d independent.  b's equation
+    rows of a degree are eliminated when the walk first reaches it, so a
+    search cut short pays only for the degrees it entered.  Splits 0 and d
+    hold for every y because the coalgebras are connected (one degree-0
+    class, so phi_0 = [1]) and their counit rows are checked in
+    ``GradedCoalgebra.__post_init__``.
 
     Each accepted column is one search node.  Finishing within ``budget``
     nodes without a witness covers every map, so ``no`` is a proof; running
-    out of budget is ``inconclusive``.  A witness is re-verified before
-    ``yes`` is returned.
+    out of budget is ``inconclusive``.  A witness is re-verified, Steenrod
+    pair included, before ``yes`` is returned.
     """
     dims = a.dims
     if dims != b.dims or dims[:1] != (1,):
         raise ValueError("isomorphism search needs connected coalgebras of equal dims")
-    sq_a, sq_b = steenrod if steenrod is not None else ({}, {})
-    systems = [  # per degree: a solve of b's equation rows, and their kernel
-        gf2.solver([_equation(b, sq_b, d, m, lambda s, i: 1 << i) for m in range(n)])
-        for d, n in enumerate(dims)
-    ]
+    sq_a, sq_b = _sq1_columns(a, b, steenrod)
+    systems: dict[int, tuple] = {}  # per degree: a solve of b's equation rows, and their kernel
     order = [(d, src) for d, n in enumerate(dims) for src in range(n)]
     start = [sum(dims[:d]) for d in range(len(dims))]
     cols: list[int] = []  # chosen columns phi_d(e_src), in ``order``
 
     def candidates(node: int):
         d, src = order[node]
+        if d not in systems:
+            systems[d] = gf2.solver(
+                [_equation(b, sq_b, d, m, lambda s, i: 1 << i) for m in range(dims[d])]
+            )
         solve, null = systems[d]
         y0 = solve(_equation(a, sq_a, d, src, lambda s, i: cols[start[s] + i]))
         if y0 is None:
@@ -487,9 +503,7 @@ def _search_isomorphism(
             tuple(sum(((cols[start[d] + c] >> r) & 1) << c for c in range(n)) for r in range(n))
             for d, n in enumerate(dims)
         )
-        if not verify_coalgebra_map(a, b, phi) or (
-            steenrod is not None and not verify_steenrod_intertwining(sq_a, sq_b, phi)
-        ):
+        if not verify_coalgebra_map(a, b, phi, steenrod):
             raise RuntimeError("isomorphism search produced a witness that fails verification")
         return IsoVerdict("yes", dims=dims, witness=phi, tried=tried)
     return IsoVerdict(

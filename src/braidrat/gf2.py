@@ -58,18 +58,3 @@ def is_invertible(rows: Sequence[int], n: int) -> bool:
     bit outside columns 0..n-1, of rank n."""
     return len(rows) == n and all(0 <= row < 1 << n for row in rows) and rank(rows) == n
 
-
-def mat_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    """Product of bit-row matrices: a is m x n (bit j = column j), b is n x p."""
-    out = []
-    for arow in a:
-        acc = 0
-        j = 0
-        while arow:
-            if arow & 1:
-                acc ^= b[j]
-            arow >>= 1
-            j += 1
-        out.append(acc)
-    return tuple(out)
-

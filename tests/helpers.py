@@ -14,7 +14,9 @@ step, both as sets of index pairs that a converter of their own packs into
 the sorted ints of ``GradedCoalgebra.delta``, the dual Steenrod matrices
 and generator images come from the ambient route alone (the packed ``_sqj``
 of the embedded basis, eliminated, with no generator image in closed form),
-isomorphisms are counted by enumerating every invertible per-degree map,
+isomorphisms are counted by enumerating every invertible per-degree map
+and checking each one with ``Counter`` parity on index pairs and explicit
+column images of the Sq_1^* matrices, with no library verifier,
 coassociativity is checked one element and one split at a time, trivial
 splits included, the packed embedding and dual Steenrod operations are
 checked against ``AmbientElement`` products and monomial objects, and
@@ -40,7 +42,7 @@ from braidrat.ambient import (
     monomial,
     q_gen,
 )
-from braidrat.coalgebra import SpanError, verify_coalgebra_map, verify_steenrod_intertwining
+from braidrat.coalgebra import SpanError
 from braidrat.families import Family, FamilyMonomial, _basis_by_dim, _embed, family_monomial
 from braidrat.operations import _MASK, _psi, _split, _sqj
 
@@ -514,6 +516,49 @@ def _gl_count(n: int) -> int:
     return out
 
 
+def _column(rows, src: int) -> list[int]:
+    """The rows with bit ``src`` set: column ``src`` of a bit-row matrix."""
+    return [r for r, row in enumerate(rows) if row >> src & 1]
+
+
+def intertwines(a, b, phi, steenrod=None) -> bool:
+    """Whether the invertible per-degree maps ``phi`` (bit-row matrices over
+    b's basis, one column per element of a's) carry a's coproduct to b's, as
+    parities of index pairs split by split, and, given Sq_1^* matrices
+    ``(sq_a, sq_b)`` in ``steenrod_matrix`` form, a's column images to b's."""
+    dims = a.dims
+    for d, n in enumerate(dims):
+        for x in range(n):
+            img = _column(phi[d], x)
+            for s in range(d + 1):
+                w = dims[d - s]
+                lhs = _parity(divmod(y, w) for m in img for y in b.delta[(d, s)][m])
+                rhs = _parity(
+                    (p, q)
+                    for i, j in (divmod(y, w) for y in a.delta[(d, s)][x])
+                    for p in _column(phi[s], i)
+                    for q in _column(phi[d - s], j)
+                )
+                if lhs != rhs:
+                    return False
+            if steenrod is not None and d:
+                sq_a, sq_b = steenrod
+                lhs = _parity(t for m in img for t in _column(sq_b[d], m))
+                rhs = _parity(p for t in _column(sq_a[d], x) for p in _column(phi[d - 1], t))
+                if lhs != rhs:
+                    return False
+    return True
+
+
+def invertible_maps(dims):
+    """Every tuple of invertible per-degree bit-row matrices of sizes ``dims``."""
+    per_degree = [
+        [m for m in itertools.product(range(1 << n), repeat=n) if _rank(m) == n]
+        for n in dims
+    ]
+    return itertools.product(*per_degree)
+
+
 def brute_force_isomorphism_count(a, b, steenrod=None, *, limit: int = 3000):
     """Number of isomorphisms a -> b (intertwining the dual Steenrod action
     when ``steenrod`` is given), or None when more than ``limit`` invertible
@@ -521,16 +566,7 @@ def brute_force_isomorphism_count(a, b, steenrod=None, *, limit: int = 3000):
     dims = a.dims
     if dims != b.dims or math.prod(_gl_count(n) for n in dims) > limit:
         return None
-    per_degree = [
-        [m for m in itertools.product(range(1 << n), repeat=n) if _rank(m) == n]
-        for n in dims
-    ]
-    return sum(
-        1
-        for phi in itertools.product(*per_degree)
-        if verify_coalgebra_map(a, b, phi)
-        and (steenrod is None or verify_steenrod_intertwining(*steenrod, phi))
-    )
+    return sum(1 for phi in invertible_maps(dims) if intertwines(a, b, phi, steenrod))
 
 
 # ---------------------------------------------------------------------------

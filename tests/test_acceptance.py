@@ -27,7 +27,6 @@ from braidrat.coalgebra import (
     s_set,
     steenrod_matrix,
     verify_coalgebra_map,
-    verify_steenrod_intertwining,
 )
 from braidrat.families import Family, basis, embed, family_monomial, top_class
 from braidrat.operations import araki_kudo_q, coproduct, sq1_dual
@@ -170,7 +169,7 @@ def test_criterion_7_weight_six_reproduction():
     v = coalgebras_isomorphic(ca, cb, steenrod=sq)
     ok = ok and v.kind == "yes"
     ok = ok and verify_coalgebra_map(ca, cb, v.witness)
-    ok = ok and verify_steenrod_intertwining(sq[0], sq[1], v.witness)
+    ok = ok and verify_coalgebra_map(ca, cb, v.witness, steenrod=sq)
     report(7, "weight-6 bases, Sq_1^* values, intertwined witness", ok)
 
 

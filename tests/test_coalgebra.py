@@ -8,7 +8,7 @@ import random
 import pytest
 
 import helpers
-from braidrat import coalgebra, operations
+from braidrat import coalgebra, gf2, operations
 from braidrat.cli import main
 from braidrat.coalgebra import (
     DEFAULT_ISO_BUDGET,
@@ -24,7 +24,6 @@ from braidrat.coalgebra import (
     steenrod_matrix,
     theorem_main,
     verify_coalgebra_map,
-    verify_steenrod_intertwining,
 )
 from braidrat.ambient import TensorElement, element, monomial, q_gen, tensor_components
 from braidrat.families import (
@@ -510,6 +509,36 @@ def test_iso_search_agrees_with_brute_force_count():
     assert len(kinds) == 82 and kinds.count("no") == 12
 
 
+def test_verify_map_agrees_with_the_oracle_on_every_invertible_map():
+    # the search re-verifies only the witnesses it finds, so the verifier's
+    # rejections are checked here, map by map, against the independent check.
+    # The components are cocommutative, so split d - s restates split s; two
+    # lines of dims (1, 1, 1), divided-power and primitive, differ only in
+    # split (2, 1), the one where s = d - s.
+    comps = [
+        (extract_coalgebra(fam, k), steenrod_matrix(fam, k))
+        for fam, top in ((Family.RAT, 4), (Family.CONF, 4), (Family.BRAID, 9))
+        for k in range(1, top + 1)
+    ] + [
+        (GradedCoalgebra((1, 1, 1), {
+            (0, 0): ((0,),), (1, 0): ((0,),), (1, 1): ((0,),),
+            (2, 0): ((0,),), (2, 1): (middle,), (2, 2): ((0,),),
+        }), {1: (0,), 2: (0,)})
+        for middle in ((0,), ())
+    ]
+    seen = set()
+    for i, (ca, sq_a) in enumerate(comps):
+        for cb, sq_b in comps[i:]:
+            if ca.dims != cb.dims:
+                continue
+            for phi in helpers.invertible_maps(ca.dims):
+                for sq in (None, (sq_a, sq_b)):
+                    want = helpers.intertwines(ca, cb, phi, sq)
+                    assert verify_coalgebra_map(ca, cb, phi, sq) == want, (ca.dims, phi, sq)
+                    seen.add(want)
+    assert seen == {True, False}
+
+
 def test_steenrod_matrices_reference_values():
     sq_braid = steenrod_matrix(Family.BRAID, 6)
     sq_rat = steenrod_matrix(Family.RAT, 3)
@@ -577,11 +606,11 @@ def test_iso_witness_steenrod_distinction():
     sq = (steenrod_matrix(Family.BRAID, 6), steenrod_matrix(Family.RAT, 3))
     plain = ((1,), (1,), (1,), (2, 3), (1,))
     assert verify_coalgebra_map(ca, cb, plain)
-    assert not verify_steenrod_intertwining(sq[0], sq[1], plain)
+    assert not verify_coalgebra_map(ca, cb, plain, steenrod=sq)
     constrained = coalgebras_isomorphic(ca, cb, steenrod=sq)
     assert constrained.kind == "yes"
     assert verify_coalgebra_map(ca, cb, constrained.witness)
-    assert verify_steenrod_intertwining(sq[0], sq[1], constrained.witness)
+    assert verify_coalgebra_map(ca, cb, constrained.witness, steenrod=sq)
 
 
 def test_verify_map_rejects_rows_outside_the_basis():
@@ -617,6 +646,59 @@ def test_iso_rejects_steenrod_that_is_not_a_pair():
         a, b = extract_coalgebra(f, k), extract_coalgebra(g, m)
         with pytest.raises(ValueError, match="one matrix family per side, got 1"):
             coalgebras_isomorphic(a, b, steenrod=(steenrod_matrix(f, k),))
+
+
+def _braid6_rat3():
+    ca, cb = extract_coalgebra(Family.BRAID, 6), extract_coalgebra(Family.RAT, 3)
+    return ca, cb, (steenrod_matrix(Family.BRAID, 6), steenrod_matrix(Family.RAT, 3))
+
+
+@pytest.mark.parametrize("side, rows", [(1, (33, 0)), (0, (33, 0)), (1, (-1, -1))],
+                         ids=["b-bit-5", "a-bit-5", "b-negative"])
+def test_iso_rejects_steenrod_rows_outside_the_basis(side, rows):
+    # degree 4 is a line here, so its rows are 0 or 1: bit 5 on b's side
+    # raised IndexError, on a's side a failed witness check (RuntimeError),
+    # and rows of -1 on b's side gave 'no'
+    ca, cb, sq = _braid6_rat3()
+    bad = list(sq)
+    bad[side] = {**sq[side], 4: rows}
+    with pytest.raises(ValueError, match="degree 4 has 2 rows, expected 2 for Sq_1.*0..2"):
+        coalgebras_isomorphic(ca, cb, steenrod=tuple(bad))
+
+
+@pytest.mark.parametrize("side", [0, 1, None], ids=["a", "b", "both-empty"])
+def test_verify_map_rejects_steenrod_without_a_degree(side):
+    # the separate Sq_1^* check passed a's matrices without degree 4, and an
+    # empty pair, and raised KeyError on b's without degree 4
+    ca, cb, sq = _braid6_rat3()
+    witness = coalgebras_isomorphic(ca, cb, steenrod=sq).witness
+    bad = [dict(mats) if side is not None else {} for mats in sq]
+    if side is not None:
+        del bad[side][4]
+    with pytest.raises(ValueError, match="has 0 rows, expected"):
+        verify_coalgebra_map(ca, cb, witness, steenrod=tuple(bad))
+
+
+def test_empty_coalgebra_has_no_top_support():
+    # coalgebra_invariants indexed dims[0] and raised IndexError
+    empty = GradedCoalgebra((), {})
+    assert coalgebra_invariants(empty).top_support is None
+    with pytest.raises(ValueError, match="needs connected coalgebras"):
+        coalgebras_isomorphic(empty, empty)
+
+
+def test_iso_search_eliminates_a_degree_when_it_reaches_it(monkeypatch):
+    # every degree's system was built before the first node, so a zero
+    # budget still paid for all five eliminations
+    calls = []
+    solver = gf2.solver
+    monkeypatch.setattr(gf2, "solver", lambda rows: calls.append(rows) or solver(rows))
+    ca, cb, sq = _braid6_rat3()
+    assert coalgebras_isomorphic(ca, cb, 0, steenrod=sq).kind == "inconclusive"
+    assert len(calls) == 1
+    calls.clear()
+    assert coalgebras_isomorphic(ca, cb, steenrod=sq).kind == "yes"
+    assert len(calls) == len(ca.dims) == 5
 
 
 def test_lemma_braid_small():

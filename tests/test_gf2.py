@@ -77,17 +77,6 @@ def test_kernel():
             assert combo and acc == 0
 
 
-def test_mat_mul():
-    ident = (0b001, 0b010, 0b100)
-    a = (0b110, 0b011, 0b101)
-    assert gf2.mat_mul(a, ident) == a
-    assert gf2.mat_mul(ident, a) == a
-    # (A.B) row check against a hand expansion
-    b = (0b001, 0b111, 0b100)
-    expected_row0 = b[1] ^ b[2]  # row 0 of a selects columns 1, 2
-    assert gf2.mat_mul(a, b)[0] == expected_row0
-
-
 def test_is_invertible():
     assert gf2.is_invertible([1, 2, 4], 3)
     assert not gf2.is_invertible([1, 2, 3], 3)
