@@ -84,6 +84,8 @@ class GradedCoalgebra(_Coalgebra):
                     x < y for pairs in comps for x, y in zip((-1, *pairs), (*pairs, size))
                 ):
                     raise ValueError(f"missing or malformed structure constants at {(d, s)}")
+        if len(self.delta) > len(dims) * (len(dims) + 1) // 2:
+            raise ValueError("structure constants outside the splits (d, s), 0 <= s <= d")
         if dims and dims[0] == 1:
             for d in range(len(dims)):
                 for a in range(dims[d]):
@@ -236,11 +238,11 @@ def s_set(fm: FamilyMonomial) -> frozenset[int]:
     """Left dimensions where the coproduct of the embedded class is nonzero.
 
     This is the union over the monomials m of ``embed(fm)`` of the left dims
-    of psi(m) (``operations.coproduct_left_dims``, read here from the packed
-    halves), since no pair cancels: every pair (u, v) of psi(m) has
-    u * v = m * g^weight(m), whose g exponent 2 g_exp + sum_i e_i 2^i fixes
-    the g_exp of m, so pairs from distinct monomials differ, and within
-    psi(m) distinct submask tuples give distinct pairs.
+    of psi(m) (``operations._left_dims`` of the packed halves), since no
+    pair cancels: every pair (u, v) of psi(m) has u * v = m * g^weight(m),
+    whose g exponent 2 g_exp + sum_i e_i 2^i fixes the g_exp of m, so pairs
+    from distinct monomials differ, and within psi(m) distinct submask tuples
+    give distinct pairs.
 
     Raises ``ValueError`` if a monomial's dimension is not ``fm.dim``, which
     signals a non-homogeneous embedding.

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from functools import lru_cache
-from typing import Iterator, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .ambient import AmbientElement, Bigrade, xor_all
 from .operations import _G, _QG, _check_field_range, _half_bound, _q, _view
@@ -265,19 +265,18 @@ def _generator_indices(family: Family, k: int) -> list[int]:
 
 
 def _exponent_vectors(weights: tuple[int, ...], total: int,
-                      exact: bool) -> Iterator[tuple[int, ...]]:
-    # Depth-first enumeration in ascending lexicographic order.
-    def rec(pos: int, remaining: int) -> Iterator[tuple[int, ...]]:
-        if pos == len(weights):
-            if remaining == 0 or not exact:
-                yield ()
-            return
-        w = weights[pos]
-        for e in range(remaining // w + 1):
-            for rest in rec(pos + 1, remaining - e * w):
-                yield (e,) + rest
-
-    yield from rec(0, total)
+                      exact: bool) -> list[tuple[int, ...]]:
+    # Extend every partial vector one generator at a time, lowest exponent
+    # first, so the order stays lexicographic.  Each weight divides the next,
+    # so when exact the later generators can fill the weight a partial vector
+    # leaves exactly when the next weight divides it; after the last, when it
+    # is 0, the one multiple of total + 1 in range.
+    steps = weights[1:] + (total + 1,) if exact else (1,) * len(weights)
+    level = [((), total)]
+    for w, step in zip(weights, steps):
+        level = [(vec + (e,), rest) for vec, left in level
+                 for e in range(left // w + 1) if (rest := left - e * w) % step == 0]
+    return [vec for vec, _ in level]
 
 
 def _check_k(k: int) -> None:

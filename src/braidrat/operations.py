@@ -13,9 +13,9 @@ built by the packed ``_q``, and ``check_lemma_braid`` calls the packed
 ``_psi`` directly; coalgebra extraction and the Steenrod matrices use the
 closed-form generator images of ``families`` and call neither ``_psi`` nor
 ``_sqj``.  ``araki_kudo_q``, ``iterated_q``, ``coproduct``, ``sq1_dual`` and
-``sqj_dual`` are views that pack their argument and unpack the result.  ``coproduct_left_dims`` reads
-the left dims of the pairs of one monomial in closed form, without forming
-a pair.
+``sqj_dual`` are views that pack their argument and unpack the result.
+``_left_dims`` reads the left dims of the pairs of one packed half in closed
+form, without forming a pair.
 
 The coproduct memo is the one cache: it maps each half to a frozenset of
 packed pairs, write-once, and entries are never mutated after insertion, so
@@ -196,6 +196,16 @@ def coproduct(e: AmbientElement) -> TensorElement:
 
 
 def _left_dims(h: int) -> int:
+    """The left dims of the pairs of psi(m) for the packed half ``h`` of m,
+    as a bit mask: bit s is set when some pair has left dim s.
+
+    In ``_psi_half`` the factor (Q^i g)^(e_i) contributes the left half
+    g^(2^i j) (Q^i g)^(e_i - j), of dim (2^i - 1)(e_i - j), for each submask
+    j of e_i, and e_i - j runs over the same submasks.  So the left dims are
+    the sums of (2^i - 1) << b over the subsets of the set bits b of all the
+    e_i, built here one set bit at a time, without forming a pair.  The mask
+    is m.dim + 1 bits wide; ``_pack`` applies the field-range guard.
+    """
     acc = 1
     for i, e in enumerate(_fields(h)[2:], 1):
         while e:
@@ -203,20 +213,6 @@ def _left_dims(h: int) -> int:
             acc |= acc << (((1 << i) - 1) * low)
             e ^= low
     return acc
-
-
-def coproduct_left_dims(m: AmbientMonomial) -> int:
-    """The left dims of the pairs of psi(m), as a bit mask: bit s is set when
-    some pair has left dim s.
-
-    In ``_psi_half`` the factor (Q^i g)^(e_i) contributes the left half
-    g^(2^i j) (Q^i g)^(e_i - j), of dim (2^i - 1)(e_i - j), for each submask
-    j of e_i, and e_i - j runs over the same submasks.  So the left dims are
-    the sums of (2^i - 1) << b over the subsets of the set bits b of all the
-    e_i, built here one set bit at a time, without forming a pair.  The mask
-    is m.dim + 1 bits wide; ``m`` passes the packed field-range guard.
-    """
-    return _left_dims(_pack(m))
 
 
 def _sq_half(h: int) -> list[int]:

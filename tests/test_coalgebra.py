@@ -277,6 +277,15 @@ def test_graded_coalgebra_validation_rejects_malformed_entries(entry):
         GradedCoalgebra(c.dims, tampered)
 
 
+@pytest.mark.parametrize("key", [(9, 9), (2, 3), (4, -1)])
+def test_graded_coalgebra_validation_rejects_splits_outside_the_grid(key):
+    # rat:3 has degrees 0..4; a key that is no split (d, s), 0 <= s <= d, of
+    # them is refused rather than stored beside the checked constants
+    c = extract_coalgebra(Family.RAT, 3)
+    with pytest.raises(ValueError, match="outside the splits"):
+        GradedCoalgebra(c.dims, {**c.delta, key: ((1, 2),)})
+
+
 def _doubled(dims, delta):
     """c (+) c for c given by dims and index-pair structure constants:
     coassociative, but with two degree-0 classes, so no counit rows are

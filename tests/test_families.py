@@ -1,5 +1,7 @@
 """Unit tests for generator families, bases, embeddings and top classes."""
 
+import itertools
+
 import pytest
 
 from braidrat import families, gf2
@@ -108,6 +110,25 @@ def test_basis_size_counts_the_enumerated_basis():
     # counted once by enumeration: 3 s for the two bases of 27,338, 500 s for rat:200
     assert basis_size(Family.RAT, 64) == basis_size(Family.BRAID, 128) == 27338
     assert basis_size(Family.RAT, 200) == 7389572
+
+
+def test_basis_rows_match_a_product_enumeration():
+    # every exponent vector in the box 0..k // weight, in itertools.product's
+    # lexicographic order, kept at weight k (at most k for conf) and
+    # appended to the row of its dim
+    for family in Family:
+        for k in range(1, 21):
+            idxs = [-1] * (family is Family.RAT) + [i for i in range(k) if 1 << i <= k]
+            gens = [generator_bigrade(family, i) for i in idxs]
+            rows = []
+            for vec in itertools.product(*(range(k // g.weight + 1) for g in gens)):
+                weight = sum(e * g.weight for e, g in zip(vec, gens))
+                if weight == k or family is Family.CONF and weight < k:
+                    d = sum(e * g.dim for e, g in zip(vec, gens))
+                    rows += [[] for _ in range(d + 1 - len(rows))]
+                    rows[d].append(FamilyMonomial(family, tuple(
+                        (i, e) for i, e in zip(idxs, vec) if e)))
+            assert families._basis_by_dim(family, k) == rows, (family, k)
 
 
 def test_embeddings_of_generators():

@@ -28,7 +28,6 @@ from braidrat.families import (
 from braidrat.operations import (
     araki_kudo_q,
     coproduct,
-    coproduct_left_dims,
     iterated_q,
     sq1_dual,
     sqj_dual,
@@ -198,7 +197,7 @@ def test_coproduct_left_dims_match_packed_pairs():
     cases += [monomial(operations._HALF - 1), monomial(3 - operations._HALF, {1: 1})]
     for m in cases:
         left = {s for s, _ in coproduct_dims(element(m))}
-        assert coproduct_left_dims(m) == sum(1 << s for s in left)
+        assert operations._left_dims(operations._pack(m)) == sum(1 << s for s in left)
 
 
 @pytest.mark.parametrize(
@@ -220,7 +219,7 @@ def test_coproduct_field_range_guard(m):
         with pytest.raises(GeneratorLimitError):
             read_out(element(m))
     with pytest.raises(GeneratorLimitError):
-        coproduct_left_dims(m)
+        operations._pack(m)
     assert m not in operations._PSI_CACHE
 
 
