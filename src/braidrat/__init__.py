@@ -27,6 +27,7 @@ from .coalgebra import (
     coalgebras_isomorphic,
     component_coalgebra,
     component_steenrod,
+    components_isomorphic,
     extract_coalgebra,
     s_set,
     steenrod_matrix,

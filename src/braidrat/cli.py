@@ -29,9 +29,8 @@ from .coalgebra import (
     SpanError,
     check_braid_conf,
     check_lemma_braid,
-    coalgebras_isomorphic,
-    component_coalgebra,
     component_steenrod,
+    components_isomorphic,
     s_set,
     theorem_main,
 )
@@ -198,17 +197,17 @@ def _cmd_iso(args, config: RunConfig) -> Outcome:
     fam_b, k_b = _parse_spec(args.b)
     # Each component is enumerated once, for its coalgebra and its Steenrod
     # matrices alike.
-    comps = [_basis_by_dim(fam, k) for fam, k in ((fam_a, k_a), (fam_b, k_b))]
-    ca, cb = map(component_coalgebra, comps)
-    steenrod = tuple(map(component_steenrod, comps)) if args.steenrod else None
-    verdict = coalgebras_isomorphic(ca, cb, config.iso_budget, steenrod=steenrod)
+    verdict = components_isomorphic(
+        _basis_by_dim(fam_a, k_a), _basis_by_dim(fam_b, k_b), config.iso_budget,
+        steenrod=args.steenrod,
+    )
     body = {
         "inputs": {
             "a": {"family": fam_a.value, "k": k_a},
             "b": {"family": fam_b.value, "k": k_b},
             "steenrod_constrained": bool(args.steenrod),
         },
-        "dims": ca.dims,
+        "dims": verdict.dims,
         "verdict": _verdict_json(verdict),
     }
     lines = [

@@ -12,7 +12,7 @@ the support-set comparison of top classes.
 from __future__ import annotations
 
 import re
-from itertools import compress, count
+from itertools import compress, count, islice
 from typing import Mapping, NamedTuple, Sequence
 
 from . import gf2
@@ -48,6 +48,22 @@ def _columns(comps: Sequence[tuple[int, ...]], width: int) -> list[tuple[int, in
     return [(*divmod(x, width), mask) for x, mask in cols.items()]
 
 
+class _FrozenDelta(dict):
+    """A dict whose mutators raise ``TypeError``; ``pickle`` and ``copy``
+    rebuild it from its items."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("structure constants are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 class _Coalgebra(NamedTuple):
     dims: tuple[int, ...]
     delta: Mapping[tuple[int, int], tuple[tuple[int, ...], ...]]
@@ -61,11 +77,14 @@ class GradedCoalgebra(_Coalgebra):
     (degree s, degree d-s) component of the coproduct of basis element ``a``
     of degree d contains b_i (x) b_j.  This form, the counit rows and
     coassociativity are checked on construction, ``_replace`` included.
+    The coalgebra keeps its own read-only copy of ``delta``.
     """
 
     __slots__ = ()
 
     def __new__(cls, dims, delta):
+        if type(delta) is not _FrozenDelta:
+            delta = _FrozenDelta(delta)
         self = super().__new__(cls, tuple(dims), delta)
         self.__post_init__()
         return self
@@ -196,27 +215,40 @@ def _multiply_out(by_dim: Sequence[Sequence[FamilyMonomial]], image, arity: int,
             yield d, i, terms
 
 
-def component_coalgebra(by_dim: Sequence[Sequence[FamilyMonomial]]) -> GradedCoalgebra:
-    """Structure constants of a component given by its basis by degree.
+def _coproduct_degrees(by_dim: Sequence[Sequence[FamilyMonomial]]):
+    """Yield the structure constants of a component given by its basis by
+    degree, one degree at a time in order: a dict from (d, s), s = 0..d, to
+    the split's constants in the form of ``GradedCoalgebra``.
 
     psi is a ring map, so each basis element's coproduct is the product of
     its generators' coproducts (``families.generator_coproduct``),
     multiplied out by ``_multiply_out`` on pairs; a pair whose dims do not
     add up to the element's raises ``ValueError``.
     """
-    dims = tuple(len(row) for row in by_dim)
-    delta = {(d, s): [] for d in range(len(dims)) for s in range(d + 1)}
-    for d, _, pairs in _multiply_out(by_dim, generator_coproduct, 2, "coproduct"):
-        parts: list[list] = [[] for _ in range(d + 1)]
-        for (s, i), (t, j) in pairs:
-            if s + t != d:
-                raise ValueError(
-                    f"coproduct pair of dimensions ({s}, {t}) has total {s + t}, expected {d}"
-                )
-            parts[s].append(i * dims[t] + j)
-        for s, xs in enumerate(parts):
-            delta[(d, s)].append(tuple(sorted(xs)))
-    return GradedCoalgebra(dims, {key: tuple(comps) for key, comps in delta.items()})
+    dims = [len(row) for row in by_dim]
+    products = _multiply_out(by_dim, generator_coproduct, 2, "coproduct")
+    for d, n in enumerate(dims):
+        splits: list[list] = [[] for _ in range(d + 1)]
+        for _, _, pairs in islice(products, n):
+            parts: list[list] = [[] for _ in range(d + 1)]
+            for (s, i), (t, j) in pairs:
+                if s + t != d:
+                    raise ValueError(
+                        f"coproduct pair of dimensions ({s}, {t}) has total {s + t}, expected {d}"
+                    )
+                parts[s].append(i * dims[t] + j)
+            for s, xs in enumerate(parts):
+                splits[s].append(tuple(sorted(xs)))
+        yield {(d, s): tuple(comps) for s, comps in enumerate(splits)}
+
+
+def component_coalgebra(by_dim: Sequence[Sequence[FamilyMonomial]]) -> GradedCoalgebra:
+    """Structure constants of a component given by its basis by degree,
+    every degree of ``_coproduct_degrees``."""
+    delta: dict = {}
+    for part in _coproduct_degrees(by_dim):
+        delta.update(part)
+    return GradedCoalgebra([len(row) for row in by_dim], delta)
 
 
 _DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
@@ -267,19 +299,26 @@ class InvariantRecord(NamedTuple):
     top_support: tuple[int, ...] | None
 
 
-def coalgebra_invariants(c: GradedCoalgebra) -> InvariantRecord:
+def _degree_ranks(delta: Mapping, d: int) -> list[tuple[int, int, int]]:
+    """(d, s, rank) for s = 0..d: the F2 rank of ``delta[(d, s)]`` read as
+    one row per element."""
+    # the ints of an entry are distinct, so their sum is their OR
+    return [(d, s, gf2.rank([sum(1 << x for x in pairs) for pairs in delta[(d, s)]]))
+            for s in range(d + 1)]
+
+
+def _top_support(c: GradedCoalgebra) -> tuple[int, ...] | None:
+    """The splits s where the top class hits, when the top degree is a line."""
     dims = c.dims
-    ranks = []
-    for d in range(len(dims)):
-        for s in range(d + 1):
-            # the ints of an entry are distinct, so their sum is their OR
-            rows = [sum(1 << x for x in pairs) for pairs in c.delta[(d, s)]]
-            ranks.append((d, s, gf2.rank(rows)))
     top = max((d for d in range(len(dims)) if dims[d]), default=None)
-    top_support = None
-    if top is not None and dims[top] == 1:
-        top_support = tuple(sorted(s for s in range(top + 1) if c.delta[(top, s)][0]))
-    return InvariantRecord(dims, tuple(ranks), top_support)
+    if top is None or dims[top] != 1:
+        return None
+    return tuple(s for s in range(top + 1) if c.delta[(top, s)][0])
+
+
+def coalgebra_invariants(c: GradedCoalgebra) -> InvariantRecord:
+    ranks = tuple(r for d in range(len(c.dims)) for r in _degree_ranks(c.delta, d))
+    return InvariantRecord(c.dims, ranks, _top_support(c))
 
 
 def _phi_image(phi_d: Sequence[int], src: int) -> list[int]:
@@ -391,14 +430,69 @@ def coalgebras_isomorphic(
     _sq1_columns(a, b, steenrod)
     ia = coalgebra_invariants(a)
     ib = coalgebra_invariants(b)
-    for name in ("dims", "component_ranks", "top_support"):
-        va, vb = getattr(ia, name), getattr(ib, name)
-        if va != vb:
-            return IsoVerdict(
-                "no", dims=a.dims, invariant=name, left=va, right=vb,
-                reason="invariant mismatch",
-            )
+    for name in InvariantRecord._fields:
+        verdict = _mismatch(a.dims, name, getattr(ia, name), getattr(ib, name))
+        if verdict:
+            return verdict
     return _search_isomorphism(a, b, budget, steenrod)
+
+
+def _mismatch(dims, name: str, left, right) -> IsoVerdict | None:
+    """``no`` on invariant ``name`` if its two sides differ, else None."""
+    if left == right:
+        return None
+    return IsoVerdict(
+        "no", dims=dims, invariant=name, left=left, right=right, reason="invariant mismatch",
+    )
+
+
+def components_isomorphic(
+    by_dim_a: Sequence[Sequence[FamilyMonomial]],
+    by_dim_b: Sequence[Sequence[FamilyMonomial]],
+    budget: int = DEFAULT_ISO_BUDGET,
+    *,
+    steenrod: bool = False,
+) -> IsoVerdict:
+    """Decide isomorphism of two components given by their bases by degree,
+    as ``coalgebras_isomorphic`` decides it on their coalgebras (with their
+    Sq_1^* matrices when ``steenrod`` is true), extracting only the degrees
+    a ``no`` reads.
+
+    A connected graded coalgebra truncated to degrees <= D is a
+    sub-coalgebra, and an isomorphism restricts to the truncations.  So
+    after the dims, read from the bases, the structure constants of both
+    sides are extracted degree by degree in lockstep, and at the first
+    degree D whose ``component_ranks`` differ, both truncations to degrees
+    <= D are built, which runs the constructor's checks on every degree the
+    verdict read, and ``no`` is returned with the ranks through degree D.
+    Only when every degree agrees are both whole coalgebras built and their
+    top supports compared; then, and only with ``steenrod``, the Sq_1^*
+    matrices are built for the search.
+    """
+    dims = tuple(map(len, by_dim_a))
+    verdict = _mismatch(dims, "dims", dims, tuple(map(len, by_dim_b)))
+    if verdict:
+        return verdict
+    delta_a, delta_b, ranks_a, ranks_b = {}, {}, [], []
+    for d, (part_a, part_b) in enumerate(
+        zip(_coproduct_degrees(by_dim_a), _coproduct_degrees(by_dim_b))
+    ):
+        delta_a.update(part_a)
+        delta_b.update(part_b)
+        new_a, new_b = _degree_ranks(part_a, d), _degree_ranks(part_b, d)
+        ranks_a += new_a
+        ranks_b += new_b
+        if new_a != new_b:
+            # built for their checks only: they raise on a fault in degrees <= d
+            GradedCoalgebra(dims[:d + 1], delta_a)
+            GradedCoalgebra(dims[:d + 1], delta_b)
+            return _mismatch(dims, "component_ranks", tuple(ranks_a), tuple(ranks_b))
+    a, b = GradedCoalgebra(dims, delta_a), GradedCoalgebra(dims, delta_b)
+    verdict = _mismatch(dims, "top_support", _top_support(a), _top_support(b))
+    if verdict:
+        return verdict
+    sq = (component_steenrod(by_dim_a), component_steenrod(by_dim_b)) if steenrod else None
+    return _search_isomorphism(a, b, budget, sq)
 
 
 def _bits(vec: int) -> list[int]:
@@ -594,9 +688,9 @@ class BraidConfReport(NamedTuple):
 def check_braid_conf(k: int, *, budget: int = DEFAULT_ISO_BUDGET) -> BraidConfReport:
     """Decide whether the length-k configuration component and the weight-2k
     braid component have isomorphic coalgebras."""
-    conf_c = extract_coalgebra(Family.CONF, k)
-    braid_c = extract_coalgebra(Family.BRAID, 2 * k)
-    return BraidConfReport(k, coalgebras_isomorphic(conf_c, braid_c, budget))
+    return BraidConfReport(k, components_isomorphic(
+        _basis_by_dim(Family.CONF, k), _basis_by_dim(Family.BRAID, 2 * k), budget,
+    ))
 
 
 class TheoremReport(NamedTuple):
@@ -662,10 +756,8 @@ def theorem_main(k: int, *, iso_budget: int = DEFAULT_ISO_BUDGET) -> TheoremRepo
         }
     iso = None
     if not distinct:
-        iso = coalgebras_isomorphic(
-            extract_coalgebra(Family.BRAID, 2 * k),
-            extract_coalgebra(Family.RAT, k),
-            iso_budget,
+        iso = components_isomorphic(
+            _basis_by_dim(Family.BRAID, 2 * k), _basis_by_dim(Family.RAT, k), iso_budget,
         )
     return TheoremReport(
         k,

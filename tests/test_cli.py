@@ -367,6 +367,61 @@ def test_iso_without_steenrod_enumerates_each_component_and_embeds_nothing(capsy
     assert counts == {"enumerate": 2, "embed": 0}
 
 
+def _count_decision_work(monkeypatch):
+    """Count Steenrod matrix builds, and record the dims of every coalgebra built."""
+    steenrod_calls, built = [], []
+    steenrod, post_init = coalgebra.component_steenrod, coalgebra.GradedCoalgebra.__post_init__
+
+    def counted_steenrod(by_dim, *args):
+        steenrod_calls.append(len(by_dim))
+        return steenrod(by_dim, *args)
+
+    def recorded(self):
+        built.append(self.dims)
+        return post_init(self)
+
+    monkeypatch.setattr(coalgebra, "component_steenrod", counted_steenrod)
+    monkeypatch.setattr(coalgebra.GradedCoalgebra, "__post_init__", recorded)
+    return steenrod_calls, built
+
+
+def test_iso_no_on_ranks_builds_only_the_degrees_it_reads(capsys, monkeypatch):
+    # rat:13 and braid:26 have degrees 0-23; their ranks first differ at 14
+    steenrod_calls, built = _count_decision_work(monkeypatch)
+    code, data = run_json(capsys, "iso", "--a", "rat:13", "--b", "braid:26", "--steenrod")
+    assert code == 0 and data["verdict"]["invariant"] == "component_ranks"
+    assert len(data["dims"]) == 24
+    assert steenrod_calls == []
+    assert len(built) == 2 and max(map(len, built)) == 15
+
+
+def test_iso_steenrod_yes_builds_the_matrices_once_per_side(capsys, monkeypatch):
+    steenrod_calls, built = _count_decision_work(monkeypatch)
+    code, data = run_json(capsys, "iso", "--a", "braid:6", "--b", "rat:3", "--steenrod")
+    assert code == 0 and data["verdict"]["kind"] == "yes"
+    assert steenrod_calls == [5, 5]
+    assert built == [tuple(data["dims"])] * 2
+
+
+def test_extract_compare_json_is_the_full_json_cut_at_degree_14(capsys):
+    code, data = run_json(capsys, "iso", "--a", "rat:13", "--b", "braid:26", "--steenrod")
+    assert code == 0
+    full = coalgebra.coalgebras_isomorphic(
+        coalgebra.extract_coalgebra(Family.RAT, 13),
+        coalgebra.extract_coalgebra(Family.BRAID, 26),
+        steenrod=(coalgebra.steenrod_matrix(Family.RAT, 13),
+                  coalgebra.steenrod_matrix(Family.BRAID, 26)),
+    )
+    old = {**data, "verdict": json.loads(json.dumps(cli._verdict_json(full)))}
+    # the digest pinned before the ranks were cut
+    printed = json.dumps(old, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(printed.encode()).hexdigest() == (
+        "af3eb1a3827debabd0abfd1bbfa480755ea2905ffbe2fbaf39b2e7b3a62ec8ca")
+    cut = {side: [r for r in old["verdict"][side] if r[0] <= 14] for side in ("left", "right")}
+    assert data == {**old, "verdict": {**old["verdict"], **cut}}
+    assert old["verdict"]["left"] != old["verdict"]["right"]
+
+
 def test_braid_conf_embeds_nothing(capsys, monkeypatch):
     counts = _count_builds(monkeypatch)
     code, data = run_json(capsys, "braid-conf", "--max-k", "4")
@@ -422,12 +477,16 @@ def test_readme_lists_every_global_flag():
 # k = 1 and k = 3 isomorphism witnesses of theorem-main and a
 # Steenrod-compatible yes, before the structure constants were packed; the
 # last four, which cover basis, s-set, lemma-braid and an inconclusive sweep,
-# while every handler still printed its own output
+# while every handler still printed its own output.  The second was
+# re-recorded when a 'no' on component_ranks began to report the ranks
+# through the first degree where they differ (here 14 of 0-23) instead of
+# over every degree: test_extract_compare_json_is_the_full_json_cut_at_degree_14
+# rebuilds the digest recorded before from the full route.
 PINNED_JSON = [
     (("theorem-main", "--from", "65", "--to", "100"), 0,
      "5e0a0e67a86780fd1f3b325745faacabc4f52c6a8196b8617d4e9372fa9cdec6"),
     (("iso", "--a", "rat:13", "--b", "braid:26", "--steenrod"), 0,
-     "af3eb1a3827debabd0abfd1bbfa480755ea2905ffbe2fbaf39b2e7b3a62ec8ca"),
+     "c7322b608ab01ffbc8fbe3ce753bb8f96a32efa1453a6975f9394b49cc6c3fb9"),
     (("--iso-budget", "15000", "iso", "--a", "conf:6", "--b", "braid:12"), 0,
      "43fc6bb5794a482e9d947c8432af788f8e5649d8725009add129ee7b221e7f7e"),
     (("braid-conf", "--max-k", "8"), 0,

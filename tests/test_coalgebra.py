@@ -19,6 +19,7 @@ from braidrat.coalgebra import (
     check_lemma_braid,
     coalgebra_invariants,
     coalgebras_isomorphic,
+    components_isomorphic,
     extract_coalgebra,
     s_set,
     steenrod_matrix,
@@ -495,6 +496,38 @@ def test_iso_budget_exhaustion_is_inconclusive():
     v = coalgebras_isomorphic(ca, cb, budget=1)
     assert v.kind == "inconclusive"
     assert v.tried == 1
+
+
+@pytest.mark.parametrize("steenrod", [False, True], ids=["plain", "steenrod"])
+def test_component_route_agrees_with_the_full_route(steenrod):
+    # components_isomorphic stops at the first degree whose ranks differ;
+    # coalgebras_isomorphic compares the whole extracted coalgebras
+    pairs = [((Family.RAT, 2), (Family.RAT, 3))]  # a 'no' on dims
+    for k in (1, 2, 3, 4, 5, 8, 13, 16):
+        pairs += [
+            ((Family.RAT, k), (Family.BRAID, 2 * k)),
+            ((Family.CONF, k), (Family.BRAID, 2 * k)),
+            ((Family.BRAID, 2 * k), (Family.BRAID, 2 * k + 1)),
+            ((Family.RAT, k), (Family.CONF, k)),
+        ]
+    kinds = set()
+    for a, b in pairs:
+        got = components_isomorphic(_basis_by_dim(*a), _basis_by_dim(*b), steenrod=steenrod)
+        sq = (steenrod_matrix(*a), steenrod_matrix(*b)) if steenrod else None
+        full = coalgebras_isomorphic(extract_coalgebra(*a), extract_coalgebra(*b), steenrod=sq)
+        fields = ("kind", "invariant", "tried", "witness", "dims", "reason")
+        assert [getattr(got, f) for f in fields] == [getattr(full, f) for f in fields], (a, b)
+        kinds.add((got.kind, got.invariant))
+        if got.invariant != "component_ranks":
+            assert (got.left, got.right) == (full.left, full.right), (a, b)
+            continue
+        # prefixes of the full tuples that end with the first differing degree
+        n, top = len(got.left), got.left[-1][0]
+        assert (got.left, got.right) == (full.left[:n], full.right[:n]), (a, b)
+        assert n == (top + 1) * (top + 2) // 2 and len(got.right) == n
+        assert got.left[:n - top - 1] == got.right[:n - top - 1]
+        assert got.left[n - top - 1:] != got.right[n - top - 1:]
+    assert kinds == {("yes", None), ("no", "dims"), ("no", "component_ranks")}
 
 
 def test_iso_search_agrees_with_brute_force_count():

@@ -3,6 +3,9 @@ immutable, hashed and ordered by their field tuple, with no tuple
 concatenation or repetition, and ``GradedCoalgebra`` validated on every
 construction."""
 
+import copy
+import pickle
+
 import pytest
 
 from braidrat import coalgebra
@@ -13,6 +16,7 @@ from braidrat.coalgebra import (
     GradedCoalgebra,
     IsoVerdict,
     TheoremReport,
+    coalgebras_isomorphic,
     extract_coalgebra,
     theorem_main,
 )
@@ -127,3 +131,36 @@ def test_graded_coalgebra_replace_validates():
         c._replace(delta=tampered)
     with pytest.raises(ValueError):
         GradedCoalgebra(c.dims, tampered)
+
+
+def test_graded_coalgebra_delta_is_read_only():
+    # the caller's own dict was stored, so this turned braid:6 vs rat:3 from
+    # 'yes' to 'no' without any check running
+    c = extract_coalgebra(Family.RAT, 3)
+    with pytest.raises(TypeError):
+        c.delta[(4, 1)] = ((1,),)
+    for mutate in (
+        lambda d: d.pop((4, 1)), lambda d: d.update({}), lambda d: d.setdefault((9, 9)),
+        lambda d: d.clear(), lambda d: d.popitem(), lambda d: d.__delitem__((4, 1)),
+        lambda d: d.__ior__({}),
+    ):
+        with pytest.raises(TypeError):
+            mutate(c.delta)
+    assert coalgebras_isomorphic(extract_coalgebra(Family.BRAID, 6), c).kind == "yes"
+
+
+def test_graded_coalgebra_keeps_its_own_copy_of_delta():
+    c = extract_coalgebra(Family.RAT, 3)
+    given = dict(c.delta)
+    mine = GradedCoalgebra(c.dims, given)
+    given[(4, 1)] = ((1,),)
+    del given[(0, 0)]
+    assert mine == c and mine.delta[(4, 1)] == ((0, 1),)
+
+
+def test_graded_coalgebra_pickles_and_copies():
+    c = extract_coalgebra(Family.RAT, 3)
+    for again in (pickle.loads(pickle.dumps(c)), copy.copy(c), copy.deepcopy(c)):
+        assert again == c
+        with pytest.raises(TypeError):
+            again.delta[(4, 1)] = ((1,),)
