@@ -16,14 +16,12 @@ from .ambient import (
 from .coalgebra import (
     BraidConfReport,
     GradedCoalgebra,
-    InvariantRecord,
     IsoVerdict,
     LemmaBraidReport,
     SpanError,
     TheoremReport,
     check_braid_conf,
     check_lemma_braid,
-    coalgebra_invariants,
     coalgebras_isomorphic,
     component_coalgebra,
     component_steenrod,

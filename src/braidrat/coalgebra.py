@@ -48,43 +48,27 @@ def _columns(comps: Sequence[tuple[int, ...]], width: int) -> list[tuple[int, in
     return [(*divmod(x, width), mask) for x, mask in cols.items()]
 
 
-class _FrozenDelta(dict):
-    """A dict whose mutators raise ``TypeError``; ``pickle`` and ``copy``
-    rebuild it from its items."""
-
-    __slots__ = ()
-
-    def _read_only(self, *args, **kwargs):
-        raise TypeError("structure constants are read-only")
-
-    __setitem__ = __delitem__ = __ior__ = _read_only
-    clear = pop = popitem = setdefault = update = _read_only
-
-    def __reduce__(self):
-        return type(self), (dict(self),)
-
-
 class _Coalgebra(NamedTuple):
     dims: tuple[int, ...]
-    delta: Mapping[tuple[int, int], tuple[tuple[int, ...], ...]]
+    delta: tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]
 
 
 class GradedCoalgebra(_Coalgebra):
     """A finite graded F2 coalgebra given by its dims and structure constants.
 
-    ``delta[(d, s)][a]`` is a sorted tuple of distinct ints
+    ``delta[d][s][a]`` is a sorted tuple of distinct ints
     ``i * dims[d - s] + j``, one for each index pair (i, j) such that the
     (degree s, degree d-s) component of the coproduct of basis element ``a``
-    of degree d contains b_i (x) b_j.  This form, the counit rows and
-    coassociativity are checked on construction, ``_replace`` included.
-    The coalgebra keeps its own read-only copy of ``delta``.
+    of degree d contains b_i (x) b_j.  The constructor stores nested
+    sequences of this shape as tuples at every level, so no object the
+    caller holds can change the coalgebra, and checks this form, the counit
+    rows and coassociativity, ``_replace`` included.
     """
 
     __slots__ = ()
 
     def __new__(cls, dims, delta):
-        if type(delta) is not _FrozenDelta:
-            delta = _FrozenDelta(delta)
+        delta = tuple(tuple(tuple(map(tuple, split)) for split in row) for row in delta)
         self = super().__new__(cls, tuple(dims), delta)
         self.__post_init__()
         return self
@@ -92,23 +76,22 @@ class GradedCoalgebra(_Coalgebra):
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
     def __post_init__(self) -> None:
-        dims = self.dims
-        for d in range(len(dims)):
-            for s in range(d + 1):
-                comps = self.delta.get((d, s))
+        dims, delta = self.dims, self.delta
+        if len(delta) != len(dims) or any(len(row) != d + 1 for d, row in enumerate(delta)):
+            raise ValueError("structure constants need the splits s = 0..d of each degree d")
+        for d, row in enumerate(delta):
+            for s, comps in enumerate(row):
                 size = dims[s] * dims[d - s]
                 # each entry must rise strictly from -1 to size: sorted,
                 # distinct and in range
-                if comps is None or len(comps) != dims[d] or not all(
+                if len(comps) != dims[d] or not all(
                     x < y for pairs in comps for x, y in zip((-1, *pairs), (*pairs, size))
                 ):
-                    raise ValueError(f"missing or malformed structure constants at {(d, s)}")
-        if len(self.delta) > len(dims) * (len(dims) + 1) // 2:
-            raise ValueError("structure constants outside the splits (d, s), 0 <= s <= d")
-        if dims and dims[0] == 1:
-            for d in range(len(dims)):
+                    raise ValueError(f"malformed structure constants at {(d, s)}")
+        if dims[:1] == (1,):
+            for d, row in enumerate(delta):
                 for a in range(dims[d]):
-                    if not self.delta[(d, 0)][a] == self.delta[(d, d)][a] == (a,):
+                    if not row[0][a] == row[d][a] == (a,):
                         raise ValueError(f"counit row violated at degree {d}, element {a}")
         if not self._coassociative():
             raise ValueError("structure constants are not coassociative")
@@ -119,25 +102,25 @@ class GradedCoalgebra(_Coalgebra):
         triple (x, y, z) of degrees (s, t, d - s - t), packed into one int
         key, to the mask of the elements whose image contains it, and the
         two sides agree when their XOR is zero at every key."""
-        dims = self.dims
+        dims, delta = self.dims, self.delta
         # With the counit rows checked, the splits s = 0, t = 0 and s + t = d
         # hold for any structure constants: both sides are then
-        # {(0, p, q) : (p, q) in delta(d, t)[a]}, {(i, 0, j) : (i, j) in
-        # delta(d, s)[a]} and {(i, j, 0) : (i, j) in delta(d, s)[a]}.
+        # {(0, p, q) : (p, q) in delta[d][t][a]}, {(i, 0, j) : (i, j) in
+        # delta[d][s][a]} and {(i, j, 0) : (i, j) in delta[d][s][a]}.
         lo = 1 if dims[:1] == (1,) else 0
         for d in range(len(dims)):
-            cols = [_columns(self.delta[(d, s)], dims[d - s]) for s in range(d + 1)]
+            cols = [_columns(comps, dims[d - s]) for s, comps in enumerate(delta[d])]
             for s in range(lo, d + 1 - lo):
                 for t in range(lo, d - s + 1 - lo):
                     width = dims[d - s - t]
                     diff: dict[int, int] = {}  # left side XOR right side
-                    inner = self.delta[(d - s, t)]
+                    inner = delta[d - s][t]
                     for i, j, mask in cols[s]:
                         base = i * dims[t] * width
                         for off in inner[j]:
                             key = base + off
                             diff[key] = diff.get(key, 0) ^ mask
-                    inner = self.delta[(s + t, s)]
+                    inner = delta[s + t][s]
                     for m, c, mask in cols[s + t]:
                         for off in inner[m]:
                             key = off * width + c
@@ -217,8 +200,8 @@ def _multiply_out(by_dim: Sequence[Sequence[FamilyMonomial]], image, arity: int,
 
 def _coproduct_degrees(by_dim: Sequence[Sequence[FamilyMonomial]]):
     """Yield the structure constants of a component given by its basis by
-    degree, one degree at a time in order: a dict from (d, s), s = 0..d, to
-    the split's constants in the form of ``GradedCoalgebra``.
+    degree, one degree at a time in order: ``delta[d]`` in the form of
+    ``GradedCoalgebra``.
 
     psi is a ring map, so each basis element's coproduct is the product of
     its generators' coproducts (``families.generator_coproduct``),
@@ -239,16 +222,13 @@ def _coproduct_degrees(by_dim: Sequence[Sequence[FamilyMonomial]]):
                 parts[s].append(i * dims[t] + j)
             for s, xs in enumerate(parts):
                 splits[s].append(tuple(sorted(xs)))
-        yield {(d, s): tuple(comps) for s, comps in enumerate(splits)}
+        yield tuple(map(tuple, splits))
 
 
 def component_coalgebra(by_dim: Sequence[Sequence[FamilyMonomial]]) -> GradedCoalgebra:
     """Structure constants of a component given by its basis by degree,
     every degree of ``_coproduct_degrees``."""
-    delta: dict = {}
-    for part in _coproduct_degrees(by_dim):
-        delta.update(part)
-    return GradedCoalgebra([len(row) for row in by_dim], delta)
+    return GradedCoalgebra([len(row) for row in by_dim], _coproduct_degrees(by_dim))
 
 
 _DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
@@ -288,37 +268,6 @@ def s_set(fm: FamilyMonomial) -> frozenset[int]:
             )
         mask |= _left_dims(h)
     return frozenset(_set_bits(mask))
-
-
-class InvariantRecord(NamedTuple):
-    """Isomorphism invariants: per-degree dimensions, component ranks over F2,
-    and the support set of the top class when the top degree is a line."""
-
-    dims: tuple[int, ...]
-    component_ranks: tuple[tuple[int, int, int], ...]
-    top_support: tuple[int, ...] | None
-
-
-def _degree_ranks(delta: Mapping, d: int) -> list[tuple[int, int, int]]:
-    """(d, s, rank) for s = 0..d: the F2 rank of ``delta[(d, s)]`` read as
-    one row per element."""
-    # the ints of an entry are distinct, so their sum is their OR
-    return [(d, s, gf2.rank([sum(1 << x for x in pairs) for pairs in delta[(d, s)]]))
-            for s in range(d + 1)]
-
-
-def _top_support(c: GradedCoalgebra) -> tuple[int, ...] | None:
-    """The splits s where the top class hits, when the top degree is a line."""
-    dims = c.dims
-    top = max((d for d in range(len(dims)) if dims[d]), default=None)
-    if top is None or dims[top] != 1:
-        return None
-    return tuple(s for s in range(top + 1) if c.delta[(top, s)][0])
-
-
-def coalgebra_invariants(c: GradedCoalgebra) -> InvariantRecord:
-    ranks = tuple(r for d in range(len(c.dims)) for r in _degree_ranks(c.delta, d))
-    return InvariantRecord(c.dims, ranks, _top_support(c))
 
 
 def _phi_image(phi_d: Sequence[int], src: int) -> list[int]:
@@ -380,10 +329,10 @@ def verify_coalgebra_map(
             img = images[d][src]
             for s in range(d + 1):
                 width = dims[d - s]
-                lhs = xor_all(b.delta[(d, s)][m] for m in img)
+                lhs = xor_all(b.delta[d][s][m] for m in img)
                 rhs = xor_all(
                     {p * width + q for p in images[s][i] for q in images[d - s][j]}
-                    for i, j in (divmod(x, width) for x in a.delta[(d, s)][src])
+                    for i, j in (divmod(x, width) for x in a.delta[d][s][src])
                 )
                 if lhs != rhs:
                     return False
@@ -418,23 +367,21 @@ def coalgebras_isomorphic(
 ) -> IsoVerdict:
     """Decide graded-coalgebra isomorphism.
 
-    Invariants are compared first; on mismatch the verdict is ``no`` with the
-    distinguishing invariant.  Otherwise a complete search for an isomorphism
-    runs (see ``_search_isomorphism``), intertwining the dual Steenrod action
-    as well when ``steenrod`` matrices for both sides are supplied.  These
-    are Sq_1^* matrices, as ``steenrod_matrix`` gives for j = 1, checked
-    before the invariants: a degree d >= 1 with basis elements must map onto
-    the dims[d-1] rows below it, each in 0..2^dims[d] - 1, else ``ValueError``
-    is raised, as it is when ``steenrod`` is not a pair.
+    The invariants are compared first: the dims, then the ranks of the
+    splits degree by degree (``_rank_mismatch``); on a mismatch the verdict
+    is ``no`` with the distinguishing invariant.  Otherwise a complete
+    search for an isomorphism runs (see ``_search_isomorphism``),
+    intertwining the dual Steenrod action as well when ``steenrod`` matrices
+    for both sides are supplied.  These are Sq_1^* matrices, as
+    ``steenrod_matrix`` gives for j = 1, checked before the invariants: a
+    degree d >= 1 with basis elements must map onto the dims[d-1] rows below
+    it, each in 0..2^dims[d] - 1, else ``ValueError`` is raised, as it is
+    when ``steenrod`` is not a pair.
     """
     _sq1_columns(a, b, steenrod)
-    ia = coalgebra_invariants(a)
-    ib = coalgebra_invariants(b)
-    for name in InvariantRecord._fields:
-        verdict = _mismatch(a.dims, name, getattr(ia, name), getattr(ib, name))
-        if verdict:
-            return verdict
-    return _search_isomorphism(a, b, budget, steenrod)
+    verdict = (_mismatch(a.dims, "dims", a.dims, b.dims)
+               or _rank_mismatch(a.dims, zip(a.delta, b.delta)))
+    return verdict or _search_isomorphism(a, b, budget, steenrod)
 
 
 def _mismatch(dims, name: str, left, right) -> IsoVerdict | None:
@@ -446,6 +393,28 @@ def _mismatch(dims, name: str, left, right) -> IsoVerdict | None:
     )
 
 
+def _rank_mismatch(dims, pairs) -> IsoVerdict | None:
+    """``no`` on ``component_ranks`` at the first degree D where the F2 rank
+    of a split differs between the two sides, with the (d, s, rank) triples
+    of each side through degree D, else None.  ``pairs`` yields
+    ``(delta_a[d], delta_b[d])`` for d = 0, 1, ... and is read no further
+    than degree D.
+
+    A connected graded coalgebra truncated to degrees <= D is a
+    sub-coalgebra, and an isomorphism restricts to the truncations, so the
+    ranks through degree D are invariants of each side.
+    """
+    left, right = [], []  # (d, s, rank) of each side
+    for d, rows in enumerate(pairs):
+        for out, row in zip((left, right), rows):
+            # the ints of an entry are distinct, so their sum is their OR
+            out += [(d, s, gf2.rank([sum(1 << x for x in entry) for entry in comps]))
+                    for s, comps in enumerate(row)]
+        if left[-d - 1:] != right[-d - 1:]:
+            return _mismatch(dims, "component_ranks", tuple(left), tuple(right))
+    return None
+
+
 def components_isomorphic(
     by_dim_a: Sequence[Sequence[FamilyMonomial]],
     by_dim_b: Sequence[Sequence[FamilyMonomial]],
@@ -453,42 +422,33 @@ def components_isomorphic(
     *,
     steenrod: bool = False,
 ) -> IsoVerdict:
-    """Decide isomorphism of two components given by their bases by degree,
-    as ``coalgebras_isomorphic`` decides it on their coalgebras (with their
+    """Decide isomorphism of two components given by their bases by degree:
+    the verdict of ``coalgebras_isomorphic`` on their coalgebras (and their
     Sq_1^* matrices when ``steenrod`` is true), extracting only the degrees
     a ``no`` reads.
 
-    A connected graded coalgebra truncated to degrees <= D is a
-    sub-coalgebra, and an isomorphism restricts to the truncations.  So
-    after the dims, read from the bases, the structure constants of both
-    sides are extracted degree by degree in lockstep, and at the first
-    degree D whose ``component_ranks`` differ, both truncations to degrees
-    <= D are built, which runs the constructor's checks on every degree the
-    verdict read, and ``no`` is returned with the ranks through degree D.
-    Only when every degree agrees are both whole coalgebras built and their
-    top supports compared; then, and only with ``steenrod``, the Sq_1^*
-    matrices are built for the search.
+    The dims come from the bases.  Then ``_rank_mismatch`` walks the
+    structure constants of both sides as they are extracted, degree by
+    degree, and the truncations to the degrees it read are built, which runs
+    the constructor's checks on each of them.  When every degree agrees these
+    are the whole coalgebras, and only then, with ``steenrod``, are the
+    Sq_1^* matrices built for the search.
     """
     dims = tuple(map(len, by_dim_a))
     verdict = _mismatch(dims, "dims", dims, tuple(map(len, by_dim_b)))
     if verdict:
         return verdict
-    delta_a, delta_b, ranks_a, ranks_b = {}, {}, [], []
-    for d, (part_a, part_b) in enumerate(
-        zip(_coproduct_degrees(by_dim_a), _coproduct_degrees(by_dim_b))
-    ):
-        delta_a.update(part_a)
-        delta_b.update(part_b)
-        new_a, new_b = _degree_ranks(part_a, d), _degree_ranks(part_b, d)
-        ranks_a += new_a
-        ranks_b += new_b
-        if new_a != new_b:
-            # built for their checks only: they raise on a fault in degrees <= d
-            GradedCoalgebra(dims[:d + 1], delta_a)
-            GradedCoalgebra(dims[:d + 1], delta_b)
-            return _mismatch(dims, "component_ranks", tuple(ranks_a), tuple(ranks_b))
-    a, b = GradedCoalgebra(dims, delta_a), GradedCoalgebra(dims, delta_b)
-    verdict = _mismatch(dims, "top_support", _top_support(a), _top_support(b))
+    read_a, read_b = [], []  # delta[d] of each side, for each degree read
+
+    def degrees():
+        for row_a, row_b in zip(_coproduct_degrees(by_dim_a), _coproduct_degrees(by_dim_b)):
+            read_a.append(row_a)
+            read_b.append(row_b)
+            yield row_a, row_b
+
+    verdict = _rank_mismatch(dims, degrees())
+    a = GradedCoalgebra(dims[:len(read_a)], read_a)
+    b = GradedCoalgebra(dims[:len(read_b)], read_b)
     if verdict:
         return verdict
     sq = (component_steenrod(by_dim_a), component_steenrod(by_dim_b)) if steenrod else None
@@ -515,7 +475,7 @@ def _equation(c: GradedCoalgebra, sq, d: int, src: int, col) -> int:
     for s in range(1, d):
         width = dims[d - s]
         vec <<= dims[s] * width
-        for x in c.delta[(d, s)][src]:
+        for x in c.delta[d][s][src]:
             i, j = divmod(x, width)
             right = col(d - s, j)
             for p in _bits(col(s, i)):

@@ -453,14 +453,28 @@ def ambient_generator_coproduct(family: Family, idx: int) -> frozenset:
 
 
 def packed_delta(delta):
-    """GradedCoalgebra.delta from structure constants given as sets of index
-    pairs (i, j): each set becomes the sorted tuple of i * n + j, with n the
-    number of elements of the right degree d - s, read off ``delta``."""
+    """GradedCoalgebra.delta, ``[d][s][a]``, from structure constants given
+    as sets of index pairs (i, j) keyed by (d, s): each set becomes the
+    sorted tuple of i * n + j, with n the number of elements of the right
+    degree d - s, read off ``delta``."""
     n = [len(delta[(d, 0)]) for d in range(1 + max(d for d, _ in delta))]
-    return {
-        (d, s): tuple(tuple(sorted(i * n[d - s] + j for i, j in pairs)) for pairs in comps)
-        for (d, s), comps in delta.items()
-    }
+    return tuple(
+        tuple(
+            tuple(tuple(sorted(i * n[d - s] + j for i, j in pairs)) for pairs in delta[(d, s)])
+            for s in range(d + 1)
+        )
+        for d in range(len(n))
+    )
+
+
+def rank_triples(delta) -> tuple[tuple[int, int, int], ...]:
+    """(d, s, rank) for every split of ``GradedCoalgebra.delta``, in degree
+    order: the F2 rank, by ``_rank``, of the split's rows, one bit per
+    packed pair."""
+    return tuple(
+        (d, s, _rank([sum(1 << x for x in set(pairs)) for pairs in comps]))
+        for d, row in enumerate(delta) for s, comps in enumerate(row)
+    )
 
 
 def counit_rows_hold(delta, dims) -> bool:
@@ -532,10 +546,10 @@ def intertwines(a, b, phi, steenrod=None) -> bool:
             img = _column(phi[d], x)
             for s in range(d + 1):
                 w = dims[d - s]
-                lhs = _parity(divmod(y, w) for m in img for y in b.delta[(d, s)][m])
+                lhs = _parity(divmod(y, w) for m in img for y in b.delta[d][s][m])
                 rhs = _parity(
                     (p, q)
-                    for i, j in (divmod(y, w) for y in a.delta[(d, s)][x])
+                    for i, j in (divmod(y, w) for y in a.delta[d][s][x])
                     for p in _column(phi[s], i)
                     for q in _column(phi[d - s], j)
                 )

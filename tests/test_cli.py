@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface."""
 
+import ast
 import hashlib
 import json
 import os
@@ -17,6 +18,7 @@ from braidrat.coalgebra import (
     BraidConfReport, IsoVerdict, LemmaBraidReport, theorem_main,
 )
 from braidrat.families import Family, basis_size, poincare_vector
+from helpers import rank_triples
 
 
 def run(capsys, *argv):
@@ -406,13 +408,13 @@ def test_iso_steenrod_yes_builds_the_matrices_once_per_side(capsys, monkeypatch)
 def test_extract_compare_json_is_the_full_json_cut_at_degree_14(capsys):
     code, data = run_json(capsys, "iso", "--a", "rat:13", "--b", "braid:26", "--steenrod")
     assert code == 0
-    full = coalgebra.coalgebras_isomorphic(
-        coalgebra.extract_coalgebra(Family.RAT, 13),
-        coalgebra.extract_coalgebra(Family.BRAID, 26),
-        steenrod=(coalgebra.steenrod_matrix(Family.RAT, 13),
-                  coalgebra.steenrod_matrix(Family.BRAID, 26)),
-    )
-    old = {**data, "verdict": json.loads(json.dumps(cli._verdict_json(full)))}
+    # the verdict once printed the rank triples of every degree; the test
+    # oracle recomputes them from the whole extracted coalgebras
+    full = {
+        side: rank_triples(coalgebra.extract_coalgebra(family, k).delta)
+        for side, family, k in (("left", Family.RAT, 13), ("right", Family.BRAID, 26))
+    }
+    old = {**data, "verdict": json.loads(json.dumps({**data["verdict"], **full}))}
     # the digest pinned before the ranks were cut
     printed = json.dumps(old, indent=2, sort_keys=True) + "\n"
     assert hashlib.sha256(printed.encode()).hexdigest() == (
@@ -469,6 +471,36 @@ def test_readme_lists_every_global_flag():
         if opt.startswith("--") and opt != "--help"
     }
     assert set(re.findall(r"--[a-z][a-z-]*", paragraph)) == flags
+
+
+def test_readme_library_block_shows_its_values():
+    # every bare expression of the README's "## Library" block, run in order,
+    # against the value its comment shows
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    env: dict = {}
+    shown = {}
+    for node in ast.parse(block).body:
+        code = ast.unparse(node)
+        if isinstance(node, ast.Expr):
+            shown[code] = eval(code, env)
+        else:
+            exec(code, env)
+    kind, witness = shown.pop("(v.kind, v.witness)")
+    a, b = coalgebra.extract_coalgebra(Family.BRAID, 6), coalgebra.extract_coalgebra(Family.RAT, 3)
+    assert kind == "yes" and coalgebra.verify_coalgebra_map(a, b, witness)
+    assert shown.pop("sorted(s_set(x))")[:5] == [0, 1, 3, 4, 5]
+    assert {(left.label(), right.label())
+            for left, right in shown.pop("generator_coproduct(Family.RAT, 0)")} == {
+        ("g", "rho_0"), ("rho_0", "g")}
+    assert {fm.label() for fm in shown.pop("generator_steenrod(Family.RAT, 1)")} == {"rho_0^2"}
+    assert shown == {
+        "x.dim": 11,
+        "basis_size(Family.RAT, 200)": 7389572,
+        "c.dims": (1, 1, 1, 2, 1),
+        "c.delta[4][1]": ((0, 1),),
+        "steenrod_matrix(Family.RAT, 3)[4]": (1, 0),
+    }
 
 
 # sha256 of the --format json stdout, with the exit code, recorded when the

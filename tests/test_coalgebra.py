@@ -17,7 +17,6 @@ from braidrat.coalgebra import (
     _basis_by_dim,
     _search_isomorphism,
     check_lemma_braid,
-    coalgebra_invariants,
     coalgebras_isomorphic,
     components_isomorphic,
     extract_coalgebra,
@@ -54,6 +53,7 @@ from helpers import (
     fpairs_mul,
     packed_delta,
     random_family_monomial,
+    rank_triples,
 )
 
 
@@ -91,12 +91,14 @@ def test_extracted_structure_constants_are_sorted_distinct_packed_pairs():
     for family, k in ((Family.RAT, 13), (Family.BRAID, 26), (Family.CONF, 16)):
         c = extract_coalgebra(family, k)
         dims = c.dims
-        assert set(c.delta) == {(d, s) for d in range(len(dims)) for s in range(d + 1)}
-        for (d, s), comps in c.delta.items():
-            assert len(comps) == dims[d]
-            for pairs in comps:
-                assert type(pairs) is tuple and list(pairs) == sorted(set(pairs))
-                assert all(type(x) is int and x in range(dims[s] * dims[d - s]) for x in pairs)
+        assert [len(row) for row in c.delta] == list(range(1, len(dims) + 1))
+        for d, row in enumerate(c.delta):
+            for s, comps in enumerate(row):
+                assert type(comps) is tuple and len(comps) == dims[d]
+                for pairs in comps:
+                    assert type(pairs) is tuple and list(pairs) == sorted(set(pairs))
+                    assert all(type(x) is int and x in range(dims[s] * dims[d - s])
+                               for x in pairs)
 
 
 def test_extracted_structure_matches_brute_force_small():
@@ -260,9 +262,9 @@ def test_graded_coalgebra_validation_rejects_bad_counit():
 
 def test_graded_coalgebra_validation_rejects_broken_coassociativity():
     c = extract_coalgebra(Family.RAT, 3)
-    tampered = dict(c.delta)
+    tampered = [list(row) for row in c.delta]
     # dropping the (1, 2) split of rho_0^3 contradicts the degree-4 coproduct
-    tampered[(3, 1)] = ((), tampered[(3, 1)][1])
+    tampered[3][1] = ((), tampered[3][1][1])
     with pytest.raises(ValueError):
         GradedCoalgebra(c.dims, tampered)
 
@@ -272,19 +274,35 @@ def test_graded_coalgebra_validation_rejects_malformed_entries(entry):
     # delta(4, 1) of rat:3 is ((0, 1),), two of the 1 * 2 pairs of degrees
     # (1, 3); an entry out of order, repeated or out of range is refused
     c = extract_coalgebra(Family.RAT, 3)
-    tampered = dict(c.delta)
-    tampered[(4, 1)] = (entry,)
+    tampered = [list(row) for row in c.delta]
+    tampered[4][1] = (entry,)
     with pytest.raises(ValueError, match=r"malformed structure constants at \(4, 1\)"):
         GradedCoalgebra(c.dims, tampered)
 
 
-@pytest.mark.parametrize("key", [(9, 9), (2, 3), (4, -1)])
+_SHAPE = "need the splits s = 0..d of each degree d"
+
+
+@pytest.mark.parametrize("key", [(4, 5), (0, 1), (5, 0)])
 def test_graded_coalgebra_validation_rejects_splits_outside_the_grid(key):
-    # rat:3 has degrees 0..4; a key that is no split (d, s), 0 <= s <= d, of
-    # them is refused rather than stored beside the checked constants
+    # rat:3 has degrees 0..4, and degree d the splits s = 0..d; a split put
+    # at (d, s) = key, after the last split of degree d or in a degree past
+    # the top, is refused rather than stored beside the checked constants
     c = extract_coalgebra(Family.RAT, 3)
-    with pytest.raises(ValueError, match="outside the splits"):
-        GradedCoalgebra(c.dims, {**c.delta, key: ((1, 2),)})
+    d, s = key
+    grown = [list(row) for row in c.delta] + [[]]
+    assert len(grown[d]) == s
+    grown[d].append(((),) * (c.dims[d] if d < len(c.dims) else 1))
+    with pytest.raises(ValueError, match=_SHAPE):
+        GradedCoalgebra(c.dims, grown[:max(d + 1, len(c.dims))])
+
+
+def test_graded_coalgebra_validation_rejects_missing_splits():
+    # a degree without its top split, a missing top degree, and no degrees
+    c = extract_coalgebra(Family.RAT, 3)
+    for delta in (c.delta[:4] + (c.delta[4][:4],), c.delta[:4], ()):
+        with pytest.raises(ValueError, match=_SHAPE):
+            GradedCoalgebra(c.dims, delta)
 
 
 def _doubled(dims, delta):
@@ -340,7 +358,7 @@ def test_coassociativity_check_agrees_with_per_element_oracle():
     for dims, base in comps:
         GradedCoalgebra(dims, packed_delta(base))
         for d, s, a, pair in _toggles(dims, base, rng, None if sum(dims) <= 12 else 20):
-            delta = dict(base)
+            delta = dict(base)  # index pairs keyed by (d, s), as the oracle reads them
             delta[(d, s)] = tuple(
                 pairs ^ {pair} if b == a else pairs for b, pairs in enumerate(delta[(d, s)])
             )
@@ -438,25 +456,56 @@ def test_s_set_rejects_inhomogeneous_pairs(monkeypatch, capsys):
         assert captured.out == "" and captured.err.startswith("error: ")
 
 
+def _first_rank_difference(ca, cb):
+    """The rank triples of both sides through the first degree where they
+    differ, by the test oracle, or None when every degree agrees."""
+    left, right = rank_triples(ca.delta), rank_triples(cb.delta)
+    for n in range(1, len(ca.dims) + 1):
+        cut = n * (n + 1) // 2  # the triples of degrees 0..n-1
+        if left[:cut] != right[:cut]:
+            return left[:cut], right[:cut]
+    return None
+
+
+def _assert_rank_verdict(ca, cb, v):
+    """``v``, a verdict on ca and cb with equal dims, is 'no' on
+    component_ranks exactly when the oracle's ranks differ, and then carries
+    them through the first degree where they differ."""
+    differ = _first_rank_difference(ca, cb)
+    if differ is None:
+        assert v.invariant is None
+        return
+    assert v.kind == "no" and v.invariant == "component_ranks"
+    assert v.reason == "invariant mismatch" and v.dims == ca.dims
+    assert (v.left, v.right) == differ
+
+
 def test_invariants_equal_for_weight_six_and_three():
-    ia = coalgebra_invariants(extract_coalgebra(Family.BRAID, 6))
-    ib = coalgebra_invariants(extract_coalgebra(Family.RAT, 3))
-    assert ia == ib
-    assert ia.dims == (1, 1, 1, 2, 1)
-    assert ia.top_support == (0, 1, 3, 4)
+    ca, cb = extract_coalgebra(Family.BRAID, 6), extract_coalgebra(Family.RAT, 3)
+    assert ca.dims == cb.dims == (1, 1, 1, 2, 1)
+    assert rank_triples(ca.delta) == rank_triples(cb.delta)
+    v = coalgebras_isomorphic(ca, cb)
+    assert v.kind == "yes" and v.invariant is None
+    _assert_rank_verdict(ca, cb, v)
 
 
 def test_invariants_differ_for_weight_fourteen_and_seven():
-    ia = coalgebra_invariants(extract_coalgebra(Family.BRAID, 14))
-    ib = coalgebra_invariants(extract_coalgebra(Family.RAT, 7))
-    assert ia.dims == ib.dims
-    assert ia != ib
+    ca, cb = extract_coalgebra(Family.BRAID, 14), extract_coalgebra(Family.RAT, 7)
+    assert ca.dims == cb.dims
+    v = coalgebras_isomorphic(ca, cb)
+    assert v.kind == "no" and v.left != v.right
+    _assert_rank_verdict(ca, cb, v)
 
 
 def test_invariants_of_line_degrees_have_small_ranks():
-    inv = coalgebra_invariants(extract_coalgebra(Family.BRAID, 2))
-    assert inv.dims == (1, 1)
-    assert all(r <= 1 for _, _, r in inv.component_ranks)
+    # a split of a degree of dim 1 has one row, so rank 0 or 1
+    c = extract_coalgebra(Family.BRAID, 2)
+    assert c.dims == (1, 1)
+    assert all(r <= 1 for _, _, r in rank_triples(c.delta))
+    ca, cb = extract_coalgebra(Family.BRAID, 14), extract_coalgebra(Family.RAT, 7)
+    v = coalgebras_isomorphic(ca, cb)
+    lines = [(d, r) for d, _, r in v.left + v.right if ca.dims[d] == 1]
+    assert lines and all(r <= 1 for _, r in lines)
 
 
 def test_iso_yes_with_verified_witness():
@@ -473,10 +522,8 @@ def test_iso_no_with_rechecked_invariant():
     v = coalgebras_isomorphic(ca, cb)
     assert v.kind == "no"
     assert v.invariant is not None
-    ia = coalgebra_invariants(ca)
-    ib = coalgebra_invariants(cb)
-    assert getattr(ia, v.invariant) == v.left
-    assert getattr(ib, v.invariant) == v.right
+    # recomputed by the oracle
+    _assert_rank_verdict(ca, cb, v)
     assert v.left != v.right
     # the support sets themselves also separate these components
     assert s_set(top_class(Family.BRAID, 2)) == frozenset({0, 3})
@@ -500,8 +547,9 @@ def test_iso_budget_exhaustion_is_inconclusive():
 
 @pytest.mark.parametrize("steenrod", [False, True], ids=["plain", "steenrod"])
 def test_component_route_agrees_with_the_full_route(steenrod):
-    # components_isomorphic stops at the first degree whose ranks differ;
-    # coalgebras_isomorphic compares the whole extracted coalgebras
+    # components_isomorphic extracts the degrees up to the first one whose
+    # ranks differ; coalgebras_isomorphic reads the whole extracted
+    # coalgebras, and both return the same verdict, evidence included
     pairs = [((Family.RAT, 2), (Family.RAT, 3))]  # a 'no' on dims
     for k in (1, 2, 3, 4, 5, 8, 13, 16):
         pairs += [
@@ -514,19 +562,12 @@ def test_component_route_agrees_with_the_full_route(steenrod):
     for a, b in pairs:
         got = components_isomorphic(_basis_by_dim(*a), _basis_by_dim(*b), steenrod=steenrod)
         sq = (steenrod_matrix(*a), steenrod_matrix(*b)) if steenrod else None
-        full = coalgebras_isomorphic(extract_coalgebra(*a), extract_coalgebra(*b), steenrod=sq)
-        fields = ("kind", "invariant", "tried", "witness", "dims", "reason")
-        assert [getattr(got, f) for f in fields] == [getattr(full, f) for f in fields], (a, b)
+        ca, cb = extract_coalgebra(*a), extract_coalgebra(*b)
+        full = coalgebras_isomorphic(ca, cb, steenrod=sq)
+        assert got == full, (a, b)
         kinds.add((got.kind, got.invariant))
-        if got.invariant != "component_ranks":
-            assert (got.left, got.right) == (full.left, full.right), (a, b)
-            continue
-        # prefixes of the full tuples that end with the first differing degree
-        n, top = len(got.left), got.left[-1][0]
-        assert (got.left, got.right) == (full.left[:n], full.right[:n]), (a, b)
-        assert n == (top + 1) * (top + 2) // 2 and len(got.right) == n
-        assert got.left[:n - top - 1] == got.right[:n - top - 1]
-        assert got.left[n - top - 1:] != got.right[n - top - 1:]
+        if got.invariant == "component_ranks":
+            _assert_rank_verdict(ca, cb, got)
     assert kinds == {("yes", None), ("no", "dims"), ("no", "component_ranks")}
 
 
@@ -562,10 +603,11 @@ def test_verify_map_agrees_with_the_oracle_on_every_invertible_map():
         for fam, top in ((Family.RAT, 4), (Family.CONF, 4), (Family.BRAID, 9))
         for k in range(1, top + 1)
     ] + [
-        (GradedCoalgebra((1, 1, 1), {
-            (0, 0): ((0,),), (1, 0): ((0,),), (1, 1): ((0,),),
-            (2, 0): ((0,),), (2, 1): (middle,), (2, 2): ((0,),),
-        }), {1: (0,), 2: (0,)})
+        (GradedCoalgebra((1, 1, 1), (
+            (((0,),),),
+            (((0,),), ((0,),)),
+            (((0,),), (middle,), ((0,),)),
+        )), {1: (0,), 2: (0,)})
         for middle in ((0,), ())
     ]
     seen = set()
@@ -721,12 +763,14 @@ def test_verify_map_rejects_steenrod_without_a_degree(side):
         verify_coalgebra_map(ca, cb, witness, steenrod=tuple(bad))
 
 
-def test_empty_coalgebra_has_no_top_support():
-    # coalgebra_invariants indexed dims[0] and raised IndexError
-    empty = GradedCoalgebra((), {})
-    assert coalgebra_invariants(empty).top_support is None
+def test_empty_components_are_refused_by_both_routes():
+    # the rank walk reads no degree of an empty component; both routes then
+    # reach the search, which refuses it as not connected
+    empty = GradedCoalgebra((), ())
     with pytest.raises(ValueError, match="needs connected coalgebras"):
         coalgebras_isomorphic(empty, empty)
+    with pytest.raises(ValueError, match="needs connected coalgebras"):
+        components_isomorphic([], [])
 
 
 def test_iso_search_eliminates_a_degree_when_it_reaches_it(monkeypatch):
@@ -751,9 +795,11 @@ def test_lemma_braid_small():
 
 
 def test_braid_conf_invariants_match_rat_at_three():
-    conf_inv = coalgebra_invariants(extract_coalgebra(Family.CONF, 3))
-    rat_inv = coalgebra_invariants(extract_coalgebra(Family.RAT, 3))
-    assert conf_inv == rat_inv
+    conf, rat = extract_coalgebra(Family.CONF, 3), extract_coalgebra(Family.RAT, 3)
+    assert conf.dims == rat.dims
+    assert rank_triples(conf.delta) == rank_triples(rat.delta)
+    v = coalgebras_isomorphic(conf, rat)
+    assert v.kind == "yes" and verify_coalgebra_map(conf, rat, v.witness)
 
 
 def test_theorem_report_k1():
