@@ -9,18 +9,17 @@ and the dual Steenrod operations Sq_j^*.
 All three run on packed ints: a monomial is one int, its half, and a
 monomial pair is two halves in one int, so multiplying is integer addition
 and F2 cancellation is set symmetric difference.  The family generators are
-built by the packed ``_q``, and ``check_lemma_braid`` calls the packed
-``_psi`` directly; coalgebra extraction and the Steenrod matrices use the
-closed-form generator images of ``families`` and call neither ``_psi`` nor
-``_sqj``.  ``araki_kudo_q``, ``iterated_q``, ``coproduct``, ``sq1_dual`` and
-``sqj_dual`` are views that pack their argument and unpack the result.
-``_left_dims`` reads the left dims of the pairs of one packed half in closed
-form, without forming a pair.
+built by the packed ``_q``.  No coalgebra verdict calls ``_psi`` or ``_sqj``:
+they read the closed-form generator images of ``families``.  ``araki_kudo_q``,
+``iterated_q``, ``coproduct``, ``sq1_dual`` and ``sqj_dual`` are views that
+pack their argument and unpack the result.  ``_left_dims`` reads the left
+dims of the pairs of one packed half in closed form, without forming a pair.
 
-The coproduct memo is the one cache: it maps each half to a frozenset of
-packed pairs, write-once, and entries are never mutated after insertion, so
-concurrent readers are safe.  Sq_j^* is read off the closed-form terms of
-the total operation Sq_* by their dim and needs no memo.
+The coproduct memo is the one cache, and in the package only ``coproduct``
+fills it: it maps each half to a frozenset of packed pairs, write-once, and
+entries are never mutated after insertion, so concurrent readers are safe.
+Sq_j^* is read off the closed-form terms of the total operation Sq_* by
+their dim and needs no memo.
 """
 from __future__ import annotations
 

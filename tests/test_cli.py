@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from braidrat import cli, coalgebra, families
+from braidrat import cli, coalgebra, families, operations
 from braidrat.cli import main
 from braidrat.coalgebra import (
     BraidConfReport, IsoVerdict, LemmaBraidReport, theorem_main,
@@ -367,6 +367,15 @@ def test_iso_without_steenrod_enumerates_each_component_and_embeds_nothing(capsy
     code, data = run_json(capsys, "iso", "--a", "rat:13", "--b", "braid:26")
     assert code == 0 and data["verdict"]["kind"] == "no"
     assert counts == {"enumerate": 2, "embed": 0}
+
+
+def test_lemma_braid_enumerates_each_basis_once_and_runs_no_psi(capsys, monkeypatch):
+    monkeypatch.setattr(operations, "_PSI_CACHE", {})
+    counts = _count_builds(monkeypatch)
+    code, data = run_json(capsys, "lemma-braid", "--max-k", "8")
+    assert code == 0 and data["all_verified"] is True
+    assert counts == {"enumerate": 16, "embed": 0}
+    assert operations._PSI_CACHE == {}
 
 
 def _count_decision_work(monkeypatch):

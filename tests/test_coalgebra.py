@@ -38,7 +38,7 @@ from braidrat.families import (
     poincare_vector,
     top_class,
 )
-from braidrat.operations import _B, _pack, _psi, _sqj, coproduct
+from braidrat.operations import _B, _G_PAIR, _pack, _psi, _sqj, coproduct
 
 from helpers import (
     ambient_delta,
@@ -737,6 +737,20 @@ def _braid6_rat3():
     return ca, cb, (steenrod_matrix(Family.BRAID, 6), steenrod_matrix(Family.RAT, 3))
 
 
+@pytest.mark.parametrize("entry", ["iso", "verify"])
+@pytest.mark.parametrize("side_a, side_b", [([], []), ((), ()), (None, None), ("valid", [])],
+                         ids=["lists", "tuples", "nones", "b-list"])
+def test_sq1_check_rejects_a_side_that_is_not_a_mapping(entry, side_a, side_b):
+    # each raised AttributeError ('list' object has no attribute 'get')
+    ca, cb, sq = _braid6_rat3()
+    steenrod = (sq[0] if side_a == "valid" else side_a, side_b)
+    with pytest.raises(ValueError, match="needs a mapping per side, got (list|tuple|NoneType)"):
+        if entry == "iso":
+            coalgebras_isomorphic(ca, cb, steenrod=steenrod)
+        else:
+            verify_coalgebra_map(ca, cb, coalgebras_isomorphic(ca, cb).witness, steenrod=steenrod)
+
+
 @pytest.mark.parametrize("side, rows", [(1, (33, 0)), (0, (33, 0)), (1, (-1, -1))],
                          ids=["b-bit-5", "a-bit-5", "b-negative"])
 def test_iso_rejects_steenrod_rows_outside_the_basis(side, rows):
@@ -792,6 +806,20 @@ def test_lemma_braid_small():
         rep = check_lemma_braid(k)
         assert rep.verified
         assert rep.classes_checked == len(basis(Family.BRAID, 2 * k))
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_lemma_coproduct_agrees_with_the_ambient_route(monkeypatch, k):
+    # the ambient check: multiplying by g (x) g adds _G_PAIR to every packed
+    # pair of psi of the embedded class
+    monkeypatch.setattr(operations, "_PSI_CACHE", {})  # drop the oracle's pair sets after
+    g = FamilyMonomial(Family.BRAID, ((0, 1),))
+    ambient_ok = all(
+        _psi(_embed(g * fm)) == {x + _G_PAIR for x in _psi(_embed(fm))}
+        for fm in basis(Family.BRAID, 2 * k)
+    )
+    assert ambient_ok == check_lemma_braid(k).coproduct_ok
+    assert ambient_ok
 
 
 def test_braid_conf_invariants_match_rat_at_three():
@@ -861,8 +889,41 @@ def test_theorem_consistency_with_isomorphism_search():
             assert v.kind != "yes", k
 
 
-def test_lemma_verdict_stable_under_basis_reordering():
-    # the verdict only depends on set-level data, so shuffling the basis
-    # order must not change it; exercised via the bijection criterion
-    rep = check_lemma_braid(4)
-    assert rep.verified
+def test_lemma_verdict_fails_on_a_reordered_odd_row(monkeypatch):
+    # the set bijection still holds, but the index map is no longer the
+    # identity, so the two components' structure constants do not line up
+    by_dim = coalgebra._basis_by_dim
+    g = FamilyMonomial(Family.BRAID, ((0, 1),))
+
+    def reversed_row(family, k):
+        rows = [list(row) for row in by_dim(family, k)]
+        if k % 2:
+            d = next(d for d, row in enumerate(rows) if len(row) >= 2)
+            rows[d].reverse()
+        return rows
+
+    monkeypatch.setattr(coalgebra, "_basis_by_dim", reversed_row)
+    for k in (3, 4, 8):
+        even, odd = reversed_row(Family.BRAID, 2 * k), reversed_row(Family.BRAID, 2 * k + 1)
+        assert {fm * g for row in even for fm in row} == {fm for row in odd for fm in row}
+        rep = check_lemma_braid(k)
+        assert not rep.bijection_ok and not rep.coproduct_ok and not rep.verified
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["even", "odd"])
+def test_lemma_verdict_fails_on_one_toggled_structure_constant(monkeypatch, side):
+    degrees = coalgebra._coproduct_degrees
+
+    def toggled(by_dim):
+        rows = list(degrees(by_dim))
+        if by_dim[0][0].weight % 2 == side:
+            # b_0 (x) b_0 in split 1 of element 0 of the top degree
+            top = [list(split) for split in rows[-1]]
+            top[1][0] = tuple(sorted(set(top[1][0]) ^ {0}))
+            rows[-1] = tuple(map(tuple, top))
+        return rows
+
+    monkeypatch.setattr(coalgebra, "_coproduct_degrees", toggled)
+    for k in (1, 4, 8):
+        rep = check_lemma_braid(k)
+        assert rep.bijection_ok and not rep.coproduct_ok and not rep.verified
