@@ -281,12 +281,14 @@ def _sq1_columns(a: GradedCoalgebra, b: GradedCoalgebra, steenrod: SteenrodPair 
     gives for j = 1, and read it by column: ``cols[d][src]`` lists the
     degree-(d-1) elements in Sq_1^* of element src of degree d.  Returns
     ``(cols_a, cols_b)``, or ``(None, None)`` for no pair.  Raises
-    ``ValueError`` unless ``steenrod`` is a pair of mappings whose degrees
-    d >= 1 with basis elements each have dims[d-1] rows in 0..2^dims[d] - 1."""
+    ``ValueError`` unless ``steenrod`` is a sequence of two mappings whose
+    degrees d >= 1 with basis elements each have dims[d-1] int rows in
+    0..2^dims[d] - 1."""
     if steenrod is None:
         return None, None
-    if len(steenrod) != 2:
-        raise ValueError(f"steenrod needs one matrix family per side, got {len(steenrod)}")
+    sides = len(steenrod) if isinstance(steenrod, Sequence) else type(steenrod).__name__
+    if sides != 2:
+        raise ValueError(f"steenrod needs one matrix family per side, got {sides}")
     out = []
     for c, sq in zip((a, b), steenrod):
         if not isinstance(sq, Mapping):
@@ -296,10 +298,11 @@ def _sq1_columns(a: GradedCoalgebra, b: GradedCoalgebra, steenrod: SteenrodPair 
         for d in range(1, len(dims)):
             n = dims[d]
             rows = sq.get(d, ()) if n else ()
-            if n and (len(rows) != dims[d - 1] or not all(0 <= row < 1 << n for row in rows)):
+            if n and (len(rows) != dims[d - 1]
+                      or not all(isinstance(row, int) and 0 <= row < 1 << n for row in rows)):
                 raise ValueError(
                     f"Steenrod matrix of degree {d} has {len(rows)} rows, expected {dims[d - 1]}"
-                    f" for Sq_1^*, each in 0..2^{n} - 1"
+                    f" for Sq_1^*, each an int in 0..2^{n} - 1"
                 )
             for t, row in enumerate(rows):
                 for src in _bits(row):
@@ -315,8 +318,12 @@ def verify_coalgebra_map(
     """Check that phi (per-degree matrices, columns over a's basis) is an
     invertible graded map with delta_b(phi(x)) = (phi (x) phi)(delta_a(x)),
     and, given the Sq_1^* pair of ``coalgebras_isomorphic``, with
-    S_b phi_d = phi_{d-1} S_a in every degree (``_sq1_columns`` reads it)."""
+    S_b phi_d = phi_{d-1} S_a in every degree (``_sq1_columns`` reads it).
+    Raises ``ValueError`` when a row of phi is not an int."""
     sq_a, sq_b = _sq1_columns(a, b, steenrod)
+    kinds = {type(row).__name__ for rows in phi for row in rows if not isinstance(row, int)}
+    if kinds:
+        raise ValueError(f"phi needs int rows over a's basis, got {', '.join(sorted(kinds))}")
     dims = a.dims
     if dims != b.dims or len(phi) != len(dims):
         return False

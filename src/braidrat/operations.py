@@ -7,19 +7,20 @@ psi(g^a) = g^a (x) g^a and psi(Q^i g) = g^{2^i} (x) Q^i g + Q^i g (x) g^{2^i}),
 and the dual Steenrod operations Sq_j^*.
 
 All three run on packed ints: a monomial is one int, its half, and a
-monomial pair is two halves in one int, so multiplying is integer addition
-and F2 cancellation is set symmetric difference.  The family generators are
-built by the packed ``_q``.  No coalgebra verdict calls ``_psi`` or ``_sqj``:
-they read the closed-form generator images of ``families``.  ``araki_kudo_q``,
-``iterated_q``, ``coproduct``, ``sq1_dual`` and ``sqj_dual`` are views that
-pack their argument and unpack the result.  ``_left_dims`` reads the left
-dims of the pairs of one packed half in closed form, without forming a pair.
+monomial pair is a (left, right) tuple of halves, so multiplying is integer
+addition and F2 cancellation is set symmetric difference.  The family
+generators are built by the packed ``_q``.  No coalgebra verdict calls
+``_psi`` or ``_sqj``: they read the closed-form generator images of
+``families``.  ``araki_kudo_q``, ``iterated_q``, ``coproduct``, ``sq1_dual``
+and ``sqj_dual`` are views that pack their argument and unpack the result.
+``_left_dims`` reads the left dims of the pairs of one packed half in closed
+form, without forming a pair.
 
 The coproduct memo is the one cache, and in the package only ``coproduct``
-fills it: it maps each half to a frozenset of packed pairs, write-once, and
-entries are never mutated after insertion, so concurrent readers are safe.
-Sq_j^* is read off the closed-form terms of the total operation Sq_* by
-their dim and needs no memo.
+fills it: it maps each half to a frozenset of (left, right) tuples,
+write-once, and entries are never mutated after insertion, so concurrent
+readers are safe.  Sq_j^* is read off the closed-form terms of the total
+operation Sq_* by their dim and needs no memo.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from .ambient import (
     xor_all,
 )
 
-_PSI_CACHE: dict[int, frozenset[int]] = {}
+_PSI_CACHE: dict[int, frozenset[tuple[int, int]]] = {}
 
 
 # Packed half-monomials.  The monomial g^a * prod_i (Q^i g)^(e_i) is one int,
@@ -41,15 +42,10 @@ _PSI_CACHE: dict[int, frozenset[int]] = {}
 # each at bit _W * field.  Fields are balanced base-2^_W digits because g
 # exponents may be negative: products are integer adds, and the int
 # determines the monomial as long as every field stays below _HALF in
-# absolute value (see ``_field_bound``).  A pair u (x) v is u + (v << _B).
-# The guard admits Q^i g only for 2^i < _HALF, so field i + 1 <= _W - 1 and
-# _W fields hold every half; its halves are then below 2^(_B - 1) in absolute
-# value, which is what ``_split`` needs.
+# absolute value (see ``_field_bound``).
 _W = 32
-_B = _W * _W  # _W fields of _W bits per half
 _MASK = (1 << _W) - 1
 _HALF = 1 << (_W - 1)
-_ROUND = 1 << (_B - 1)
 
 
 def _slot(field: int) -> int:
@@ -58,13 +54,12 @@ def _slot(field: int) -> int:
 
 _G = _slot(1)  # g
 _QG = _slot(2) + 1  # Qg, of dim 1
-_G_PAIR = _G + (_G << _B)  # g (x) g
 
 
 def _field_bound(g_exp: int, exps: Iterable[tuple[int, int]]) -> int:
     """|a| + sum_i e_i 2^i for g^a prod_i (Q^i g)^(e_i), a bound on every
-    field of that monomial and of both halves of every pair of its
-    coproduct.  It is subadditive under products, and Sq_j^* keeps it."""
+    field of that monomial and of the left and right half of every pair of
+    its coproduct.  It is subadditive under products, and Sq_j^* keeps it."""
     return abs(g_exp) + sum(e << i for i, e in exps)
 
 
@@ -101,13 +96,6 @@ def _half_bound(h: int) -> int:
     """``_field_bound`` of the monomial the packed half ``h`` holds."""
     g_exp, *exps = _fields(h)[1:] or [0]
     return _field_bound(g_exp, enumerate(exps, 1))
-
-
-def _split(x: int) -> tuple[int, int]:
-    """The halves (u, v) of the packed pair x = u + (v << _B): rounding
-    recovers v even when u is negative."""
-    v = (x + _ROUND) >> _B
-    return x - (v << _B), v
 
 
 def _view(halves: Iterable[int]) -> AmbientElement:
@@ -157,39 +145,37 @@ def _submasks(e: int) -> Iterable[int]:
         j = (j - 1) & e
 
 
-def _psi_half(h: int) -> frozenset[int]:
+def _psi_half(h: int) -> frozenset[tuple[int, int]]:
     cached = _PSI_CACHE.get(h)
     if cached is not None:
         return cached
     fields = _fields(h)
-    out = {fields[1] * _G_PAIR if len(fields) > 1 else 0}
+    a = fields[1] * _G if len(fields) > 1 else 0
+    out = [(a, a)]
     for i, e in enumerate(fields[2:], 1):
         if not e:
             continue
         # psi(Q^i g) = x + y with x = g^{2^i} (x) Q^i g, y = Q^i g (x) g^{2^i};
         # binom(e, j) is odd exactly for the submasks j of e (Lucas), so
-        # (x + y)^e = sum over those j of x^j y^{e-j}.
-        q = _slot(i + 1) + (1 << i) - 1
-        g = (1 << i) * _slot(1)
-        x = g + (q << _B)
-        y = q + (g << _B)
-        power = [j * x + (e - j) * y for j in _submasks(e)]
-        # For a fixed b the sums a + b over distinct a are distinct, so one
-        # symmetric difference per b is an exact F2 product.
-        out = xor_all({a + b for a in out} for b in power)
+        # (x + y)^e = sum over those j of x^j y^{e-j}.  Nothing cancels: the
+        # left half's Q^i g exponent is e - j, so distinct choices of j per
+        # field give distinct pairs.
+        g, q = (1 << i) * _G, _slot(i + 1) + (1 << i) - 1
+        out = [(u + j * g + (e - j) * q, v + j * q + (e - j) * g)
+               for u, v in out for j in _submasks(e)]
     cached = _PSI_CACHE[h] = frozenset(out)
     return cached
 
 
-def _psi(halves: Iterable[int]) -> set[int]:
+def _psi(halves: Iterable[int]) -> set[tuple[int, int]]:
     """The diagonal coproduct of the F2 sum of distinct ``halves``, as
-    packed pairs."""
+    (left, right) tuples of packed halves."""
     return xor_all(map(_psi_half, halves))
 
 
 def coproduct(e: AmbientElement) -> TensorElement:
     """The diagonal coproduct, linear over F2 and multiplicative on monomials."""
-    pairs = list(map(_split, _psi(map(_pack, e.terms))))
+    pairs = _psi(map(_pack, e.terms))
     views = {h: _unpack(h) for pair in pairs for h in pair}
     return TensorElement(frozenset((views[u], views[v]) for u, v in pairs))
 
@@ -198,8 +184,8 @@ def _left_dims(h: int) -> int:
     """The left dims of the pairs of psi(m) for the packed half ``h`` of m,
     as a bit mask: bit s is set when some pair has left dim s.
 
-    In ``_psi_half`` the factor (Q^i g)^(e_i) contributes the left half
-    g^(2^i j) (Q^i g)^(e_i - j), of dim (2^i - 1)(e_i - j), for each submask
+    In ``_psi_half`` the factor (Q^i g)^(e_i) puts g^(2^i j) (Q^i g)^(e_i - j),
+    of dim (2^i - 1)(e_i - j), into the left half of a pair for each submask
     j of e_i, and e_i - j runs over the same submasks.  So the left dims are
     the sums of (2^i - 1) << b over the subsets of the set bits b of all the
     e_i, built here one set bit at a time, without forming a pair.  The mask

@@ -18,9 +18,8 @@ isomorphisms are counted by enumerating every invertible per-degree map
 and checking each one with ``Counter`` parity on index pairs and explicit
 column images of the Sq_1^* matrices, with no library verifier,
 coassociativity is checked one element and one split at a time, trivial
-splits included, the packed embedding and dual Steenrod operations are
-checked against ``AmbientElement`` products and monomial objects, and
-packed pairs are read back digit by digit.
+splits included, and the packed embedding and dual Steenrod operations are
+checked against ``AmbientElement`` products and monomial objects.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from braidrat.ambient import (
 )
 from braidrat.coalgebra import SpanError
 from braidrat.families import Family, FamilyMonomial, _basis_by_dim, _embed, family_monomial
-from braidrat.operations import _MASK, _psi, _split, _sqj
+from braidrat.operations import _MASK, _psi, _sqj
 
 # ---------------------------------------------------------------------------
 # Recursive Cartan splitting, one generator copy at a time.
@@ -109,31 +108,13 @@ def reference_coproduct(e: AmbientElement) -> TensorElement:
 
 
 # ---------------------------------------------------------------------------
-# The balanced digits of a whole pair int, for the pair split, and the
-# (left dim, right dim) of every pair of the packed psi kernel: the oracle
-# for the closed-form left dims.
-
-
-def pair_digits(x: int) -> list[int]:
-    """The balanced base-2^_W digits of a packed pair, lowest first: the
-    fields of the left half, then from digit _B / _W on those of the right."""
-    base, half = 1 << operations._W, 1 << (operations._W - 1)
-    out = []
-    while x:
-        digit = (x + half) % base - half
-        out.append(digit)
-        x = (x - digit) // base
-    return out + [0] * (2 * operations._B // operations._W - len(out))
+# The (left dim, right dim) of every pair of the packed psi kernel: the
+# oracle for the closed-form left dims.  The dim is field 0 of a half.
 
 
 def coproduct_dims(e: AmbientElement) -> set[tuple[int, int]]:
-    # The left dim is the lowest digit.  The right dim is the digit at bit
-    # _B once the borrow of a negative left half is added back, which
-    # shifting the pair up by 2^(_B - 1) before the floor shift does.
-    w, b = operations._W, operations._B
-    mask, up = (1 << w) - 1, 1 << (b - 1)
     pairs = _parity(x for m in e.terms for x in operations._psi_half(operations._pack(m)))
-    return {(x & mask, ((x + up) >> b) & mask) for x in pairs}
+    return {(u & _MASK, v & _MASK) for u, v in pairs}
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +384,7 @@ def _ambient_row(c: Component, d: int, e: frozenset) -> list[frozenset]:
     """Per split s = 0..d, the index pairs of the coproduct of the embedded
     degree-d element ``e`` of the built component ``c``."""
     parts: dict[int, dict] = {}  # left dim -> right half -> left halves
-    for x in _psi(e):
-        u, v = _split(x)
+    for u, v in _psi(e):
         s, t = u & _MASK, v & _MASK
         if s + t != d:
             raise ValueError(

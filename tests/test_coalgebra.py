@@ -38,7 +38,7 @@ from braidrat.families import (
     poincare_vector,
     top_class,
 )
-from braidrat.operations import _B, _G_PAIR, _pack, _psi, _sqj, coproduct
+from braidrat.operations import _G, _pack, _psi, _sqj, coproduct
 
 from helpers import (
     ambient_delta,
@@ -124,7 +124,7 @@ def _stray_coproduct_pair(monkeypatch):
     by_dim = _basis_by_dim(Family.RAT, 3)
     top = _embed(by_dim[4][0])
     (unit,) = _embed(by_dim[0][0])
-    stray = min(top) + (unit << _B)
+    stray = (min(top), unit)
     monkeypatch.setattr(
         helpers, "_psi", lambda hs: _psi(hs) ^ {stray} if hs == top else _psi(hs)
     )
@@ -206,7 +206,7 @@ def test_extraction_rejects_inhomogeneous_pairs(monkeypatch, capsys):
     by_dim = _basis_by_dim(Family.RAT, 3)
     top = _embed(by_dim[4][0])
     (unit,) = _embed(by_dim[0][0])
-    stray = unit + (unit << _B)
+    stray = (unit, unit)
     monkeypatch.setattr(
         helpers, "_psi", lambda hs: _psi(hs) | {stray} if hs == top else _psi(hs)
     )
@@ -751,6 +751,38 @@ def test_sq1_check_rejects_a_side_that_is_not_a_mapping(entry, side_a, side_b):
             verify_coalgebra_map(ca, cb, coalgebras_isomorphic(ca, cb).witness, steenrod=steenrod)
 
 
+@pytest.mark.parametrize("entry", ["iso", "verify"])
+@pytest.mark.parametrize("make, match", [
+    (lambda sq: 5, "one matrix family per side, got int"),
+    (lambda sq: iter(list(sq)), "one matrix family per side, got list_iterator"),
+    (lambda sq: ({1: ["x"]}, {}), r"degree 1 has 1 rows, expected 1 for Sq_1\^\*, each an int"),
+], ids=["int", "iterator", "str-row"])
+def test_sq1_check_rejects_a_steenrod_of_the_wrong_type(entry, make, match):
+    # each raised TypeError: no len() of an int or an iterator, and '<='
+    # between an int and a str
+    ca, cb, sq = _braid6_rat3()
+    witness = coalgebras_isomorphic(ca, cb).witness
+    with pytest.raises(ValueError, match=match):
+        if entry == "iso":
+            coalgebras_isomorphic(ca, cb, steenrod=make(sq))
+        else:
+            verify_coalgebra_map(ca, cb, witness, steenrod=make(sq))
+
+
+def test_verify_map_rejects_rows_that_are_not_ints():
+    # the witness as the CLI prints it, 0/1 lists, raised TypeError from
+    # gf2.is_invertible; int rows outside the basis are a map that fails
+    ca, cb, _ = _braid6_rat3()
+    witness = coalgebras_isomorphic(ca, cb).witness
+    as_lists = [[[(row >> j) & 1 for j in range(n)] for row in mat]
+                for mat, n in zip(witness, ca.dims)]
+    with pytest.raises(ValueError, match="phi needs int rows over a.s basis, got list"):
+        verify_coalgebra_map(ca, cb, as_lists)
+    assert verify_coalgebra_map(ca, cb, witness)
+    for bad in (-1, 1 << ca.dims[4]):
+        assert not verify_coalgebra_map(ca, cb, witness[:4] + ((bad,),) + witness[5:])
+
+
 @pytest.mark.parametrize("side, rows", [(1, (33, 0)), (0, (33, 0)), (1, (-1, -1))],
                          ids=["b-bit-5", "a-bit-5", "b-negative"])
 def test_iso_rejects_steenrod_rows_outside_the_basis(side, rows):
@@ -810,12 +842,12 @@ def test_lemma_braid_small():
 
 @pytest.mark.parametrize("k", range(1, 11))
 def test_lemma_coproduct_agrees_with_the_ambient_route(monkeypatch, k):
-    # the ambient check: multiplying by g (x) g adds _G_PAIR to every packed
-    # pair of psi of the embedded class
+    # the ambient check: multiplying by g (x) g adds _G to both halves of
+    # every pair of psi of the embedded class
     monkeypatch.setattr(operations, "_PSI_CACHE", {})  # drop the oracle's pair sets after
     g = FamilyMonomial(Family.BRAID, ((0, 1),))
     ambient_ok = all(
-        _psi(_embed(g * fm)) == {x + _G_PAIR for x in _psi(_embed(fm))}
+        _psi(_embed(g * fm)) == {(u + _G, v + _G) for u, v in _psi(_embed(fm))}
         for fm in basis(Family.BRAID, 2 * k)
     )
     assert ambient_ok == check_lemma_braid(k).coproduct_ok

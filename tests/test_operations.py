@@ -36,7 +36,6 @@ from braidrat.operations import (
 from helpers import (
     _reference_generator,
     coproduct_dims,
-    pair_digits,
     q_recursive_element,
     random_element,
     random_monomial,
@@ -339,7 +338,7 @@ def test_packed_sqj_matches_object_reference():
             assert sqj_dual(e, j) == expected
 
 
-def test_pair_split_round_trips():
+def test_packed_halves_round_trip():
     half = operations._HALF
     rng = random.Random(9001)
     monos = [random_monomial(rng, max_g=40, max_idx=8, max_factors=3, max_exp=40)
@@ -348,17 +347,22 @@ def test_pair_split_round_trips():
     monos += [monomial(-5), monomial(1 - half), monomial(half - 1), monomial(),
               monomial(-(1 << 30) + 1, {30: 1}), monomial(3 - (1 << 30), {1: 1, 30: 1}),
               monomial(0, {29: 1, 30: 1})]
-    halves = [operations._pack(m) for m in monos]
-    right = operations._B // operations._W
-    for m, h in zip(monos, halves):
+    for m in monos:
+        h = operations._pack(m)
         assert operations._unpack(h) == m
         assert operations._fields(h)[:1] in ([], [m.dim])
-    for u in halves:
-        for v in halves:
-            x = u + (v << operations._B)
-            assert operations._split(x) == (u, v)
-            digits = pair_digits(x)
-            assert digits[:right] == pair_digits(u)[:right]
-            assert digits[right:] == pair_digits(v)[:right]
     with pytest.raises(GeneratorLimitError):
         operations._pack(q_gen(31))
+
+
+def test_psi_half_terms_are_distinct_submask_choices():
+    # the closed form forms one pair per choice of a submask of every e_i and
+    # cancels nothing, and each pair (u, v) multiplies to m * g^weight(m)
+    rng = random.Random(2511)
+    monos = [random_monomial(rng, max_g=40, max_idx=8, max_factors=3, max_exp=40)
+             for _ in range(200)]
+    for m in monos:
+        h = operations._pack(m)
+        pairs = operations._psi_half(h)
+        assert len(pairs) == 1 << sum(bin(e).count("1") for _, e in m.q_exps), m
+        assert all(u + v == h + m.weight * operations._G for u, v in pairs), m
