@@ -223,8 +223,6 @@ def _cmd_iso(args, config: RunConfig) -> Outcome:
 
 
 def _cmd_steenrod(args, config: RunConfig) -> Outcome:
-    if args.j >= 2 and not args.extended:
-        raise ValueError("dual operations with j >= 2 require --extended")
     family = Family(args.family)
     by_dim = _basis_by_dim(family, args.k)
     mats = component_steenrod(by_dim, args.j)
@@ -298,8 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=("braid", "rat", "conf"), required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--j", type=int, default=1)
-    p.add_argument("--extended", action="store_true",
-                   help="enable dual operations with j >= 2")
     p.set_defaults(handler=_cmd_steenrod)
 
     p = add("braid-conf", help="verify the braid/configuration correspondence")

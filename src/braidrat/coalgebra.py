@@ -12,7 +12,7 @@ the support-set comparison of top classes.
 from __future__ import annotations
 
 import re
-from itertools import compress, count, islice
+from itertools import chain, compress, count, islice, repeat
 from typing import Mapping, NamedTuple, Sequence
 
 from . import gf2
@@ -47,6 +47,13 @@ def _columns(comps: Sequence[tuple[int, ...]], width: int) -> list[tuple[int, in
     return [(*divmod(x, width), mask) for x, mask in cols.items()]
 
 
+def _level(x):
+    """``x``, a level of ``GradedCoalgebra``'s input, if it is a sequence."""
+    if type(x) is tuple or isinstance(x, Sequence):  # the ABC check is slow
+        return x
+    raise ValueError(f"dims and structure constants need sequences, got {type(x).__name__}")
+
+
 class _Coalgebra(NamedTuple):
     dims: tuple[int, ...]
     delta: tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]
@@ -59,16 +66,18 @@ class GradedCoalgebra(_Coalgebra):
     ``i * dims[d - s] + j``, one for each index pair (i, j) such that the
     (degree s, degree d-s) component of the coproduct of basis element ``a``
     of degree d contains b_i (x) b_j.  The constructor stores nested
-    sequences of this shape as tuples at every level, so no object the
-    caller holds can change the coalgebra, and checks this form, the counit
-    rows and coassociativity, ``_replace`` included.
+    sequences (not mappings or sets) of this shape as tuples at every level,
+    so no object the caller holds can change the coalgebra, and checks this
+    form, connectedness (one class in degree 0), the counit rows and
+    coassociativity, ``_replace`` included, raising ``ValueError``.
     """
 
     __slots__ = ()
 
     def __new__(cls, dims, delta):
-        delta = tuple(tuple(tuple(map(tuple, split)) for split in row) for row in delta)
-        self = super().__new__(cls, tuple(dims), delta)
+        delta = tuple(tuple(tuple(map(tuple, map(_level, _level(split)))) for split in _level(row))
+                      for row in _level(delta))
+        self = super().__new__(cls, tuple(_level(dims)), delta)
         self.__post_init__()
         return self
 
@@ -76,22 +85,23 @@ class GradedCoalgebra(_Coalgebra):
 
     def __post_init__(self) -> None:
         dims, delta = self.dims, self.delta
+        if not all(map(isinstance, dims, repeat(int))) or dims[:1] != (1,):
+            raise ValueError(f"needs connected coalgebras with int dims, dims[0] = 1; got {dims}")
         if len(delta) != len(dims) or any(len(row) != d + 1 for d, row in enumerate(delta)):
             raise ValueError("structure constants need the splits s = 0..d of each degree d")
         for d, row in enumerate(delta):
             for s, comps in enumerate(row):
                 size = dims[s] * dims[d - s]
-                # each entry must rise strictly from -1 to size: sorted,
-                # distinct and in range
-                if len(comps) != dims[d] or not all(
+                # each entry must be ints that rise strictly from -1 to size:
+                # sorted, distinct and in range
+                ints = all(map(isinstance, chain(*comps), repeat(int)))
+                if not ints or len(comps) != dims[d] or not all(
                     x < y for pairs in comps for x, y in zip((-1, *pairs), (*pairs, size))
                 ):
                     raise ValueError(f"malformed structure constants at {(d, s)}")
-        if dims[:1] == (1,):
-            for d, row in enumerate(delta):
-                for a in range(dims[d]):
-                    if not row[0][a] == row[d][a] == (a,):
-                        raise ValueError(f"counit row violated at degree {d}, element {a}")
+            for a in range(dims[d]):
+                if not row[0][a] == row[d][a] == (a,):
+                    raise ValueError(f"counit row violated at degree {d}, element {a}")
         if not self._coassociative():
             raise ValueError("structure constants are not coassociative")
 
@@ -106,11 +116,10 @@ class GradedCoalgebra(_Coalgebra):
         # hold for any structure constants: both sides are then
         # {(0, p, q) : (p, q) in delta[d][t][a]}, {(i, 0, j) : (i, j) in
         # delta[d][s][a]} and {(i, j, 0) : (i, j) in delta[d][s][a]}.
-        lo = 1 if dims[:1] == (1,) else 0
         for d in range(len(dims)):
             cols = [_columns(comps, dims[d - s]) for s, comps in enumerate(delta[d])]
-            for s in range(lo, d + 1 - lo):
-                for t in range(lo, d - s + 1 - lo):
+            for s in range(1, d):
+                for t in range(1, d - s):
                     width = dims[d - s - t]
                     diff: dict[int, int] = {}  # left side XOR right side
                     inner = delta[d - s][t]
@@ -227,7 +236,7 @@ def _coproduct_degrees(by_dim: Sequence[Sequence[FamilyMonomial]]):
 def component_coalgebra(by_dim: Sequence[Sequence[FamilyMonomial]]) -> GradedCoalgebra:
     """Structure constants of a component given by its basis by degree,
     every degree of ``_coproduct_degrees``."""
-    return GradedCoalgebra([len(row) for row in by_dim], _coproduct_degrees(by_dim))
+    return GradedCoalgebra([len(row) for row in by_dim], tuple(_coproduct_degrees(by_dim)))
 
 
 _DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
@@ -269,21 +278,27 @@ def s_set(fm: FamilyMonomial) -> frozenset[int]:
     return frozenset(_set_bits(mask))
 
 
-def _phi_image(phi_d: Sequence[int], src: int) -> list[int]:
-    return [r for r, row in enumerate(phi_d) if (row >> src) & 1]
-
-
 SteenrodPair = tuple[Mapping[int, Sequence[int]], Mapping[int, Sequence[int]]]
 
 
+def _read_columns(rows: Sequence[int], n: int, m: int, what: str, use: str) -> list[list[int]]:
+    """Read an n x m matrix given by its rows, bit c of ``rows[t]`` the
+    entry in column c, by column: ``cols[c]`` lists the t with that bit set.
+    The one check of a matrix row: raises ``ValueError`` unless ``rows`` is
+    a sequence (not a mapping or set) of exactly n ints in 0..2^m - 1."""
+    got = len(rows) if isinstance(rows, Sequence) else type(rows).__name__
+    if got != n or not all(isinstance(row, int) and 0 <= row < 1 << m for row in rows):
+        raise ValueError(f"{what} has {got} rows, expected {n} for {use},"
+                         f" each an int in 0..2^{m} - 1")
+    return [[t for t, row in enumerate(rows) if row >> c & 1] for c in range(m)]
+
+
 def _sq1_columns(a: GradedCoalgebra, b: GradedCoalgebra, steenrod: SteenrodPair | None):
-    """Check a Sq_1^* matrix pair, one family per side as ``steenrod_matrix``
-    gives for j = 1, and read it by column: ``cols[d][src]`` lists the
-    degree-(d-1) elements in Sq_1^* of element src of degree d.  Returns
-    ``(cols_a, cols_b)``, or ``(None, None)`` for no pair.  Raises
-    ``ValueError`` unless ``steenrod`` is a sequence of two mappings whose
-    degrees d >= 1 with basis elements each have dims[d-1] int rows in
-    0..2^dims[d] - 1."""
+    """Read a Sq_1^* matrix pair, one mapping from degree to rows per side as
+    ``steenrod_matrix`` gives for j = 1, by ``_read_columns`` in each degree
+    d >= 1 (one without basis elements may be left out): ``cols[d][src]``
+    lists the degree-(d-1) elements in Sq_1^* of element src of degree d.
+    Returns ``(cols_a, cols_b)``, or ``(None, None)`` for no pair."""
     if steenrod is None:
         return None, None
     sides = len(steenrod) if isinstance(steenrod, Sequence) else type(steenrod).__name__
@@ -294,20 +309,11 @@ def _sq1_columns(a: GradedCoalgebra, b: GradedCoalgebra, steenrod: SteenrodPair 
         if not isinstance(sq, Mapping):
             raise ValueError(f"steenrod needs a mapping per side, got {type(sq).__name__}")
         dims = c.dims
-        cols: list[list[list[int]]] = [[[] for _ in range(n)] for n in dims]
-        for d in range(1, len(dims)):
-            n = dims[d]
-            rows = sq.get(d, ()) if n else ()
-            if n and (len(rows) != dims[d - 1]
-                      or not all(isinstance(row, int) and 0 <= row < 1 << n for row in rows)):
-                raise ValueError(
-                    f"Steenrod matrix of degree {d} has {len(rows)} rows, expected {dims[d - 1]}"
-                    f" for Sq_1^*, each an int in 0..2^{n} - 1"
-                )
-            for t, row in enumerate(rows):
-                for src in _bits(row):
-                    cols[d][src].append(t)
-        out.append(cols)
+        out.append([[()]] + [  # degree 0 is one class, mapped to no degree
+            _read_columns(sq.get(d, () if n else (0,) * dims[d - 1]), dims[d - 1], n,
+                          f"Steenrod matrix of degree {d}", "Sq_1^*")
+            for d, n in enumerate(dims) if d
+        ])
     return tuple(out)
 
 
@@ -319,19 +325,18 @@ def verify_coalgebra_map(
     invertible graded map with delta_b(phi(x)) = (phi (x) phi)(delta_a(x)),
     and, given the Sq_1^* pair of ``coalgebras_isomorphic``, with
     S_b phi_d = phi_{d-1} S_a in every degree (``_sq1_columns`` reads it).
-    Raises ``ValueError`` when a row of phi is not an int."""
+    Raises ``ValueError`` unless phi has one matrix per degree of a, each of
+    dims[d] rows as ``_read_columns`` reads them."""
     sq_a, sq_b = _sq1_columns(a, b, steenrod)
-    kinds = {type(row).__name__ for rows in phi for row in rows if not isinstance(row, int)}
-    if kinds:
-        raise ValueError(f"phi needs int rows over a's basis, got {', '.join(sorted(kinds))}")
     dims = a.dims
-    if dims != b.dims or len(phi) != len(dims):
+    got = len(phi) if isinstance(phi, Sequence) else type(phi).__name__
+    if got != len(dims):
+        raise ValueError(f"phi needs {len(dims)} matrices, one per degree of a, got {got}")
+    # images[d][src]: the basis elements of b in phi_d(e_src)
+    images = [_read_columns(rows, n, n, f"phi of degree {d}", "a's basis")
+              for d, (rows, n) in enumerate(zip(phi, dims))]
+    if dims != b.dims or any(gf2.rank(phi[d]) != n for d, n in enumerate(dims)):
         return False
-    for d, n in enumerate(dims):
-        if not gf2.is_invertible(list(phi[d]), n):
-            return False
-    # images[d][src]: the basis elements of b in phi_d(e_src), read once per call
-    images = [[_phi_image(phi[d], src) for src in range(n)] for d, n in enumerate(dims)]
     for d in range(len(dims)):
         for src in range(dims[d]):
             img = images[d][src]
@@ -381,10 +386,8 @@ def coalgebras_isomorphic(
     search for an isomorphism runs (see ``_search_isomorphism``),
     intertwining the dual Steenrod action as well when ``steenrod`` matrices
     for both sides are supplied.  These are Sq_1^* matrices, as
-    ``steenrod_matrix`` gives for j = 1, checked before the invariants: a
-    degree d >= 1 with basis elements must map onto the dims[d-1] rows below
-    it, each in 0..2^dims[d] - 1, else ``ValueError`` is raised, as it is
-    when ``steenrod`` is not a pair.
+    ``steenrod_matrix`` gives for j = 1, checked by ``_sq1_columns`` before
+    the invariants; malformed ones raise ``ValueError``.
     """
     _sq1_columns(a, b, steenrod)
     verdict = (_mismatch(a.dims, "dims", a.dims, b.dims)
@@ -510,7 +513,7 @@ def _search_isomorphism(
     rows of a degree are eliminated when the walk first reaches it, so a
     search cut short pays only for the degrees it entered.  Splits 0 and d
     hold for every y because the coalgebras are connected (one degree-0
-    class, so phi_0 = [1]) and their counit rows are checked in
+    class, so phi_0 = [1]) and their counit rows hold, both checked in
     ``GradedCoalgebra.__post_init__``.
 
     Each accepted column is one search node.  Finishing within ``budget``
@@ -519,8 +522,8 @@ def _search_isomorphism(
     pair included, before ``yes`` is returned.
     """
     dims = a.dims
-    if dims != b.dims or dims[:1] != (1,):
-        raise ValueError("isomorphism search needs connected coalgebras of equal dims")
+    if dims != b.dims:
+        raise ValueError("isomorphism search needs coalgebras of equal dims")
     sq_a, sq_b = _sq1_columns(a, b, steenrod)
     systems: dict[int, tuple] = {}  # per degree: a solve of b's equation rows, and their kernel
     order = [(d, src) for d, n in enumerate(dims) for src in range(n)]

@@ -236,14 +236,12 @@ def test_steenrod_command(capsys):
     assert data["matrices"]["4"] == [[1], [0]]
 
 
-def test_steenrod_extended_gate(capsys):
-    code, out, err = run(capsys, "steenrod", "--family", "braid", "--k", "6", "--j", "2")
-    assert code == 2
-    assert "--extended" in err
-    code, data = run_json(
-        capsys, "steenrod", "--family", "braid", "--k", "6", "--j", "2", "--extended"
-    )
+def test_steenrod_j2_needs_no_flag(capsys):
+    # Sq_j^* comes from the same closed form for every j, so j >= 2 is not
+    # gated behind a flag
+    code, data = run_json(capsys, "steenrod", "--family", "braid", "--k", "6", "--j", "2")
     assert code == 0
+    assert data["inputs"] == {"family": "braid", "k": 6, "j": 2}
 
 
 def test_braid_conf_command(capsys):
@@ -532,13 +530,13 @@ PINNED_JSON = [
      "43fc6bb5794a482e9d947c8432af788f8e5649d8725009add129ee7b221e7f7e"),
     (("braid-conf", "--max-k", "8"), 0,
      "65eaa035f67e61f7c865937d112a6db80e7700796dd31ea15eb7f6abd552e00e"),
-    (("steenrod", "--family", "rat", "--k", "12", "--j", "2", "--extended"), 0,
+    (("steenrod", "--family", "rat", "--k", "12", "--j", "2"), 0,
      "eb5b4f6cc091028d7f7dd48d4c9f2aa3ea74c1877c573cc07c95f77247611bda"),
     (("iso", "--a", "conf:16", "--b", "braid:32", "--steenrod"), 0,
      "9279461d98234155f13f1aabeacebbd8599a68d0629dde31e30e804804762f9d"),
-    (("steenrod", "--family", "conf", "--k", "32", "--j", "2", "--extended"), 0,
+    (("steenrod", "--family", "conf", "--k", "32", "--j", "2"), 0,
      "72d960adfa97b498a82ff8924d14da6eda55783d55ccc2c060c69c6b1061a3f7"),
-    (("steenrod", "--family", "braid", "--k", "64", "--j", "3", "--extended"), 0,
+    (("steenrod", "--family", "braid", "--k", "64", "--j", "3"), 0,
      "242fde0fbf7563c3dd86657380825779e9e1183b597e4d4101a3ccab0fbaf4c0"),
     (("steenrod", "--family", "rat", "--k", "60"), 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),

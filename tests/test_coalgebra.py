@@ -305,19 +305,6 @@ def test_graded_coalgebra_validation_rejects_missing_splits():
             GradedCoalgebra(c.dims, delta)
 
 
-def _doubled(dims, delta):
-    """c (+) c for c given by dims and index-pair structure constants:
-    coassociative, but with two degree-0 classes, so no counit rows are
-    checked and every split is."""
-    doubled = {
-        (d, s): comps + tuple(
-            frozenset((i + dims[s], j + dims[d - s]) for i, j in pairs) for pairs in comps
-        )
-        for (d, s), comps in delta.items()
-    }
-    return tuple(2 * n for n in dims), doubled
-
-
 def _toggles(dims, delta, rng, count):
     """``count`` random single-pair toggles of index-pair structure
     constants, or every one when ``count`` is None, as (d, s, a, (i, j))."""
@@ -336,7 +323,6 @@ def _toggles(dims, delta, rng, count):
 
 def test_coassociativity_check_agrees_with_per_element_oracle():
     # every toggle of the smallest components, random ones of the rest, in
-    # trivial and non-trivial splits alike
     # trivial and non-trivial splits alike; the toggles and their verdicts
     # are taken on index pairs, and only the constructor's input is packed
     rng = random.Random(66)
@@ -345,7 +331,6 @@ def test_coassociativity_check_agrees_with_per_element_oracle():
         for fam, top in ((Family.RAT, 8), (Family.CONF, 8), (Family.BRAID, 16))
         for k in range(1, top + 1)
     ]
-    comps += [_doubled(*c) for c in comps[::3]]
     # one class x_d per degree, delta x_d = sum_s x_s (x) x_{d-s}: unlike the
     # family components, delta x_2 has a middle term, so a toggle in the top
     # degree 3 is seen by the split (1, 1) alone
@@ -362,19 +347,16 @@ def test_coassociativity_check_agrees_with_per_element_oracle():
             delta[(d, s)] = tuple(
                 pairs ^ {pair} if b == a else pairs for b, pairs in enumerate(delta[(d, s)])
             )
-            expected = coassociative(delta, dims) and (
-                dims[0] != 1 or counit_rows_hold(delta, dims)
-            )
+            expected = coassociative(delta, dims) and counit_rows_hold(delta, dims)
             try:
                 GradedCoalgebra(dims, packed_delta(delta))
                 accepted = True
             except ValueError:
                 accepted = False
             assert accepted == expected, (dims, (d, s), a, pair)
-            outcomes.add((dims[0] == 1, s in (0, d), accepted))
-    # both verdicts occur on doubled inputs, and trivial splits are rejected
-    assert {(False, False, True), (False, False, False), (False, True, False),
-            (True, True, False), (True, False, False)} <= outcomes
+            outcomes.add((s in (0, d), accepted))
+    # toggles in trivial and non-trivial splits alike are rejected
+    assert {(True, False), (False, False)} <= outcomes
 
 
 def test_s_set_small_values():
@@ -702,14 +684,16 @@ def test_verify_map_rejects_rows_outside_the_basis():
     one = extract_coalgebra(Family.BRAID, 1)
     assert one.dims == (1,)
     assert verify_coalgebra_map(one, one, ((1,),))
-    assert not verify_coalgebra_map(one, one, ((2,),))
-    assert not verify_coalgebra_map(one, one, ((-1,),))
+    for bad in (2, -1):
+        with pytest.raises(ValueError, match="phi of degree 0 has 1 rows, expected 1"):
+            verify_coalgebra_map(one, one, ((bad,),))
     c = extract_coalgebra(Family.BRAID, 6)
     witness = coalgebras_isomorphic(c, c).witness
     assert verify_coalgebra_map(c, c, witness)
     # every column image of the shifted rows is empty
     shifted = tuple(tuple(row << n for row in phi) for phi, n in zip(witness, c.dims))
-    assert not verify_coalgebra_map(c, c, shifted)
+    with pytest.raises(ValueError, match="each an int in 0..2"):
+        verify_coalgebra_map(c, c, shifted)
 
 
 def test_graded_coalgebra_stores_dims_as_a_tuple():
@@ -771,16 +755,17 @@ def test_sq1_check_rejects_a_steenrod_of_the_wrong_type(entry, make, match):
 
 def test_verify_map_rejects_rows_that_are_not_ints():
     # the witness as the CLI prints it, 0/1 lists, raised TypeError from
-    # gf2.is_invertible; int rows outside the basis are a map that fails
+    # gf2.is_invertible; int rows outside the basis are malformed too
     ca, cb, _ = _braid6_rat3()
     witness = coalgebras_isomorphic(ca, cb).witness
     as_lists = [[[(row >> j) & 1 for j in range(n)] for row in mat]
                 for mat, n in zip(witness, ca.dims)]
-    with pytest.raises(ValueError, match="phi needs int rows over a.s basis, got list"):
+    with pytest.raises(ValueError, match="phi of degree 0 has 1 rows, expected 1 for a.s basis"):
         verify_coalgebra_map(ca, cb, as_lists)
     assert verify_coalgebra_map(ca, cb, witness)
     for bad in (-1, 1 << ca.dims[4]):
-        assert not verify_coalgebra_map(ca, cb, witness[:4] + ((bad,),) + witness[5:])
+        with pytest.raises(ValueError, match="phi of degree 4 has 1 rows"):
+            verify_coalgebra_map(ca, cb, witness[:4] + ((bad,),) + witness[5:])
 
 
 @pytest.mark.parametrize("side, rows", [(1, (33, 0)), (0, (33, 0)), (1, (-1, -1))],
@@ -810,13 +795,64 @@ def test_verify_map_rejects_steenrod_without_a_degree(side):
 
 
 def test_empty_components_are_refused_by_both_routes():
-    # the rank walk reads no degree of an empty component; both routes then
-    # reach the search, which refuses it as not connected
-    empty = GradedCoalgebra((), ())
+    # the rank walk reads no degree of an empty component; the constructor
+    # refuses it as not connected, on the component route after that walk
     with pytest.raises(ValueError, match="needs connected coalgebras"):
-        coalgebras_isomorphic(empty, empty)
+        GradedCoalgebra((), ())
     with pytest.raises(ValueError, match="needs connected coalgebras"):
         components_isomorphic([], [])
+
+
+def _rows_as_dicts(mats):
+    return {d: dict(enumerate(rows)) for d, rows in mats.items()}
+
+
+def _steenrod_junk_at_an_empty_degree():
+    # degree 1 has no basis elements, and its rows were not read
+    c = GradedCoalgebra((1, 0, 1), ((((0,),),), ((), ()), (((0,),), ((),), ((0,),))))
+    return verify_coalgebra_map(c, c, ((1,), (), (1,)), steenrod=({1: "junk"}, {}))
+
+
+# Malformed input that got past the input checks: a TypeError (the first
+# three, delta-int and dims-none), a 'no' after 7 search nodes
+# (steenrod-dict-degrees, read by its keys), False (phi-dict-degrees and
+# phi-row-out-of-range), True (steenrod-junk-at-an-empty-degree), or a
+# coalgebra that was built (float-constant and two-classes-in-degree-0)
+MALFORMED = {
+    "steenrod-int-degree": lambda a, b, sq, phi: coalgebras_isomorphic(
+        a, b, steenrod=({1: 5}, {})),
+    "phi-int-degrees": lambda a, b, sq, phi: verify_coalgebra_map(a, a, [1] * len(a.dims)),
+    "phi-int": lambda a, b, sq, phi: verify_coalgebra_map(a, b, 5),
+    "steenrod-dict-degrees": lambda a, b, sq, phi: coalgebras_isomorphic(
+        a, b, steenrod=tuple(map(_rows_as_dicts, sq))),
+    "phi-dict-degrees": lambda a, b, sq, phi: verify_coalgebra_map(
+        a, b, [dict(enumerate(rows)) for rows in phi]),
+    "phi-row-out-of-range": lambda a, b, sq, phi: verify_coalgebra_map(
+        a, b, phi[:4] + ((1 << a.dims[4],),)),
+    "steenrod-junk-at-an-empty-degree": lambda *_: _steenrod_junk_at_an_empty_degree(),
+    "float-constant": lambda *_: GradedCoalgebra((1,), ((((0.0,),),),)),
+    "delta-int": lambda *_: GradedCoalgebra((1,), 5),
+    "dims-none": lambda *_: GradedCoalgebra(None, ()),
+    # x_0 and x_1 grouplike: coassociative, with counit rows, not connected
+    "two-classes-in-degree-0": lambda *_: GradedCoalgebra((2,), ((((0,), (3,)),),)),
+}
+
+
+@pytest.mark.parametrize("call", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_input_raises_value_error(call):
+    ca, cb, sq = _braid6_rat3()
+    phi = coalgebras_isomorphic(ca, cb, steenrod=sq).witness
+    with pytest.raises(ValueError):
+        call(ca, cb, sq, phi)
+
+
+@pytest.mark.parametrize("seq", [tuple, list])
+def test_sq1_rows_read_alike_as_tuples_and_lists(seq):
+    ca, cb, sq = _braid6_rat3()
+    given = tuple({d: seq(rows) for d, rows in mats.items()} for mats in sq)
+    v = coalgebras_isomorphic(ca, cb, steenrod=given)
+    assert v == coalgebras_isomorphic(ca, cb, steenrod=sq)
+    assert v.kind == "yes" and verify_coalgebra_map(ca, cb, v.witness, steenrod=given)
 
 
 def test_iso_search_eliminates_a_degree_when_it_reaches_it(monkeypatch):

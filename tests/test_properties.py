@@ -1,6 +1,8 @@
 """Property-based tests for the algebraic laws, on elements of bounded size."""
 
 from collections import Counter
+from contextlib import suppress
+from functools import cache
 
 from hypothesis import given, settings, strategies as st
 
@@ -11,8 +13,15 @@ from braidrat.ambient import (
     tensor_components,
     xor_all,
 )
-from braidrat.coalgebra import s_set
-from braidrat.families import embed
+from braidrat.coalgebra import (
+    GradedCoalgebra,
+    coalgebras_isomorphic,
+    extract_coalgebra,
+    s_set,
+    steenrod_matrix,
+    verify_coalgebra_map,
+)
+from braidrat.families import Family, embed
 from braidrat.operations import araki_kudo_q, coproduct, sq1_dual
 
 from helpers import random_family_monomial, reference_coproduct
@@ -204,3 +213,58 @@ def test_embed_top_class_nonzero_small():
     for _ in range(100):
         fm = random_family_monomial(rng)
         assert not embed(fm).is_zero
+
+
+# What a caller might pass by mistake: scalars of every kind, and lists,
+# dicts keyed by small ints and sets, nested
+JUNK = st.recursive(
+    st.one_of(st.integers(), st.floats(), st.text(max_size=3), st.none()),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.dictionaries(st.integers(-1, 5), inner, max_size=5),
+        st.sets(st.integers(-1, 40), max_size=5),
+    ),
+    max_leaves=12,
+)
+
+
+@cache
+def _braid6_rat3():
+    a, b = extract_coalgebra(Family.BRAID, 6), extract_coalgebra(Family.RAT, 3)
+    sq = (steenrod_matrix(Family.BRAID, 6), steenrod_matrix(Family.RAT, 3))
+    return a, b, sq, coalgebras_isomorphic(a, b, steenrod=sq).witness
+
+
+def _replaced(data, nested, depth, junk):
+    """``nested`` with junk at a drawn place ``depth`` levels down, or
+    fewer where a level is empty."""
+    if not depth or not nested:
+        return junk
+    i = data.draw(st.integers(0, len(nested) - 1))
+    return (*nested[:i], _replaced(data, nested[i], depth - 1, junk), *nested[i + 1:])
+
+
+@SETTINGS
+@given(st.data(), JUNK, st.sampled_from(["phi", "steenrod-a", "steenrod-b", "delta"]))
+def test_junk_matrices_raise_value_error_or_nothing_else(data, junk, where):
+    # phi (itself, a degree or a row), one side of the Sq_1^* pair (itself or
+    # a degree) or a level of delta (itself down to one int) is junk
+    a, b, sq, phi = _braid6_rat3()
+    if where == "phi":
+        phi = _replaced(data, phi, data.draw(st.integers(0, 2)), junk)
+    elif where == "delta":
+        delta = _replaced(data, a.delta, data.draw(st.integers(0, 4)), junk)
+        try:
+            a = GradedCoalgebra(a.dims, delta)
+        except ValueError:
+            return
+    else:
+        side = where == "steenrod-b"
+        mats = junk
+        if data.draw(st.booleans()):
+            mats = {**sq[side], data.draw(st.sampled_from(sorted(sq[side]))): junk}
+        sq = (sq[0], mats) if side else (mats, sq[1])
+    with suppress(ValueError):
+        coalgebras_isomorphic(a, b, steenrod=sq)
+    with suppress(ValueError):
+        verify_coalgebra_map(a, b, phi, steenrod=sq)
