@@ -12,13 +12,17 @@ place that turns them into statuses, a result and an exit code.
 
 Exit codes: 0 success (verification passed or a definitive verdict was
 reached), 1 falsification or inconclusive verdict, 2 usage or internal error.
+``main`` returns the code; ``run``, the console script and ``python -m
+braidrat.cli``, exits with it without tearing the interpreter down.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import functools
 import json
+import os
 import sys
 import time
 from typing import NamedTuple
@@ -329,5 +333,26 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
+def run() -> None:
+    """Run ``main`` on the command line and end the process with its exit
+    code (argparse's own for ``--help`` and usage errors), after flushing
+    stdout and stderr (exit 2 if that fails) and running the ``atexit``
+    callbacks, but without the interpreter's teardown, which takes about a
+    tenth of the wall time of a short command such as ``iso --a rat:13
+    --b braid:26``."""
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse exits with an int
+        code = exc.code
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the descriptor was closed at start
+                stream.flush()
+    except (OSError, ValueError):  # a closed pipe or stream
+        code = 2
+    atexit._run_exitfuncs()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -12,6 +12,7 @@ the support-set comparison of top classes.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from itertools import chain, compress, count, islice, repeat
 from typing import Mapping, NamedTuple, Sequence
 
@@ -68,13 +69,24 @@ class GradedCoalgebra(_Coalgebra):
     of degree d contains b_i (x) b_j.  The constructor stores nested
     sequences (not mappings or sets) of this shape as tuples at every level,
     so no object the caller holds can change the coalgebra, and checks this
-    form, connectedness (one class in degree 0), the counit rows and
-    coassociativity, ``_replace`` included, raising ``ValueError``.
+    form, connectedness (one class in degree 0), the counit rows
+    (``__post_init__``) and coassociativity element by element, ``_replace``
+    included, raising ``ValueError``.
     """
 
     __slots__ = ()
 
     def __new__(cls, dims, delta):
+        self = cls._new(dims, delta)
+        if not self._coassociative():
+            raise ValueError("structure constants are not coassociative")
+        return self
+
+    @classmethod
+    def _new(cls, dims, delta):
+        """Every check of the constructor but the per-element coassociativity
+        pass, for a family component whose generator coproducts
+        ``_check_generators`` has checked."""
         delta = tuple(tuple(tuple(map(tuple, map(_level, _level(split)))) for split in _level(row))
                       for row in _level(delta))
         self = super().__new__(cls, tuple(_level(dims)), delta)
@@ -102,8 +114,6 @@ class GradedCoalgebra(_Coalgebra):
             for a in range(dims[d]):
                 if not row[0][a] == row[d][a] == (a,):
                     raise ValueError(f"counit row violated at degree {d}, element {a}")
-        if not self._coassociative():
-            raise ValueError("structure constants are not coassociative")
 
     def _coassociative(self) -> bool:
         """Compare (delta (x) 1) delta with (1 (x) delta) delta for all
@@ -145,14 +155,16 @@ def extract_coalgebra(family: Family, k: int) -> GradedCoalgebra:
     return component_coalgebra(_basis_by_dim(family, k))
 
 
-def _multiply_out(by_dim: Sequence[Sequence[FamilyMonomial]], image, arity: int, what: str):
+def _multiply_out(by_dim: Sequence[Sequence[FamilyMonomial]], image, arity: int, what: str,
+                  degrees: Sequence[int] | None = None):
     """Multiply out a ring map over a component given by its basis by degree,
     a whole component as ``families.basis`` enumerates it.
     ``image(family, idx)`` is a generator's image as ``arity``-tuples of
     family monomials, ``arity`` 1 or 2.  Yields (d, i, terms) for basis
-    element i of degree d, in order: for each term of the product of the
-    images of its generators, its place (degree, index) in ``by_dim``, or a
-    pair of places when ``arity`` is 2.
+    element i of degree d, for every degree in order or for those of
+    ``degrees``: for each term of the product of the images of its
+    generators, its place (degree, index) in ``by_dim``, or a pair of places
+    when ``arity`` is 2.
 
     An exponent vector is one int with a field of W bits per generator,
     W = k.bit_length() for the component's top weight k, and a tuple packs
@@ -185,8 +197,8 @@ def _multiply_out(by_dim: Sequence[Sequence[FamilyMonomial]], image, arity: int,
         closed = image(family, idx)
         packed[idx] = [sum(pack(fm) << (shift * n) for n, fm in enumerate(t)) for t in closed]
         bound[idx] = max((e for t in closed for fm in t for _, e in fm.exps), default=0)
-    for d, row in enumerate(by_dim):
-        for i, fm in enumerate(row):
+    for d in range(len(by_dim)) if degrees is None else degrees:
+        for i, fm in enumerate(by_dim[d]):
             if sum(bound[idx] * e for idx, e in fm.exps) >> width:
                 raise ValueError(f"{what} of {fm} exceeds the packed field width {width}")
             acc = {0}
@@ -206,10 +218,11 @@ def _multiply_out(by_dim: Sequence[Sequence[FamilyMonomial]], image, arity: int,
             yield d, i, terms
 
 
-def _coproduct_degrees(by_dim: Sequence[Sequence[FamilyMonomial]]):
+def _coproduct_degrees(by_dim: Sequence[Sequence[FamilyMonomial]],
+                       degrees: Sequence[int] | None = None):
     """Yield the structure constants of a component given by its basis by
-    degree, one degree at a time in order: ``delta[d]`` in the form of
-    ``GradedCoalgebra``.
+    degree, one degree at a time, for every degree in order or for those of
+    ``degrees``: ``delta[d]`` in the form of ``GradedCoalgebra``.
 
     psi is a ring map, so each basis element's coproduct is the product of
     its generators' coproducts (``families.generator_coproduct``),
@@ -217,10 +230,11 @@ def _coproduct_degrees(by_dim: Sequence[Sequence[FamilyMonomial]]):
     add up to the element's raises ``ValueError``.
     """
     dims = [len(row) for row in by_dim]
-    products = _multiply_out(by_dim, generator_coproduct, 2, "coproduct")
-    for d, n in enumerate(dims):
+    degrees = range(len(dims)) if degrees is None else degrees
+    products = _multiply_out(by_dim, generator_coproduct, 2, "coproduct", degrees)
+    for d in degrees:
         splits: list[list] = [[] for _ in range(d + 1)]
-        for _, _, pairs in islice(products, n):
+        for _, _, pairs in islice(products, dims[d]):
             parts: list[list] = [[] for _ in range(d + 1)]
             for (s, i), (t, j) in pairs:
                 if s + t != d:
@@ -235,8 +249,72 @@ def _coproduct_degrees(by_dim: Sequence[Sequence[FamilyMonomial]]):
 
 def component_coalgebra(by_dim: Sequence[Sequence[FamilyMonomial]]) -> GradedCoalgebra:
     """Structure constants of a component given by its basis by degree,
-    every degree of ``_coproduct_degrees``."""
-    return GradedCoalgebra([len(row) for row in by_dim], tuple(_coproduct_degrees(by_dim)))
+    every degree of ``_coproduct_degrees``, checked as ``_check_generators``
+    says."""
+    delta = tuple(_coproduct_degrees(by_dim))
+    _check_generators(by_dim)
+    return GradedCoalgebra._new([len(row) for row in by_dim], delta)
+
+
+def _frobenius(fm: FamilyMonomial, b: int) -> FamilyMonomial:
+    """``fm`` to the power 2^b."""
+    return FamilyMonomial(fm.family, tuple((idx, e << b) for idx, e in fm.exps))
+
+
+def _psi_monomial(fm: FamilyMonomial) -> set[tuple[FamilyMonomial, FamilyMonomial]]:
+    """psi of a family monomial as pairs: the product of its generators'
+    closed-form coproducts, a power by Frobenius squares.  A small loop of
+    its own over ``FamilyMonomial`` products, since ``_check_generator``
+    vouches for the result of ``_multiply_out`` and so may not use it."""
+    unit = FamilyMonomial(fm.family)
+    acc = {(unit, unit)}
+    for idx, e in fm.exps:
+        for b in range(e.bit_length()):
+            if e >> b & 1:
+                power = [(_frobenius(u, b), _frobenius(v, b))
+                         for u, v in generator_coproduct(fm.family, idx)]
+                # For a fixed (x, y) the products over distinct pairs are distinct.
+                acc = xor_all({(x * u, y * v) for u, v in power} for x, y in acc)
+    return acc
+
+
+@lru_cache(maxsize=None)
+def _check_generator(family: Family, idx: int) -> None:
+    """Raise ``ValueError`` unless the closed-form coproduct of generator x
+    (``families.generator_coproduct``) is counital and coassociative: the
+    right halves of the pairs whose left half has dim 0 (a power of g, or 1)
+    sum to x, and so do the left halves of those whose right half has dim 0;
+    and (psi (x) 1) psi x = (1 (x) psi) psi x, with psi of each half by
+    ``_psi_monomial``."""
+    gen = FamilyMonomial(family, ((idx, 1),))
+    pairs = generator_coproduct(family, idx)
+    if xor_all({v} for u, v in pairs if not u.dim) != {gen} or xor_all(
+        {u} for u, v in pairs if not v.dim
+    ) != {gen}:
+        raise ValueError(f"the closed-form coproduct of {gen} is not counital")
+    # For a fixed pair (u, v) the triples of each side are distinct.
+    left = xor_all({(x, y, v) for x, y in _psi_monomial(u)} for u, v in pairs)
+    right = xor_all({(u, x, y) for x, y in _psi_monomial(v)} for u, v in pairs)
+    if left != right:
+        raise ValueError(f"the closed-form coproduct of {gen} is not coassociative")
+
+
+def _check_generators(by_dim: Sequence[Sequence[FamilyMonomial]]) -> None:
+    """Run ``_check_generator``, once per process for each, on every
+    generator that a component given by its basis by degree holds.
+
+    Every coproduct of the component is the ring map that ``_multiply_out``
+    builds from these generator coproducts, so (psi (x) 1) psi and
+    (1 (x) psi) psi, and the two counit maps and the identity, are ring maps
+    as well (the counit sends g to 1 and every generator of positive dim to
+    0).  Ring maps that agree on the generators agree on every monomial, so
+    the component, closed under psi since every half was found in its basis,
+    is counital and coassociative when each of its generators is, and the
+    per-element pass of the ``GradedCoalgebra`` constructor, nine times the
+    cost of the extraction itself on rat:32, is not needed for it."""
+    family = next((fm.family for row in by_dim for fm in row), None)
+    for idx in sorted({idx for row in by_dim for fm in row for idx, _ in fm.exps}):
+        _check_generator(family, idx)
 
 
 _DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
@@ -418,11 +496,50 @@ def _rank_mismatch(dims, pairs) -> IsoVerdict | None:
     left, right = [], []  # (d, s, rank) of each side
     for d, rows in enumerate(pairs):
         for out, row in zip((left, right), rows):
-            # the ints of an entry are distinct, so their sum is their OR
-            out += [(d, s, gf2.rank([sum(1 << x for x in entry) for entry in comps]))
-                    for s, comps in enumerate(row)]
+            out += [(d, s, _split_rank(comps)) for s, comps in enumerate(row)]
         if left[-d - 1:] != right[-d - 1:]:
             return _mismatch(dims, "component_ranks", tuple(left), tuple(right))
+    return None
+
+
+def _split_rank(comps: Sequence[tuple[int, ...]]) -> int:
+    """The F2 rank of one split's structure constants, a row per element."""
+    # the ints of an entry are distinct, so their sum is their OR
+    return gf2.rank([sum(1 << x for x in entry) for entry in comps])
+
+
+def _stable_edge(by_dim: Sequence[Sequence[FamilyMonomial]]) -> int:
+    """The lowest degree in which the weight bound of a component given by
+    its basis by degree leaves out a monomial of its family's generators of
+    positive dim: k // w + 1 for top weight k, w the weight of the one
+    generator of dim 1 (gamma_1, rho_0 or c_0), since every other one has a
+    smaller weight per dim.  That is k + 1 for rat:k and conf:k and
+    floor(m / 2) + 1 for braid:m; the top class has weight k in every family."""
+    top = next((fm for row in reversed(by_dim) for fm in row), None)
+    if top is None:
+        return len(by_dim)
+    return top.weight // (2 if top.family is Family.BRAID else 1) + 1
+
+
+def _edge_mismatch(dims, by_dim_a, by_dim_b) -> IsoVerdict | None:
+    """``no`` on ``component_ranks`` at the first split whose ranks differ
+    in the stable-edge degrees E and E + 1 (``_stable_edge``, the smaller of
+    the two sides), read split by split (s = 1, 2, ...) with only those
+    degrees multiplied out, with the (d, s, rank) triples read on each side;
+    else None.  The rank of a split is an invariant by itself, since an
+    isomorphism conjugates it by phi_d and phi_s (x) phi_(d-s), so one that
+    differs proves ``no`` whatever lies below it.  The splits 0 and d are
+    the counit rows, of rank dims[d] on both sides."""
+    edge = min(_stable_edge(by_dim_a), _stable_edge(by_dim_b))
+    degrees = [d for d in (edge, edge + 1) if d < len(dims)]
+    left, right = [], []
+    for d, row_a, row_b in zip(degrees, _coproduct_degrees(by_dim_a, degrees),
+                               _coproduct_degrees(by_dim_b, degrees)):
+        for s in range(1, d):
+            left.append((d, s, _split_rank(row_a[s])))
+            right.append((d, s, _split_rank(row_b[s])))
+            if left[-1] != right[-1]:
+                return _mismatch(dims, "component_ranks", tuple(left), tuple(right))
     return None
 
 
@@ -438,15 +555,23 @@ def components_isomorphic(
     Sq_1^* matrices when ``steenrod`` is true), extracting only the degrees
     a ``no`` reads.
 
-    The dims come from the bases.  Then ``_rank_mismatch`` walks the
+    The generator coproducts of both sides are checked first
+    (``_check_generators``).  The dims come from the bases, then
+    ``_edge_mismatch`` reads the stable-edge degrees, where the ranks of
+    rat:k and braid:2k first differ; a ``no`` there carries the triples it
+    read and builds no coalgebra.  Otherwise ``_rank_mismatch`` walks the
     structure constants of both sides as they are extracted, degree by
-    degree, and the truncations to the degrees it read are built, which runs
-    the constructor's checks on each of them.  When every degree agrees these
-    are the whole coalgebras, and only then, with ``steenrod``, are the
-    Sq_1^* matrices built for the search.
+    degree, as ``coalgebras_isomorphic`` does, and the truncations to the
+    degrees it read are built, which runs every other constructor check on
+    each of them.  When every degree agrees these are the whole coalgebras,
+    and only then, with ``steenrod``, are the Sq_1^* matrices built for the
+    search.
     """
+    _check_generators(by_dim_a)
+    _check_generators(by_dim_b)
     dims = tuple(map(len, by_dim_a))
-    verdict = _mismatch(dims, "dims", dims, tuple(map(len, by_dim_b)))
+    verdict = (_mismatch(dims, "dims", dims, tuple(map(len, by_dim_b)))
+               or _edge_mismatch(dims, by_dim_a, by_dim_b))
     if verdict:
         return verdict
     read_a, read_b = [], []  # delta[d] of each side, for each degree read
@@ -458,8 +583,8 @@ def components_isomorphic(
             yield row_a, row_b
 
     verdict = _rank_mismatch(dims, degrees())
-    a = GradedCoalgebra(dims[:len(read_a)], read_a)
-    b = GradedCoalgebra(dims[:len(read_b)], read_b)
+    a = GradedCoalgebra._new(dims[:len(read_a)], read_a)
+    b = GradedCoalgebra._new(dims[:len(read_b)], read_b)
     if verdict:
         return verdict
     sq = (component_steenrod(by_dim_a), component_steenrod(by_dim_b)) if steenrod else None
@@ -634,8 +759,11 @@ def check_lemma_braid(k: int) -> LemmaBraidReport:
     """Check b -> g*b maps the weight-2k basis onto the weight-2k+1 one row by
     row, index for index (g, of dim 0, leads the lexicographic order, and
     weight 2k+1 forces an odd g exponent), and then Delta(g*b) = (g (x) g)
-    Delta(b): equal ``_coproduct_degrees``, read up to the first that differs."""
+    Delta(b): equal ``_coproduct_degrees``, read up to the first that differs.
+    The generator coproducts are checked first (``_check_generators``) on
+    the odd basis, which holds every generator of the even one."""
     even, odd = _basis_by_dim(Family.BRAID, 2 * k), _basis_by_dim(Family.BRAID, 2 * k + 1)
+    _check_generators(odd)
     g = FamilyMonomial(Family.BRAID, ((0, 1),))
     bijection_ok = [[fm * g for fm in row] for row in even] == odd
     coproduct_ok = bijection_ok and all(

@@ -395,13 +395,24 @@ def _count_decision_work(monkeypatch):
 
 
 def test_iso_no_on_ranks_builds_only_the_degrees_it_reads(capsys, monkeypatch):
-    # rat:13 and braid:26 have degrees 0-23; their ranks first differ at 14
+    # rat:13 and braid:26 have degrees 0-23; their ranks first differ at the
+    # stable edge, degree 14, which is the only degree multiplied out, and a
+    # 'no' read there builds no coalgebra
     steenrod_calls, built = _count_decision_work(monkeypatch)
+    read, multiply_out = set(), coalgebra._multiply_out
+
+    def recorded(*args):
+        for d, i, terms in multiply_out(*args):
+            read.add(d)
+            yield d, i, terms
+
+    monkeypatch.setattr(coalgebra, "_multiply_out", recorded)
     code, data = run_json(capsys, "iso", "--a", "rat:13", "--b", "braid:26", "--steenrod")
     assert code == 0 and data["verdict"]["invariant"] == "component_ranks"
     assert len(data["dims"]) == 24
     assert steenrod_calls == []
-    assert len(built) == 2 and max(map(len, built)) == 15
+    assert built == []
+    assert read == {14}
 
 
 def test_iso_steenrod_yes_builds_the_matrices_once_per_side(capsys, monkeypatch):
@@ -426,9 +437,12 @@ def test_extract_compare_json_is_the_full_json_cut_at_degree_14(capsys):
     printed = json.dumps(old, indent=2, sort_keys=True) + "\n"
     assert hashlib.sha256(printed.encode()).hexdigest() == (
         "af3eb1a3827debabd0abfd1bbfa480755ea2905ffbe2fbaf39b2e7b3a62ec8ca")
-    cut = {side: [r for r in old["verdict"][side] if r[0] <= 14] for side in ("left", "right")}
-    assert data == {**old, "verdict": {**old["verdict"], **cut}}
-    assert old["verdict"]["left"] != old["verdict"]["right"]
+    # now the verdict holds the triples read at the stable edge, degree
+    # 14 = 13 + 1, from split 1 up to split 2, the first whose ranks differ
+    edge = {side: [r for r in old["verdict"][side] if r[0] == 14 and 1 <= r[1] <= 2]
+            for side in ("left", "right")}
+    assert data == {**old, "verdict": {**old["verdict"], **edge}}
+    assert edge["left"][0] == edge["right"][0] and edge["left"][1] != edge["right"][1]
 
 
 def test_braid_conf_embeds_nothing(capsys, monkeypatch):
@@ -516,16 +530,19 @@ def test_readme_library_block_shows_its_values():
 # k = 1 and k = 3 isomorphism witnesses of theorem-main and a
 # Steenrod-compatible yes, before the structure constants were packed; the
 # last four, which cover basis, s-set, lemma-braid and an inconclusive sweep,
-# while every handler still printed its own output.  The second was
-# re-recorded when a 'no' on component_ranks began to report the ranks
-# through the first degree where they differ (here 14 of 0-23) instead of
-# over every degree: test_extract_compare_json_is_the_full_json_cut_at_degree_14
-# rebuilds the digest recorded before from the full route.
+# while every handler still printed its own output.  The second,
+# extract-compare, was re-recorded twice: when a 'no' on component_ranks
+# began to report the ranks through the first degree where they differ
+# (here 14 of 0-23) instead of over every degree, and when it began to
+# report only the splits it read at the stable edge (degree 14, splits 1
+# and 2); test_extract_compare_json_is_the_full_json_cut_at_degree_14
+# rebuilds the digest recorded before both from the full route.  Its text
+# output does not show the ranks, so its PINNED_TEXT digest held.
 PINNED_JSON = [
     (("theorem-main", "--from", "65", "--to", "100"), 0,
      "5e0a0e67a86780fd1f3b325745faacabc4f52c6a8196b8617d4e9372fa9cdec6"),
     (("iso", "--a", "rat:13", "--b", "braid:26", "--steenrod"), 0,
-     "c7322b608ab01ffbc8fbe3ce753bb8f96a32efa1453a6975f9394b49cc6c3fb9"),
+     "dc78263d6fe60d7b2caebff4ebf8d896594a2f5e5e694417aca971e75eab81bd"),
     (("--iso-budget", "15000", "iso", "--a", "conf:6", "--b", "braid:12"), 0,
      "43fc6bb5794a482e9d947c8432af788f8e5649d8725009add129ee7b221e7f7e"),
     (("braid-conf", "--max-k", "8"), 0,
@@ -599,12 +616,13 @@ def test_text_stdout_is_pinned(capsys, argv, code, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def fresh_python(*args):
+def fresh_python(*args, text=True):
     """Run a fresh interpreter as the benchmark's children run: the caller's
-    environment without its PYTHON* settings, importing ``src/``."""
+    environment without its PYTHON* settings, importing ``src/``
+    (``child_env`` in ``bench/run.py``)."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=text,
                           timeout=120)
 
 
@@ -621,3 +639,24 @@ def test_help_in_a_fresh_interpreter():
     proc = fresh_python("-m", "braidrat.cli", "--help")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: braidrat")
+
+
+def test_fresh_interpreter_prints_every_byte_and_keeps_the_exit_codes(capsys):
+    # python -m braidrat.cli ends through cli.run, which flushes stdout and
+    # stderr and leaves by os._exit; about 100 KB, more than a pipe buffer,
+    # must still arrive whole
+    argv = ("--format", "json", "theorem-main", "--from", "1", "--to", "100")
+    proc = fresh_python("-m", "braidrat.cli", *argv, text=False)
+    code, out, _ = run(capsys, *argv)
+    assert proc.returncode == code == 0, proc.stderr
+    assert len(proc.stdout) > 1 << 16 and proc.stdout == out.encode()
+    for argv, want in [
+        (("--help",), 0),
+        (("iso", "--a", "rat:13", "--b", "braid:26"), 0),  # a 'no'
+        (("--iso-budget", "1", "theorem-main", "--from", "3", "--to", "3"), 1),
+        (("--bogus",), 2),
+        (("steenrod", "--family", "rat", "--k", "60"), 2),
+    ]:
+        proc = fresh_python("-m", "braidrat.cli", *argv)
+        assert proc.returncode == want, (argv, proc.stderr)
+        assert proc.stdout or want == 2

@@ -250,6 +250,101 @@ def test_oracle_generator_expression_embeds_correctly():
         assert total == element(monomial(1) if i == 0 else q_gen(i))
 
 
+def _planted(key, change):
+    """``generator_coproduct`` with ``change`` applied to the closed form of
+    generator ``key``, a (family, index) pair."""
+    def patched(family, idx):
+        out = generator_coproduct(family, idx)
+        return change(out, family) if (family, idx) == key else out
+    return patched
+
+
+# Each plant keeps the dims of every pair consistent.  rho_1 loses g^2 (x)
+# rho_1, so its counit fails (its other single-pair removals stay counital
+# and coassociative, so no check of either law can see them; the oracle
+# comparisons do); rho_2 loses g rho_0^3 (x) rho_0^4, and gamma_3 gains
+# gamma_1 gamma_2 g^2 (x) gamma_2 g^4, of dims (4, 3), and both stay
+# counital but are no longer coassociative.
+PLANTS = {
+    "rho_1": (
+        _planted((Family.RAT, 1), lambda out, f: out - {
+            (family_monomial(f, {-1: 2}), family_monomial(f, {1: 1}))}),
+        "not counital", (Family.RAT, 3), [
+            ("iso", "--a", "rat:3", "--b", "braid:6"),
+            ("iso", "--a", "rat:13", "--b", "braid:26"),
+            ("theorem-main", "--from", "3", "--to", "3"),
+        ]),
+    "rho_2": (
+        _planted((Family.RAT, 2), lambda out, f: out - {
+            (family_monomial(f, {-1: 1, 0: 3}), family_monomial(f, {0: 4}))}),
+        "not coassociative", (Family.RAT, 4), [
+            ("iso", "--a", "rat:4", "--b", "braid:8"),
+            ("iso", "--a", "rat:13", "--b", "braid:26"),
+        ]),
+    "gamma_3": (
+        _planted((Family.BRAID, 3), lambda out, f: out | {
+            (family_monomial(f, {0: 2, 1: 1, 2: 1}), family_monomial(f, {0: 4, 2: 1}))}),
+        "not coassociative", (Family.BRAID, 8), [
+            ("iso", "--a", "conf:4", "--b", "braid:8"),
+            ("braid-conf", "--max-k", "4"),
+            ("lemma-braid", "--max-k", "4"),
+        ]),
+}
+
+
+@pytest.fixture
+def fresh_generator_checks():
+    # the generator checks are cached per (family, index) for the process
+    coalgebra._check_generator.cache_clear()
+    yield
+    coalgebra._check_generator.cache_clear()
+
+
+@pytest.mark.parametrize("plant, law, component, argvs", PLANTS.values(), ids=PLANTS)
+def test_a_planted_generator_coproduct_is_refused_on_every_family_path(
+    monkeypatch, capsys, fresh_generator_checks, plant, law, component, argvs
+):
+    monkeypatch.setattr(coalgebra, "generator_coproduct", plant)
+    with pytest.raises(ValueError, match=law):
+        extract_coalgebra(*component)
+    for argv in argvs:
+        assert main(list(argv)) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and law in captured.err, argv
+
+
+def test_generator_check_accepts_every_admitted_generator(fresh_generator_checks):
+    # every generator index a component admitted by BASIS_BOUND can hold
+    for family, lo, hi in ((Family.BRAID, 0, 6), (Family.RAT, -1, 5), (Family.CONF, 0, 5)):
+        for idx in range(lo, hi + 1):
+            coalgebra._check_generator(family, idx)
+
+
+def test_each_generator_is_checked_once(fresh_generator_checks):
+    # rat:13 holds g and rho_0..rho_3, braid:26 g and gamma_1..gamma_4
+    for _ in range(2):
+        v = components_isomorphic(_basis_by_dim(Family.RAT, 13), _basis_by_dim(Family.BRAID, 26))
+        assert v.kind == "no"
+        assert coalgebra._check_generator.cache_info().misses == 10
+
+
+def test_family_components_skip_the_per_element_pass_and_the_constructor_keeps_it(monkeypatch):
+    comps = {(fam, k): extract_coalgebra(fam, k) for fam in Family for k in range(1, 17)}
+    for c in comps.values():  # the public per-element pass accepts every one
+        assert GradedCoalgebra(c.dims, c.delta) == c
+
+    def refuse(self):
+        raise AssertionError("per-element pass")
+
+    monkeypatch.setattr(GradedCoalgebra, "_coassociative", refuse)
+    assert extract_coalgebra(Family.RAT, 16) == comps[Family.RAT, 16]
+    assert components_isomorphic(_basis_by_dim(Family.CONF, 8),
+                                 _basis_by_dim(Family.BRAID, 16)).kind == "yes"
+    for build in (lambda c: GradedCoalgebra(c.dims, c.delta), lambda c: c._replace(dims=c.dims)):
+        with pytest.raises(AssertionError, match="per-element pass"):
+            build(comps[Family.RAT, 3])
+
+
 def test_graded_coalgebra_validation_rejects_bad_counit():
     delta = packed_delta({
         (0, 0): ({(0, 0)},),
@@ -527,30 +622,82 @@ def test_iso_budget_exhaustion_is_inconclusive():
     assert v.tried == 1
 
 
+def _assert_edge_verdict(ca, cb, v):
+    """``v``, a verdict on ca and cb with equal dims, is 'no' on
+    component_ranks read split by split: both sides list the same (d, s),
+    each with the oracle's rank of the whole coalgebra there, and they
+    differ in their last triple only."""
+    assert v.kind == "no" and v.invariant == "component_ranks"
+    assert v.reason == "invariant mismatch" and v.dims == ca.dims
+    for c, side in ((ca, v.left), (cb, v.right)):
+        ranks = {(d, s): r for d, s, r in rank_triples(c.delta)}
+        assert side and all(ranks[d, s] == r for d, s, r in side)
+    assert [t[:2] for t in v.left] == [t[:2] for t in v.right]
+    assert v.left[:-1] == v.right[:-1] and v.left[-1] != v.right[-1]
+
+
+_ROUTE_PAIRS = [((Family.RAT, 2), (Family.RAT, 3))] + [  # the first a 'no' on dims
+    pair for k in (1, 2, 3, 4, 5, 8, 13, 16) for pair in (
+        ((Family.RAT, k), (Family.BRAID, 2 * k)),
+        ((Family.CONF, k), (Family.BRAID, 2 * k)),
+        ((Family.BRAID, 2 * k), (Family.BRAID, 2 * k + 1)),
+        ((Family.RAT, k), (Family.CONF, k)),
+    )
+]
+_SAME = ("kind", "invariant", "tried", "witness", "dims", "reason")
+
+
 @pytest.mark.parametrize("steenrod", [False, True], ids=["plain", "steenrod"])
 def test_component_route_agrees_with_the_full_route(steenrod):
-    # components_isomorphic extracts the degrees up to the first one whose
-    # ranks differ; coalgebras_isomorphic reads the whole extracted
-    # coalgebras, and both return the same verdict, evidence included
-    pairs = [((Family.RAT, 2), (Family.RAT, 3))]  # a 'no' on dims
-    for k in (1, 2, 3, 4, 5, 8, 13, 16):
-        pairs += [
-            ((Family.RAT, k), (Family.BRAID, 2 * k)),
-            ((Family.CONF, k), (Family.BRAID, 2 * k)),
-            ((Family.BRAID, 2 * k), (Family.BRAID, 2 * k + 1)),
-            ((Family.RAT, k), (Family.CONF, k)),
-        ]
+    # components_isomorphic reads the stable edge first, then the degrees up
+    # to the first one whose ranks differ; coalgebras_isomorphic reads the
+    # whole extracted coalgebras.  Both return the same verdict, and a 'no'
+    # on component_ranks carries the triples its own route read
     kinds = set()
-    for a, b in pairs:
+    for a, b in _ROUTE_PAIRS:
         got = components_isomorphic(_basis_by_dim(*a), _basis_by_dim(*b), steenrod=steenrod)
         sq = (steenrod_matrix(*a), steenrod_matrix(*b)) if steenrod else None
         ca, cb = extract_coalgebra(*a), extract_coalgebra(*b)
         full = coalgebras_isomorphic(ca, cb, steenrod=sq)
-        assert got == full, (a, b)
+        assert [getattr(got, f) for f in _SAME] == [getattr(full, f) for f in _SAME], (a, b)
         kinds.add((got.kind, got.invariant))
         if got.invariant == "component_ranks":
-            _assert_rank_verdict(ca, cb, got)
+            _assert_edge_verdict(ca, cb, got)
+            _assert_rank_verdict(ca, cb, full)
+        else:
+            assert got == full
     assert kinds == {("yes", None), ("no", "dims"), ("no", "component_ranks")}
+
+
+def test_component_route_without_the_edge_read_is_the_full_walk(monkeypatch):
+    # with no stable-edge degree to read, the walk of coalgebras_isomorphic
+    # runs as before, evidence included
+    monkeypatch.setattr(coalgebra, "_stable_edge", lambda by_dim: len(by_dim))
+    kinds = set()
+    for a, b in _ROUTE_PAIRS[:21]:
+        got = components_isomorphic(_basis_by_dim(*a), _basis_by_dim(*b))
+        assert got == coalgebras_isomorphic(extract_coalgebra(*a), extract_coalgebra(*b))
+        kinds.add((got.kind, got.invariant))
+    assert kinds == {("yes", None), ("no", "dims"), ("no", "component_ranks")}
+
+
+def test_rat_and_braid_ranks_first_differ_at_the_stable_edge():
+    # the pattern measured on the whole coalgebras by the oracle: rat:k and
+    # braid:2k first differ in degree k + 1 at the split of the lowest set
+    # bit of k + 1, or in degree k + 2 at split 2 when k + 1 = 2^m >= 8;
+    # at k = 3 (and at k = 1, which has no degree 2) no split differs
+    for k in range(1, 29):
+        ca, cb = extract_coalgebra(Family.RAT, k), extract_coalgebra(Family.BRAID, 2 * k)
+        first = next((x[:2] for x, y in zip(rank_triples(ca.delta), rank_triples(cb.delta))
+                      if x != y), None)
+        v = components_isomorphic(_basis_by_dim(Family.RAT, k), _basis_by_dim(Family.BRAID, 2 * k),
+                                  budget=0)
+        low = (k + 1) & -(k + 1)
+        if k in (1, 3):
+            assert first is None and v.kind != "no"
+        else:
+            assert first == ((k + 1, low) if low <= k else (k + 2, 2)), k
+            assert v.left[-1][:2] == first
 
 
 def test_iso_search_agrees_with_brute_force_count():
