@@ -324,12 +324,15 @@ def main(argv: list[str] | None = None) -> int:
         else:
             print("\n".join(lines))
     except (ValueError, SpanError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, note = 2, f"error: {exc}"
     except Exception as exc:  # an internal fault: exit 2, never a falsification
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        code, note = 2, f"error: {type(exc).__name__}: {exc}"
+    else:
+        note = f"elapsed {time.perf_counter() - start:.3f}s"
+    try:  # stderr is None when its descriptor was closed at start
+        sys.stderr.write(note + "\n")
+    except (AttributeError, OSError, ValueError):  # exit 2, as a failed flush in ``run``
         return 2
-    print(f"elapsed {time.perf_counter() - start:.3f}s", file=sys.stderr)
     return code
 
 

@@ -459,17 +459,18 @@ def coalgebras_isomorphic(
     """Decide graded-coalgebra isomorphism.
 
     The invariants are compared first: the dims, then the ranks of the
-    splits degree by degree (``_rank_mismatch``); on a mismatch the verdict
-    is ``no`` with the distinguishing invariant.  Otherwise a complete
-    search for an isomorphism runs (see ``_search_isomorphism``),
-    intertwining the dual Steenrod action as well when ``steenrod`` matrices
-    for both sides are supplied.  These are Sq_1^* matrices, as
-    ``steenrod_matrix`` gives for j = 1, checked by ``_sq1_columns`` before
-    the invariants; malformed ones raise ``ValueError``.
+    splits s = 1..d-1 of each degree d in turn (``_rank_mismatch``); on a
+    mismatch the verdict is ``no`` with the distinguishing invariant.
+    Otherwise a complete search for an isomorphism runs (see
+    ``_search_isomorphism``), intertwining the dual Steenrod action as well
+    when ``steenrod`` matrices for both sides are supplied.  These are
+    Sq_1^* matrices, as ``steenrod_matrix`` gives for j = 1, checked by
+    ``_sq1_columns`` before the invariants; malformed ones raise
+    ``ValueError``.
     """
     _sq1_columns(a, b, steenrod)
     verdict = (_mismatch(a.dims, "dims", a.dims, b.dims)
-               or _rank_mismatch(a.dims, zip(a.delta, b.delta)))
+               or _rank_mismatch(a.dims, enumerate(zip(a.delta, b.delta))))
     return verdict or _search_isomorphism(a, b, budget, steenrod)
 
 
@@ -482,23 +483,25 @@ def _mismatch(dims, name: str, left, right) -> IsoVerdict | None:
     )
 
 
-def _rank_mismatch(dims, pairs) -> IsoVerdict | None:
-    """``no`` on ``component_ranks`` at the first degree D where the F2 rank
-    of a split differs between the two sides, with the (d, s, rank) triples
-    of each side through degree D, else None.  ``pairs`` yields
-    ``(delta_a[d], delta_b[d])`` for d = 0, 1, ... and is read no further
-    than degree D.
+def _rank_mismatch(dims, rows) -> IsoVerdict | None:
+    """``no`` on ``component_ranks`` at the first split whose F2 ranks
+    differ between the two sides, with the (d, s, rank) triples read on each
+    side, in the order read; else None.  ``rows`` yields
+    ``(d, (delta_a[d], delta_b[d]))``, and the splits s = 1..d-1 of each are
+    read one at a time, none past the first that differs.
 
-    A connected graded coalgebra truncated to degrees <= D is a
-    sub-coalgebra, and an isomorphism restricts to the truncations, so the
-    ranks through degree D are invariants of each side.
+    The rank of a split is an invariant by itself, since an isomorphism
+    conjugates it by phi_d and phi_s (x) phi_(d-s), so one that differs
+    proves ``no`` whatever was not read.  The splits 0 and d are the counit
+    rows, of rank dims[d] on both sides.
     """
     left, right = [], []  # (d, s, rank) of each side
-    for d, rows in enumerate(pairs):
-        for out, row in zip((left, right), rows):
-            out += [(d, s, _split_rank(comps)) for s, comps in enumerate(row)]
-        if left[-d - 1:] != right[-d - 1:]:
-            return _mismatch(dims, "component_ranks", tuple(left), tuple(right))
+    for d, (row_a, row_b) in rows:
+        for s in range(1, d):
+            left.append((d, s, _split_rank(row_a[s])))
+            right.append((d, s, _split_rank(row_b[s])))
+            if left[-1] != right[-1]:
+                return _mismatch(dims, "component_ranks", tuple(left), tuple(right))
     return None
 
 
@@ -521,28 +524,6 @@ def _stable_edge(by_dim: Sequence[Sequence[FamilyMonomial]]) -> int:
     return top.weight // (2 if top.family is Family.BRAID else 1) + 1
 
 
-def _edge_mismatch(dims, by_dim_a, by_dim_b) -> IsoVerdict | None:
-    """``no`` on ``component_ranks`` at the first split whose ranks differ
-    in the stable-edge degrees E and E + 1 (``_stable_edge``, the smaller of
-    the two sides), read split by split (s = 1, 2, ...) with only those
-    degrees multiplied out, with the (d, s, rank) triples read on each side;
-    else None.  The rank of a split is an invariant by itself, since an
-    isomorphism conjugates it by phi_d and phi_s (x) phi_(d-s), so one that
-    differs proves ``no`` whatever lies below it.  The splits 0 and d are
-    the counit rows, of rank dims[d] on both sides."""
-    edge = min(_stable_edge(by_dim_a), _stable_edge(by_dim_b))
-    degrees = [d for d in (edge, edge + 1) if d < len(dims)]
-    left, right = [], []
-    for d, row_a, row_b in zip(degrees, _coproduct_degrees(by_dim_a, degrees),
-                               _coproduct_degrees(by_dim_b, degrees)):
-        for s in range(1, d):
-            left.append((d, s, _split_rank(row_a[s])))
-            right.append((d, s, _split_rank(row_b[s])))
-            if left[-1] != right[-1]:
-                return _mismatch(dims, "component_ranks", tuple(left), tuple(right))
-    return None
-
-
 def components_isomorphic(
     by_dim_a: Sequence[Sequence[FamilyMonomial]],
     by_dim_b: Sequence[Sequence[FamilyMonomial]],
@@ -552,43 +533,29 @@ def components_isomorphic(
 ) -> IsoVerdict:
     """Decide isomorphism of two components given by their bases by degree:
     the verdict of ``coalgebras_isomorphic`` on their coalgebras (and their
-    Sq_1^* matrices when ``steenrod`` is true), extracting only the degrees
-    a ``no`` reads.
+    Sq_1^* matrices when ``steenrod`` is true), built only when the stable
+    edge leaves it open.
 
     The generator coproducts of both sides are checked first
     (``_check_generators``).  The dims come from the bases, then
-    ``_edge_mismatch`` reads the stable-edge degrees, where the ranks of
-    rat:k and braid:2k first differ; a ``no`` there carries the triples it
-    read and builds no coalgebra.  Otherwise ``_rank_mismatch`` walks the
-    structure constants of both sides as they are extracted, degree by
-    degree, as ``coalgebras_isomorphic`` does, and the truncations to the
-    degrees it read are built, which runs every other constructor check on
-    each of them.  When every degree agrees these are the whole coalgebras,
-    and only then, with ``steenrod``, are the Sq_1^* matrices built for the
-    search.
+    ``_rank_mismatch`` reads the stable-edge degrees E and E + 1
+    (``_stable_edge``, the smaller of the two sides), the only degrees
+    multiplied out for it, where the ranks of rat:k and braid:2k first
+    differ; a ``no`` there builds no coalgebra.
     """
     _check_generators(by_dim_a)
     _check_generators(by_dim_b)
     dims = tuple(map(len, by_dim_a))
+    edge = min(_stable_edge(by_dim_a), _stable_edge(by_dim_b))
+    degrees = [d for d in (edge, edge + 1) if d < len(dims)]
+    rows = zip(_coproduct_degrees(by_dim_a, degrees), _coproduct_degrees(by_dim_b, degrees))
     verdict = (_mismatch(dims, "dims", dims, tuple(map(len, by_dim_b)))
-               or _edge_mismatch(dims, by_dim_a, by_dim_b))
-    if verdict:
-        return verdict
-    read_a, read_b = [], []  # delta[d] of each side, for each degree read
-
-    def degrees():
-        for row_a, row_b in zip(_coproduct_degrees(by_dim_a), _coproduct_degrees(by_dim_b)):
-            read_a.append(row_a)
-            read_b.append(row_b)
-            yield row_a, row_b
-
-    verdict = _rank_mismatch(dims, degrees())
-    a = GradedCoalgebra._new(dims[:len(read_a)], read_a)
-    b = GradedCoalgebra._new(dims[:len(read_b)], read_b)
+               or _rank_mismatch(dims, zip(degrees, rows)))
     if verdict:
         return verdict
     sq = (component_steenrod(by_dim_a), component_steenrod(by_dim_b)) if steenrod else None
-    return _search_isomorphism(a, b, budget, sq)
+    return coalgebras_isomorphic(component_coalgebra(by_dim_a), component_coalgebra(by_dim_b),
+                                 budget, steenrod=sq)
 
 
 def _bits(vec: int) -> list[int]:

@@ -616,14 +616,17 @@ def test_text_stdout_is_pinned(capsys, argv, code, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def fresh_python(*args, text=True):
+def fresh_python(*args, text=True, redirect=None):
     """Run a fresh interpreter as the benchmark's children run: the caller's
     environment without its PYTHON* settings, importing ``src/``
-    (``child_env`` in ``bench/run.py``)."""
+    (``child_env`` in ``bench/run.py``).  With ``redirect``, such as
+    ``2>&-``, it runs under ``sh -c`` with that redirection."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=text,
-                          timeout=120)
+    cmd = [sys.executable, *args]
+    if redirect is not None:
+        cmd = ["sh", "-c", f'"$0" "$@" {redirect}', *cmd]
+    return subprocess.run(cmd, env=env, capture_output=True, text=text, timeout=120)
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():
@@ -660,3 +663,9 @@ def test_fresh_interpreter_prints_every_byte_and_keeps_the_exit_codes(capsys):
         proc = fresh_python("-m", "braidrat.cli", *argv)
         assert proc.returncode == want, (argv, proc.stderr)
         assert proc.stdout or want == 2
+    # with stderr closed, the elapsed line cannot be written: exit 2, as for
+    # a failed flush, after the whole of stdout
+    argv = ("basis", "--family", "rat", "--k", "3")
+    proc = fresh_python("-m", "braidrat.cli", *argv, redirect="2>&-")
+    code, out, _ = run(capsys, *argv)
+    assert (proc.returncode, code) == (2, 0) and proc.stdout == out

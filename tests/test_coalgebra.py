@@ -533,28 +533,28 @@ def test_s_set_rejects_inhomogeneous_pairs(monkeypatch, capsys):
         assert captured.out == "" and captured.err.startswith("error: ")
 
 
-def _first_rank_difference(ca, cb):
-    """The rank triples of both sides through the first degree where they
-    differ, by the test oracle, or None when every degree agrees."""
-    left, right = rank_triples(ca.delta), rank_triples(cb.delta)
-    for n in range(1, len(ca.dims) + 1):
-        cut = n * (n + 1) // 2  # the triples of degrees 0..n-1
-        if left[:cut] != right[:cut]:
-            return left[:cut], right[:cut]
-    return None
-
-
-def _assert_rank_verdict(ca, cb, v):
-    """``v``, a verdict on ca and cb with equal dims, is 'no' on
-    component_ranks exactly when the oracle's ranks differ, and then carries
-    them through the first degree where they differ."""
-    differ = _first_rank_difference(ca, cb)
-    if differ is None:
+def _assert_rank_verdict(ca, cb, v, *, walk=True):
+    """``v``, a verdict on ca and cb with equal dims, against the oracle's
+    ranks of the whole coalgebras (``rank_triples``).  A 'no' on
+    component_ranks lists the same (d, s) on both sides, each with the
+    oracle's rank there, and the sides differ in their last triple only.
+    With ``walk``, for ``coalgebras_isomorphic``: ``v`` is that 'no'
+    exactly when the oracle's ranks differ, and its (d, s) are every pair
+    with 1 <= s < d, in degree order, through the first where they do."""
+    left, right = ([t for t in rank_triples(c.delta) if 0 < t[1] < t[0]] for c in (ca, cb))
+    first = next((n for n, (x, y) in enumerate(zip(left, right)) if x != y), None)
+    if walk and first is None:
         assert v.invariant is None
         return
     assert v.kind == "no" and v.invariant == "component_ranks"
     assert v.reason == "invariant mismatch" and v.dims == ca.dims
-    assert (v.left, v.right) == differ
+    for c, side in ((ca, v.left), (cb, v.right)):
+        ranks = {(d, s): r for d, s, r in rank_triples(c.delta)}
+        assert side and all(ranks[d, s] == r for d, s, r in side)
+    assert [t[:2] for t in v.left] == [t[:2] for t in v.right]
+    assert v.left[:-1] == v.right[:-1] and v.left[-1] != v.right[-1]
+    if walk:
+        assert [t[:2] for t in v.left] == [t[:2] for t in left[:first + 1]]
 
 
 def test_invariants_equal_for_weight_six_and_three():
@@ -622,20 +622,6 @@ def test_iso_budget_exhaustion_is_inconclusive():
     assert v.tried == 1
 
 
-def _assert_edge_verdict(ca, cb, v):
-    """``v``, a verdict on ca and cb with equal dims, is 'no' on
-    component_ranks read split by split: both sides list the same (d, s),
-    each with the oracle's rank of the whole coalgebra there, and they
-    differ in their last triple only."""
-    assert v.kind == "no" and v.invariant == "component_ranks"
-    assert v.reason == "invariant mismatch" and v.dims == ca.dims
-    for c, side in ((ca, v.left), (cb, v.right)):
-        ranks = {(d, s): r for d, s, r in rank_triples(c.delta)}
-        assert side and all(ranks[d, s] == r for d, s, r in side)
-    assert [t[:2] for t in v.left] == [t[:2] for t in v.right]
-    assert v.left[:-1] == v.right[:-1] and v.left[-1] != v.right[-1]
-
-
 _ROUTE_PAIRS = [((Family.RAT, 2), (Family.RAT, 3))] + [  # the first a 'no' on dims
     pair for k in (1, 2, 3, 4, 5, 8, 13, 16) for pair in (
         ((Family.RAT, k), (Family.BRAID, 2 * k)),
@@ -649,10 +635,10 @@ _SAME = ("kind", "invariant", "tried", "witness", "dims", "reason")
 
 @pytest.mark.parametrize("steenrod", [False, True], ids=["plain", "steenrod"])
 def test_component_route_agrees_with_the_full_route(steenrod):
-    # components_isomorphic reads the stable edge first, then the degrees up
-    # to the first one whose ranks differ; coalgebras_isomorphic reads the
-    # whole extracted coalgebras.  Both return the same verdict, and a 'no'
-    # on component_ranks carries the triples its own route read
+    # components_isomorphic reads the stable edge first and otherwise hands
+    # the whole coalgebras to coalgebras_isomorphic, which walks every split.
+    # Both return the same verdict, and a 'no' on component_ranks carries
+    # the triples its own route read
     kinds = set()
     for a, b in _ROUTE_PAIRS:
         got = components_isomorphic(_basis_by_dim(*a), _basis_by_dim(*b), steenrod=steenrod)
@@ -662,7 +648,7 @@ def test_component_route_agrees_with_the_full_route(steenrod):
         assert [getattr(got, f) for f in _SAME] == [getattr(full, f) for f in _SAME], (a, b)
         kinds.add((got.kind, got.invariant))
         if got.invariant == "component_ranks":
-            _assert_edge_verdict(ca, cb, got)
+            _assert_rank_verdict(ca, cb, got, walk=False)
             _assert_rank_verdict(ca, cb, full)
         else:
             assert got == full
@@ -698,6 +684,26 @@ def test_rat_and_braid_ranks_first_differ_at_the_stable_edge():
         else:
             assert first == ((k + 1, low) if low <= k else (k + 2, 2)), k
             assert v.left[-1][:2] == first
+
+
+def test_the_edge_read_decides_rat_where_the_theorem_separates():
+    # the admitted components of equal dims fall into the groups {rat:k,
+    # conf:k, braid:2k, braid:2k+1}, k = 1..39.  Against rat:k the edge read,
+    # which starts at (k + 1, 1), gives 'no' exactly where the top-class
+    # supports of theorem_main differ, every k but 1 and 3; there the
+    # invariants pass and the search is reached.  So the whole coalgebras,
+    # and their Steenrod matrices, are built only for isomorphic pairs
+    for k in range(1, 40):
+        distinct = theorem_main(k).distinct
+        assert distinct == (k not in (1, 3)), k
+        rat = _basis_by_dim(Family.RAT, k)
+        for other in ((Family.CONF, k), (Family.BRAID, 2 * k), (Family.BRAID, 2 * k + 1)):
+            v = components_isomorphic(rat, _basis_by_dim(*other), budget=0)
+            if distinct:
+                assert (v.kind, v.invariant) == ("no", "component_ranks"), (k, other)
+                assert v.left[0][:2] == (k + 1, 1), (k, other)
+            else:
+                assert v.kind == "inconclusive" and v.tried == 0, (k, other)
 
 
 def test_iso_search_agrees_with_brute_force_count():
