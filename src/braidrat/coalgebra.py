@@ -437,7 +437,9 @@ def verify_coalgebra_map(
 class IsoVerdict(NamedTuple):
     """Outcome of an isomorphism decision: yes (with an explicit per-degree
     witness), no (with the distinguishing invariant or an exhausted search),
-    or inconclusive (search budget hit).  ``tried`` counts search nodes."""
+    or inconclusive (search budget hit).  ``tried`` counts search nodes.  A
+    ``no`` on an invariant holds its two values in ``left`` and ``right``:
+    the dims, or the (d, s, rank) of the one split whose ranks differ."""
 
     kind: str  # "yes" | "no" | "inconclusive"
     dims: tuple[int, ...] = ()
@@ -460,7 +462,8 @@ def coalgebras_isomorphic(
 
     The invariants are compared first: the dims, then the ranks of the
     splits s = 1..d-1 of each degree d in turn (``_rank_mismatch``); on a
-    mismatch the verdict is ``no`` with the distinguishing invariant.
+    mismatch the verdict is ``no`` with the distinguishing invariant (for
+    the ranks, the first split in degree order whose ranks differ).
     Otherwise a complete search for an isomorphism runs (see
     ``_search_isomorphism``), intertwining the dual Steenrod action as well
     when ``steenrod`` matrices for both sides are supplied.  These are
@@ -485,24 +488,20 @@ def _mismatch(dims, name: str, left, right) -> IsoVerdict | None:
 
 def _rank_mismatch(dims, rows) -> IsoVerdict | None:
     """``no`` on ``component_ranks`` at the first split whose F2 ranks
-    differ between the two sides, with the (d, s, rank) triples read on each
-    side, in the order read; else None.  ``rows`` yields
-    ``(d, (delta_a[d], delta_b[d]))``, and the splits s = 1..d-1 of each are
-    read one at a time, none past the first that differs.
+    differ between the two sides, ``left = (d, s, rank_a)`` and ``right =
+    (d, s, rank_b)``; else None.  ``rows`` yields ``(d, (delta_a[d],
+    delta_b[d]))``, and the splits s = 1..d-1 of each are read one at a
+    time, none past the first that differs.
 
     The rank of a split is an invariant by itself, since an isomorphism
     conjugates it by phi_d and phi_s (x) phi_(d-s), so one that differs
     proves ``no`` whatever was not read.  The splits 0 and d are the counit
     rows, of rank dims[d] on both sides.
     """
-    left, right = [], []  # (d, s, rank) of each side
-    for d, (row_a, row_b) in rows:
-        for s in range(1, d):
-            left.append((d, s, _split_rank(row_a[s])))
-            right.append((d, s, _split_rank(row_b[s])))
-            if left[-1] != right[-1]:
-                return _mismatch(dims, "component_ranks", tuple(left), tuple(right))
-    return None
+    found = (_mismatch(dims, "component_ranks", (d, s, _split_rank(row_a[s])),
+                       (d, s, _split_rank(row_b[s])))
+             for d, (row_a, row_b) in rows for s in range(1, d))
+    return next(filter(None, found), None)
 
 
 def _split_rank(comps: Sequence[tuple[int, ...]]) -> int:
@@ -531,17 +530,17 @@ def components_isomorphic(
     *,
     steenrod: bool = False,
 ) -> IsoVerdict:
-    """Decide isomorphism of two components given by their bases by degree:
-    the verdict of ``coalgebras_isomorphic`` on their coalgebras (and their
-    Sq_1^* matrices when ``steenrod`` is true), built only when the stable
-    edge leaves it open.
+    """Decide isomorphism of two components given by their bases by degree.
+    The verdict, evidence included, is that of ``coalgebras_isomorphic`` on
+    their coalgebras (and their Sq_1^* matrices when ``steenrod`` is true),
+    built only when the stable edge leaves it open.
 
     The generator coproducts of both sides are checked first
     (``_check_generators``).  The dims come from the bases, then
     ``_rank_mismatch`` reads the stable-edge degrees E and E + 1
     (``_stable_edge``, the smaller of the two sides), the only degrees
     multiplied out for it, where the ranks of rat:k and braid:2k first
-    differ; a ``no`` there builds no coalgebra.
+    differ; a ``no`` there names that split and builds no coalgebra.
     """
     _check_generators(by_dim_a)
     _check_generators(by_dim_b)

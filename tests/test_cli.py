@@ -437,12 +437,11 @@ def test_extract_compare_json_is_the_full_json_cut_at_degree_14(capsys):
     printed = json.dumps(old, indent=2, sort_keys=True) + "\n"
     assert hashlib.sha256(printed.encode()).hexdigest() == (
         "af3eb1a3827debabd0abfd1bbfa480755ea2905ffbe2fbaf39b2e7b3a62ec8ca")
-    # now the verdict holds the triples read at the stable edge, degree
-    # 14 = 13 + 1, from split 1 up to split 2, the first whose ranks differ
-    edge = {side: [r for r in old["verdict"][side] if r[0] == 14 and 1 <= r[1] <= 2]
-            for side in ("left", "right")}
-    assert data == {**old, "verdict": {**old["verdict"], **edge}}
-    assert edge["left"][0] == edge["right"][0] and edge["left"][1] != edge["right"][1]
+    # now the verdict names the one split whose ranks differ, at the stable
+    # edge, degree 14 = 13 + 1, split 2, and agrees with the oracle there
+    one = {"left": [14, 2, 4], "right": [14, 2, 3]}
+    assert data == {**old, "verdict": {**old["verdict"], **one}}
+    assert all(tuple(one[side]) in full[side] for side in one)
 
 
 def test_braid_conf_embeds_nothing(capsys, monkeypatch):
@@ -531,18 +530,20 @@ def test_readme_library_block_shows_its_values():
 # Steenrod-compatible yes, before the structure constants were packed; the
 # last four, which cover basis, s-set, lemma-braid and an inconclusive sweep,
 # while every handler still printed its own output.  The second,
-# extract-compare, was re-recorded twice: when a 'no' on component_ranks
-# began to report the ranks through the first degree where they differ
-# (here 14 of 0-23) instead of over every degree, and when it began to
-# report only the splits it read at the stable edge (degree 14, splits 1
-# and 2); test_extract_compare_json_is_the_full_json_cut_at_degree_14
-# rebuilds the digest recorded before both from the full route.  Its text
-# output does not show the ranks, so its PINNED_TEXT digest held.
+# extract-compare, was re-recorded three times: when a 'no' on
+# component_ranks began to report the ranks through the first degree where
+# they differ (here 14 of 0-23) instead of over every degree, when it began
+# to report only the splits it read at the stable edge (degree 14, splits 1
+# and 2), and when it began to report only the split whose ranks differ
+# (degree 14, split 2); the test
+# test_extract_compare_json_is_the_full_json_cut_at_degree_14 rebuilds the
+# digest recorded before all three from the full route.  Its text output
+# does not show the ranks, so its PINNED_TEXT digest held.
 PINNED_JSON = [
     (("theorem-main", "--from", "65", "--to", "100"), 0,
      "5e0a0e67a86780fd1f3b325745faacabc4f52c6a8196b8617d4e9372fa9cdec6"),
     (("iso", "--a", "rat:13", "--b", "braid:26", "--steenrod"), 0,
-     "dc78263d6fe60d7b2caebff4ebf8d896594a2f5e5e694417aca971e75eab81bd"),
+     "014ebcfdfaffd677cbf1d1224b51146cf2b4cf0b54db2686a2f7699c75b56f8d"),
     (("--iso-budget", "15000", "iso", "--a", "conf:6", "--b", "braid:12"), 0,
      "43fc6bb5794a482e9d947c8432af788f8e5649d8725009add129ee7b221e7f7e"),
     (("braid-conf", "--max-k", "8"), 0,
