@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from itertools import chain, compress, count, islice, repeat
+from itertools import chain, islice, repeat
 from typing import Mapping, NamedTuple, Sequence
 
 from . import gf2
@@ -317,19 +317,11 @@ def _check_generators(by_dim: Sequence[Sequence[FamilyMonomial]]) -> None:
         _check_generator(family, idx)
 
 
-_DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
-
-
 def _set_bits(mask: int) -> list[int]:
-    """The set bits of ``mask``, ascending.  Unlike ``_bits`` it takes time
-    linear in the width, and it steps only through the runs of nonzero
-    bytes, so a wide mask with few bits is cheap to read."""
-    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
-    out: list[int] = []
-    for run in re.finditer(rb"[^\x00]+", data):
-        digits = bin(int.from_bytes(run.group(), "little"))[:1:-1]
-        out.extend(compress(count(8 * run.start()), digits.encode().translate(_DIGIT_FLAGS)))
-    return out
+    """The set bits of ``mask``, ascending: the places of the 1s in its binary
+    digits, least significant first.  Unlike ``_bits`` it takes time linear
+    in the width, not in the width times the number of set bits."""
+    return [m.start() for m in re.finditer("1", bin(mask)[:1:-1])]
 
 
 def s_set(fm: FamilyMonomial) -> frozenset[int]:
@@ -373,9 +365,9 @@ def _read_columns(rows: Sequence[int], n: int, m: int, what: str, use: str) -> l
 
 def _sq1_columns(a: GradedCoalgebra, b: GradedCoalgebra, steenrod: SteenrodPair | None):
     """Read a Sq_1^* matrix pair, one mapping from degree to rows per side as
-    ``steenrod_matrix`` gives for j = 1, by ``_read_columns`` in each degree
-    d >= 1 (one without basis elements may be left out): ``cols[d][src]``
-    lists the degree-(d-1) elements in Sq_1^* of element src of degree d.
+    ``steenrod_matrix`` gives for j = 1, the degrees 1..top and no other key,
+    each by ``_read_columns``: ``cols[d][src]`` lists the degree-(d-1)
+    elements in Sq_1^* of element src of degree d.
     Returns ``(cols_a, cols_b)``, or ``(None, None)`` for no pair."""
     if steenrod is None:
         return None, None
@@ -387,10 +379,12 @@ def _sq1_columns(a: GradedCoalgebra, b: GradedCoalgebra, steenrod: SteenrodPair 
         if not isinstance(sq, Mapping):
             raise ValueError(f"steenrod needs a mapping per side, got {type(sq).__name__}")
         dims = c.dims
+        if sq.keys() != set(range(1, len(dims))):
+            raise ValueError(f"Sq_1^* needs one matrix per degree 1..{len(dims) - 1} and no"
+                             f" other key, got the keys {list(sq)}")
         out.append([[()]] + [  # degree 0 is one class, mapped to no degree
-            _read_columns(sq.get(d, () if n else (0,) * dims[d - 1]), dims[d - 1], n,
-                          f"Steenrod matrix of degree {d}", "Sq_1^*")
-            for d, n in enumerate(dims) if d
+            _read_columns(sq[d], dims[d - 1], dims[d], f"Steenrod matrix of degree {d}", "Sq_1^*")
+            for d in range(1, len(dims))
         ])
     return tuple(out)
 
@@ -467,14 +461,18 @@ def coalgebras_isomorphic(
     Otherwise a complete search for an isomorphism runs (see
     ``_search_isomorphism``), intertwining the dual Steenrod action as well
     when ``steenrod`` matrices for both sides are supplied.  These are
-    Sq_1^* matrices, as ``steenrod_matrix`` gives for j = 1, checked by
+    Sq_1^* matrices, as ``steenrod_matrix`` gives for j = 1, read once by
     ``_sq1_columns`` before the invariants; malformed ones raise
-    ``ValueError``.
+    ``ValueError``.  A ``yes`` is returned only once ``verify_coalgebra_map``
+    has passed its witness, Steenrod pair included (else ``RuntimeError``).
     """
-    _sq1_columns(a, b, steenrod)
+    sq = _sq1_columns(a, b, steenrod)
     verdict = (_mismatch(a.dims, "dims", a.dims, b.dims)
-               or _rank_mismatch(a.dims, enumerate(zip(a.delta, b.delta))))
-    return verdict or _search_isomorphism(a, b, budget, steenrod)
+               or _rank_mismatch(a.dims, enumerate(zip(a.delta, b.delta)))
+               or _search_isomorphism(a, b, budget, sq))
+    if verdict.kind == "yes" and not verify_coalgebra_map(a, b, verdict.witness, steenrod):
+        raise RuntimeError("isomorphism search produced a witness that fails verification")
+    return verdict
 
 
 def _mismatch(dims, name: str, left, right) -> IsoVerdict | None:
@@ -589,15 +587,13 @@ def _equation(c: GradedCoalgebra, sq, d: int, src: int, col) -> int:
     return vec
 
 
-def _search_isomorphism(
-    a: GradedCoalgebra, b: GradedCoalgebra, budget: int, steenrod: SteenrodPair | None
-) -> IsoVerdict:
+def _search_isomorphism(a: GradedCoalgebra, b: GradedCoalgebra, budget: int, sq) -> IsoVerdict:
     """Depth-first search for phi: a -> b, one column of phi_d at a time.
 
     With phi_0..phi_{d-1} fixed, the column y = phi_d(e_src) over b's
     degree-d basis must satisfy, for every split s = 1..d-1,
     sum_m y_m delta_b^{(d,s)}(m) = (phi_s (x) phi_{d-s})(delta_a^{(d,s)}(src)),
-    and with ``steenrod`` (read by ``_sq1_columns``) also S_b^{(d)} y =
+    and with the Sq_1^* columns ``sq`` of ``_sq1_columns`` also S_b^{(d)} y =
     phi_{d-1} S_a^{(d)} e_src.  Both are linear in y, so the solutions are
     one particular solution plus the kernel; the search branches only over
     kernel choices that keep the columns of phi_d independent.  b's equation
@@ -609,13 +605,11 @@ def _search_isomorphism(
 
     Each accepted column is one search node.  Finishing within ``budget``
     nodes without a witness covers every map, so ``no`` is a proof; running
-    out of budget is ``inconclusive``.  A witness is re-verified, Steenrod
-    pair included, before ``yes`` is returned.
+    out of budget is ``inconclusive``.  The one caller,
+    ``coalgebras_isomorphic``, compares the dims first and verifies a witness.
     """
     dims = a.dims
-    if dims != b.dims:
-        raise ValueError("isomorphism search needs coalgebras of equal dims")
-    sq_a, sq_b = _sq1_columns(a, b, steenrod)
+    sq_a, sq_b = sq
     systems: dict[int, tuple] = {}  # per degree: a solve of b's equation rows, and their kernel
     order = [(d, src) for d, n in enumerate(dims) for src in range(n)]
     start = [sum(dims[:d]) for d in range(len(dims))]
@@ -661,8 +655,6 @@ def _search_isomorphism(
             tuple(sum(((cols[start[d] + c] >> r) & 1) << c for c in range(n)) for r in range(n))
             for d, n in enumerate(dims)
         )
-        if not verify_coalgebra_map(a, b, phi, steenrod):
-            raise RuntimeError("isomorphism search produced a witness that fails verification")
         return IsoVerdict("yes", dims=dims, witness=phi, tried=tried)
     return IsoVerdict(
         "no", dims=dims, reason="exhaustive search found no compatible isomorphism",
@@ -688,7 +680,7 @@ def component_steenrod(
 ) -> dict[int, tuple[int, ...]]:
     """Per-degree matrices of Sq_j^* on a component given by its basis by degree.
 
-    Entry ``out[d]``, for each degree d >= 1 with basis elements, maps
+    Entry ``out[d]``, for every degree d = 1..top, empty ones included, maps
     degree d to degree d-j; rows are indexed by the target basis, with bit b
     set when the image of source b hits that row.  Sq_* is a ring map that
     sends each generator x to x + Sq_1^* x (``families.generator_steenrod``),
@@ -699,7 +691,7 @@ def component_steenrod(
     if j < 1:
         raise ValueError(f"j must be >= 1, got {j}")
     dims = [len(row) for row in by_dim]
-    out = {d: [0] * (dims[d - j] if d >= j else 0) for d in range(1, len(dims)) if dims[d]}
+    out = {d: [0] * (dims[d - j] if d >= j else 0) for d in range(1, len(dims))}
     for d, col, terms in _multiply_out(by_dim, _total_steenrod, 1, "dual Steenrod image"):
         for s, t in terms:
             if s == d - j:

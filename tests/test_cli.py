@@ -368,12 +368,14 @@ def test_iso_without_steenrod_enumerates_each_component_and_embeds_nothing(capsy
 
 
 def test_lemma_braid_enumerates_each_basis_once_and_runs_no_psi(capsys, monkeypatch):
-    monkeypatch.setattr(operations, "_PSI_CACHE", {})
+    psi_calls = []
+    psi_half = operations._psi_half
+    monkeypatch.setattr(operations, "_psi_half", lambda h: psi_calls.append(h) or psi_half(h))
     counts = _count_builds(monkeypatch)
     code, data = run_json(capsys, "lemma-braid", "--max-k", "8")
     assert code == 0 and data["all_verified"] is True
     assert counts == {"enumerate": 16, "embed": 0}
-    assert operations._PSI_CACHE == {}
+    assert psi_calls == []
 
 
 def _count_decision_work(monkeypatch):

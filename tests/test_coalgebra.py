@@ -17,6 +17,7 @@ from braidrat.coalgebra import (
     SpanError,
     _basis_by_dim,
     _search_isomorphism,
+    _sq1_columns,
     check_lemma_braid,
     coalgebras_isomorphic,
     component_coalgebra,
@@ -517,10 +518,12 @@ def test_s_set_matches_packed_coproduct_dims(monkeypatch):
 
 
 def test_theorem_main_does_not_run_the_psi_kernel(monkeypatch):
-    monkeypatch.setattr(operations, "_PSI_CACHE", {})
+    calls = []
+    psi_half = operations._psi_half
+    monkeypatch.setattr(operations, "_psi_half", lambda h: calls.append(h) or psi_half(h))
     for k in range(65, 101):
         theorem_main(k)
-    assert operations._PSI_CACHE == {}
+    assert calls == []
 
 
 def test_s_set_rejects_inhomogeneous_pairs(monkeypatch, capsys):
@@ -726,8 +729,9 @@ def test_iso_search_agrees_with_brute_force_count():
                 count = brute_force_isomorphism_count(ca, cb, sq)
                 if count is None:
                     continue
-                v = _search_isomorphism(ca, cb, DEFAULT_ISO_BUDGET, sq)
+                v = _search_isomorphism(ca, cb, DEFAULT_ISO_BUDGET, _sq1_columns(ca, cb, sq))
                 assert v.kind == ("yes" if count else "no"), (ca.dims, cb.dims, sq)
+                assert v.kind == "no" or verify_coalgebra_map(ca, cb, v.witness, sq)
                 kinds.append(v.kind)
     assert len(kinds) == 82 and kinds.count("no") == 12
 
@@ -897,7 +901,8 @@ def test_sq1_check_rejects_a_side_that_is_not_a_mapping(entry, side_a, side_b):
 @pytest.mark.parametrize("make, match", [
     (lambda sq: 5, "one matrix family per side, got int"),
     (lambda sq: iter(list(sq)), "one matrix family per side, got list_iterator"),
-    (lambda sq: ({1: ["x"]}, {}), r"degree 1 has 1 rows, expected 1 for Sq_1\^\*, each an int"),
+    (lambda sq: ({**sq[0], 1: ["x"]}, sq[1]),
+     r"degree 1 has 1 rows, expected 1 for Sq_1\^\*, each an int"),
 ], ids=["int", "iterator", "str-row"])
 def test_sq1_check_rejects_a_steenrod_of_the_wrong_type(entry, make, match):
     # each raised TypeError: no len() of an int or an iterator, and '<='
@@ -948,8 +953,36 @@ def test_verify_map_rejects_steenrod_without_a_degree(side):
     bad = [dict(mats) if side is not None else {} for mats in sq]
     if side is not None:
         del bad[side][4]
-    with pytest.raises(ValueError, match="has 0 rows, expected"):
+    with pytest.raises(ValueError, match=r"needs one matrix per degree 1\.\.4 and no other key"):
         verify_coalgebra_map(ca, cb, witness, steenrod=tuple(bad))
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["a", "b"])
+@pytest.mark.parametrize("key", [0, 5, "x"], ids=["zero", "past-the-top", "str"])
+def test_verify_map_rejects_steenrod_with_a_key_that_is_not_a_degree(side, key):
+    # the reader looked up degrees 1..4 only, so the junk went unread and a
+    # valid witness was passed
+    ca, cb, sq = _braid6_rat3()
+    witness = coalgebras_isomorphic(ca, cb, steenrod=sq).witness
+    bad = list(sq)
+    bad[side] = {**sq[side], key: "junk"}
+    with pytest.raises(ValueError, match=r"degree 1\.\.4 and no other key, got the keys \[1, 2"):
+        verify_coalgebra_map(ca, cb, witness, steenrod=tuple(bad))
+
+
+def test_iso_verifies_the_witness_the_search_returns(monkeypatch, capsys):
+    # the search verified its own witness, so a faulty one was returned as
+    # 'yes' and the CLI exited 0
+    ca, cb, _ = _braid6_rat3()
+    identity = tuple(tuple(1 << r for r in range(n)) for n in ca.dims)
+    assert not verify_coalgebra_map(ca, cb, identity)
+    monkeypatch.setattr(coalgebra, "_search_isomorphism", lambda a, b, budget, sq:
+                        coalgebra.IsoVerdict("yes", dims=a.dims, witness=identity, tried=1))
+    with pytest.raises(RuntimeError, match="fails verification"):
+        coalgebras_isomorphic(ca, cb)
+    assert main(["iso", "--a", "braid:6", "--b", "rat:3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "RuntimeError" in err
 
 
 def test_empty_components_are_refused_by_both_routes():
@@ -974,7 +1007,8 @@ def _steenrod_junk_at_an_empty_degree():
 # Malformed input that got past the input checks: a TypeError (the first
 # three, delta-int and dims-none), a 'no' after 7 search nodes
 # (steenrod-dict-degrees, read by its keys), False (phi-dict-degrees and
-# phi-row-out-of-range), True (steenrod-junk-at-an-empty-degree), or a
+# phi-row-out-of-range), True (steenrod-junk-at-an-empty-degree), a 'yes'
+# (the three steenrod-extra-key cases, whose junk was never read), or a
 # coalgebra that was built (float-constant and two-classes-in-degree-0)
 MALFORMED = {
     "steenrod-int-degree": lambda a, b, sq, phi: coalgebras_isomorphic(
@@ -988,6 +1022,12 @@ MALFORMED = {
     "phi-row-out-of-range": lambda a, b, sq, phi: verify_coalgebra_map(
         a, b, phi[:4] + ((1 << a.dims[4],),)),
     "steenrod-junk-at-an-empty-degree": lambda *_: _steenrod_junk_at_an_empty_degree(),
+    "steenrod-extra-key-0": lambda a, b, sq, phi: coalgebras_isomorphic(
+        a, b, steenrod=({**sq[0], 0: "junk"}, sq[1])),
+    "steenrod-extra-key-past-the-top": lambda a, b, sq, phi: coalgebras_isomorphic(
+        a, b, steenrod=(sq[0], {**sq[1], len(b.dims): "junk"})),
+    "steenrod-extra-key-str": lambda a, b, sq, phi: coalgebras_isomorphic(
+        a, b, steenrod=({**sq[0], "x": "junk"}, sq[1])),
     "float-constant": lambda *_: GradedCoalgebra((1,), ((((0.0,),),),)),
     "delta-int": lambda *_: GradedCoalgebra((1,), 5),
     "dims-none": lambda *_: GradedCoalgebra(None, ()),
