@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     add = functools.partial(sub.add_parser, parents=[common])
 
     p = add("basis", help="list a weight-graded basis with embeddings")
-    p.add_argument("--family", choices=("braid", "rat", "conf"), required=True)
+    p.add_argument("--family", choices=[f.value for f in Family], required=True)
     p.add_argument("--k", type=int, required=True)
     p.set_defaults(handler=_cmd_basis)
 
@@ -297,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_iso)
 
     p = add("steenrod", help="dual Steenrod matrices in the family basis")
-    p.add_argument("--family", choices=("braid", "rat", "conf"), required=True)
+    p.add_argument("--family", choices=[f.value for f in Family], required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--j", type=int, default=1)
     p.set_defaults(handler=_cmd_steenrod)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from typing import Mapping, NamedTuple, Sequence
 
 from . import gf2
@@ -86,7 +86,7 @@ class GradedCoalgebra(_Coalgebra):
     def _new(cls, dims, delta):
         """Every check of the constructor but the per-element coassociativity
         pass, for a family component whose generator coproducts
-        ``_check_generators`` has checked."""
+        ``_coproduct_rows`` has checked."""
         delta = tuple(tuple(tuple(map(tuple, map(_level, _level(split)))) for split in _level(row))
                       for row in _level(delta))
         self = super().__new__(cls, tuple(_level(dims)), delta)
@@ -155,16 +155,14 @@ def extract_coalgebra(family: Family, k: int) -> GradedCoalgebra:
     return component_coalgebra(_basis_by_dim(family, k))
 
 
-def _multiply_out(by_dim: Sequence[Sequence[FamilyMonomial]], image, arity: int, what: str,
-                  degrees: Sequence[int] | None = None):
+def _multiply_out(by_dim: Sequence[Sequence[FamilyMonomial]], image, arity: int, what: str):
     """Multiply out a ring map over a component given by its basis by degree,
-    a whole component as ``families.basis`` enumerates it.
-    ``image(family, idx)`` is a generator's image as ``arity``-tuples of
-    family monomials, ``arity`` 1 or 2.  Yields (d, i, terms) for basis
-    element i of degree d, for every degree in order or for those of
-    ``degrees``: for each term of the product of the images of its
-    generators, its place (degree, index) in ``by_dim``, or a pair of places
-    when ``arity`` is 2.
+    a whole component as ``families.basis`` enumerates it, one empty of
+    classes included.  ``image(family, idx)`` is a generator's image as
+    ``arity``-tuples of family monomials, ``arity`` 1 or 2.  Does its setup
+    once and returns ``expand(fm)``: for a basis monomial fm, for each term
+    of the product of the images of its generators, its place (degree,
+    index) in ``by_dim``, or a pair of places when ``arity`` is 2.
 
     An exponent vector is one int with a field of W bits per generator,
     W = k.bit_length() for the component's top weight k, and a tuple packs
@@ -179,7 +177,7 @@ def _multiply_out(by_dim: Sequence[Sequence[FamilyMonomial]], image, arity: int,
     outside the basis raises ``SpanError``.
     """
     gens = sorted({idx for row in by_dim for fm in row for idx, _ in fm.exps})
-    width = max(fm.weight for row in by_dim for fm in row).bit_length()
+    width = max((fm.weight for row in by_dim for fm in row), default=0).bit_length()
     slot = {idx: 1 << (width * p) for p, idx in enumerate(gens)}
     shift = width * len(gens)
     low = (1 << shift) - 1
@@ -191,52 +189,64 @@ def _multiply_out(by_dim: Sequence[Sequence[FamilyMonomial]], image, arity: int,
             raise SpanError(f"{fm} leaves the generators of the component") from None
 
     where = {pack(fm): (d, i) for d, row in enumerate(by_dim) for i, fm in enumerate(row)}
-    family = by_dim[0][0].family
     packed, bound = {}, {}
     for idx in gens:
-        closed = image(family, idx)
+        closed = image(by_dim[0][0].family, idx)
         packed[idx] = [sum(pack(fm) << (shift * n) for n, fm in enumerate(t)) for t in closed]
         bound[idx] = max((e for t in closed for fm in t for _, e in fm.exps), default=0)
-    for d in range(len(by_dim)) if degrees is None else degrees:
-        for i, fm in enumerate(by_dim[d]):
-            if sum(bound[idx] * e for idx, e in fm.exps) >> width:
-                raise ValueError(f"{what} of {fm} exceeds the packed field width {width}")
-            acc = {0}
-            for idx, e in fm.exps:
-                for b in range(e.bit_length()):
-                    if e >> b & 1:
-                        power = [x << b for x in packed[idx]]
-                        # For a fixed a the sums a + x over distinct x are distinct.
-                        acc = xor_all({a + x for x in power} for a in acc)
-            try:
-                terms = ([(where[x & low], where[x >> shift]) for x in acc] if arity == 2
-                         else [where[x] for x in acc])
-            except KeyError:
-                raise SpanError(
-                    f"a term of the {what} of {fm} leaves the basis of the component"
-                ) from None
-            yield d, i, terms
+
+    def expand(fm: FamilyMonomial) -> list:
+        if sum(bound[idx] * e for idx, e in fm.exps) >> width:
+            raise ValueError(f"{what} of {fm} exceeds the packed field width {width}")
+        acc = {0}
+        for idx, e in fm.exps:
+            for b in range(e.bit_length()):
+                if e >> b & 1:
+                    power = [x << b for x in packed[idx]]
+                    # For a fixed a the sums a + x over distinct x are distinct.
+                    acc = xor_all({a + x for x in power} for a in acc)
+        try:
+            return ([(where[x & low], where[x >> shift]) for x in acc] if arity == 2
+                    else [where[x] for x in acc])
+        except KeyError:
+            raise SpanError(
+                f"a term of the {what} of {fm} leaves the basis of the component"
+            ) from None
+
+    return expand
 
 
-def _coproduct_degrees(by_dim: Sequence[Sequence[FamilyMonomial]],
-                       degrees: Sequence[int] | None = None):
-    """Yield the structure constants of a component given by its basis by
-    degree, one degree at a time, for every degree in order or for those of
-    ``degrees``: ``delta[d]`` in the form of ``GradedCoalgebra``.
+def _coproduct_rows(by_dim: Sequence[Sequence[FamilyMonomial]]):
+    """Check every generator a component given by its basis by degree holds
+    (``_check_generator``, once per process for each), then return
+    ``row(d)``: the structure constants ``delta[d]`` in the form of
+    ``GradedCoalgebra``, multiplied out the first time degree d is asked
+    for and kept.
 
     psi is a ring map, so each basis element's coproduct is the product of
-    its generators' coproducts (``families.generator_coproduct``),
-    multiplied out by ``_multiply_out`` on pairs; a pair whose dims do not
-    add up to the element's raises ``ValueError``.
+    its generators' coproducts (``families.generator_coproduct``), multiplied
+    out by ``_multiply_out`` on pairs; a pair whose dims do not add up to
+    the element's raises ``ValueError``.  (psi (x) 1) psi and (1 (x) psi)
+    psi, and the two counit maps and the identity, are ring maps as well
+    (the counit sends g to 1 and every generator of positive dim to 0).
+    Ring maps that agree on the generators agree on every monomial, so the
+    component, closed under psi since every half was found in its basis, is
+    counital and coassociative when each of its generators is, and the
+    per-element pass of the ``GradedCoalgebra`` constructor, nine times the
+    cost of the extraction itself on rat:32, is not needed for it.
     """
+    family = next((fm.family for row in by_dim for fm in row), None)
+    for idx in sorted({idx for row in by_dim for fm in row for idx, _ in fm.exps}):
+        _check_generator(family, idx)
+    expand = _multiply_out(by_dim, generator_coproduct, 2, "coproduct")
     dims = [len(row) for row in by_dim]
-    degrees = range(len(dims)) if degrees is None else degrees
-    products = _multiply_out(by_dim, generator_coproduct, 2, "coproduct", degrees)
-    for d in degrees:
+
+    @lru_cache(maxsize=None)
+    def row(d: int) -> tuple:
         splits: list[list] = [[] for _ in range(d + 1)]
-        for _, _, pairs in islice(products, dims[d]):
+        for fm in by_dim[d]:
             parts: list[list] = [[] for _ in range(d + 1)]
-            for (s, i), (t, j) in pairs:
+            for (s, i), (t, j) in expand(fm):
                 if s + t != d:
                     raise ValueError(
                         f"coproduct pair of dimensions ({s}, {t}) has total {s + t}, expected {d}"
@@ -244,16 +254,16 @@ def _coproduct_degrees(by_dim: Sequence[Sequence[FamilyMonomial]],
                 parts[s].append(i * dims[t] + j)
             for s, xs in enumerate(parts):
                 splits[s].append(tuple(sorted(xs)))
-        yield tuple(map(tuple, splits))
+        return tuple(map(tuple, splits))
+
+    return row
 
 
 def component_coalgebra(by_dim: Sequence[Sequence[FamilyMonomial]]) -> GradedCoalgebra:
-    """Structure constants of a component given by its basis by degree,
-    every degree of ``_coproduct_degrees``, checked as ``_check_generators``
-    says."""
-    delta = tuple(_coproduct_degrees(by_dim))
-    _check_generators(by_dim)
-    return GradedCoalgebra._new([len(row) for row in by_dim], delta)
+    """Structure constants of a component given by its basis by degree:
+    every degree of ``_coproduct_rows``, whose generator checks run first."""
+    row = _coproduct_rows(by_dim)
+    return GradedCoalgebra._new([len(r) for r in by_dim], [row(d) for d in range(len(by_dim))])
 
 
 def _frobenius(fm: FamilyMonomial, b: int) -> FamilyMonomial:
@@ -297,24 +307,6 @@ def _check_generator(family: Family, idx: int) -> None:
     right = xor_all({(u, x, y) for x, y in _psi_monomial(v)} for u, v in pairs)
     if left != right:
         raise ValueError(f"the closed-form coproduct of {gen} is not coassociative")
-
-
-def _check_generators(by_dim: Sequence[Sequence[FamilyMonomial]]) -> None:
-    """Run ``_check_generator``, once per process for each, on every
-    generator that a component given by its basis by degree holds.
-
-    Every coproduct of the component is the ring map that ``_multiply_out``
-    builds from these generator coproducts, so (psi (x) 1) psi and
-    (1 (x) psi) psi, and the two counit maps and the identity, are ring maps
-    as well (the counit sends g to 1 and every generator of positive dim to
-    0).  Ring maps that agree on the generators agree on every monomial, so
-    the component, closed under psi since every half was found in its basis,
-    is counital and coassociative when each of its generators is, and the
-    per-element pass of the ``GradedCoalgebra`` constructor, nine times the
-    cost of the extraction itself on rat:32, is not needed for it."""
-    family = next((fm.family for row in by_dim for fm in row), None)
-    for idx in sorted({idx for row in by_dim for fm in row for idx, _ in fm.exps}):
-        _check_generator(family, idx)
 
 
 def _set_bits(mask: int) -> list[int]:
@@ -533,26 +525,26 @@ def components_isomorphic(
     their coalgebras (and their Sq_1^* matrices when ``steenrod`` is true),
     built only when the stable edge leaves it open.
 
-    The generator coproducts of both sides are checked first
-    (``_check_generators``).  The dims come from the bases, then
-    ``_rank_mismatch`` reads the stable-edge degrees E and E + 1
-    (``_stable_edge``, the smaller of the two sides), the only degrees
-    multiplied out for it, where the ranks of rat:k and braid:2k first
-    differ; a ``no`` there names that split and builds no coalgebra.
+    One ``_coproduct_rows`` per side checks its generator coproducts first.
+    The dims come from the bases, then ``_rank_mismatch`` reads the
+    stable-edge degrees E and E + 1 (``_stable_edge``, the smaller of the
+    two sides), where the ranks of rat:k and braid:2k first differ; a ``no``
+    there names that split and multiplies out no other degree.  Otherwise
+    the same rows build both coalgebras, so each degree is multiplied out
+    once on each side, a ``yes`` included.
     """
-    _check_generators(by_dim_a)
-    _check_generators(by_dim_b)
+    row_a, row_b = _coproduct_rows(by_dim_a), _coproduct_rows(by_dim_b)
     dims = tuple(map(len, by_dim_a))
     edge = min(_stable_edge(by_dim_a), _stable_edge(by_dim_b))
-    degrees = [d for d in (edge, edge + 1) if d < len(dims)]
-    rows = zip(_coproduct_degrees(by_dim_a, degrees), _coproduct_degrees(by_dim_b, degrees))
     verdict = (_mismatch(dims, "dims", dims, tuple(map(len, by_dim_b)))
-               or _rank_mismatch(dims, zip(degrees, rows)))
+               or _rank_mismatch(dims, ((d, (row_a(d), row_b(d)))
+                                        for d in (edge, edge + 1) if d < len(dims))))
     if verdict:
         return verdict
     sq = (component_steenrod(by_dim_a), component_steenrod(by_dim_b)) if steenrod else None
-    return coalgebras_isomorphic(component_coalgebra(by_dim_a), component_coalgebra(by_dim_b),
-                                 budget, steenrod=sq)
+    a, b = (GradedCoalgebra._new(dims, [row(d) for d in range(len(dims))])
+            for row in (row_a, row_b))
+    return coalgebras_isomorphic(a, b, budget, steenrod=sq)
 
 
 def _bits(vec: int) -> list[int]:
@@ -685,18 +677,21 @@ def component_steenrod(
     set when the image of source b hits that row.  Sq_* is a ring map that
     sends each generator x to x + Sq_1^* x (``families.generator_steenrod``),
     so Sq_j^* of a degree-d element is the degree-(d-j) part of the product
-    of those images, multiplied out by ``_multiply_out``.  Raises
-    ``SpanError`` if a term leaves the basis.
+    of those images, each multiplied out by the ``expand`` of
+    ``_multiply_out``.  Raises ``SpanError`` if a term leaves the basis.
     """
     if j < 1:
         raise ValueError(f"j must be >= 1, got {j}")
-    dims = [len(row) for row in by_dim]
-    out = {d: [0] * (dims[d - j] if d >= j else 0) for d in range(1, len(dims))}
-    for d, col, terms in _multiply_out(by_dim, _total_steenrod, 1, "dual Steenrod image"):
-        for s, t in terms:
-            if s == d - j:
-                out[d][t] |= 1 << col
-    return {d: tuple(matrix) for d, matrix in out.items()}
+    expand = _multiply_out(by_dim, _total_steenrod, 1, "dual Steenrod image")
+    out = {}
+    for d in range(1, len(by_dim)):
+        matrix = [0] * (len(by_dim[d - j]) if d >= j else 0)
+        for col, fm in enumerate(by_dim[d]):
+            for s, t in expand(fm):
+                if s == d - j:
+                    matrix[t] |= 1 << col
+        out[d] = tuple(matrix)
+    return out
 
 
 class LemmaBraidReport(NamedTuple):
@@ -717,16 +712,13 @@ def check_lemma_braid(k: int) -> LemmaBraidReport:
     """Check b -> g*b maps the weight-2k basis onto the weight-2k+1 one row by
     row, index for index (g, of dim 0, leads the lexicographic order, and
     weight 2k+1 forces an odd g exponent), and then Delta(g*b) = (g (x) g)
-    Delta(b): equal ``_coproduct_degrees``, read up to the first that differs.
-    The generator coproducts are checked first (``_check_generators``) on
-    the odd basis, which holds every generator of the even one."""
+    Delta(b): ``row_even(d) == row_odd(d)`` of their ``_coproduct_rows``, whose
+    generator checks run first, for d up to the first degree that differs."""
     even, odd = _basis_by_dim(Family.BRAID, 2 * k), _basis_by_dim(Family.BRAID, 2 * k + 1)
-    _check_generators(odd)
+    row_even, row_odd = _coproduct_rows(even), _coproduct_rows(odd)
     g = FamilyMonomial(Family.BRAID, ((0, 1),))
     bijection_ok = [[fm * g for fm in row] for row in even] == odd
-    coproduct_ok = bijection_ok and all(
-        x == y for x, y in zip(_coproduct_degrees(even), _coproduct_degrees(odd))
-    )
+    coproduct_ok = bijection_ok and all(row_even(d) == row_odd(d) for d in range(len(even)))
     return LemmaBraidReport(k, bijection_ok, coproduct_ok, sum(map(len, even)))
 
 

@@ -234,8 +234,9 @@ def generator_coproduct(
 def generator_steenrod(family: Family, idx: int) -> frozenset[FamilyMonomial]:
     """Sq_1^* of one generator as family monomials, in closed form: the square
     of the generator one index down for braid gamma_i, i >= 2, and for rat
-    rho_i and conf c_i, i >= 1; zero on g, gamma_1, rho_0 and c_0.  Every
-    Sq_j^*, j >= 2, is zero on every generator.
+    rho_i and conf c_i, i >= 1; zero on the generators of dim <= 1, g,
+    gamma_1, rho_0 and c_0.  Every Sq_j^*, j >= 2, is zero on every
+    generator.
 
     Proof sketch.  The total dual operation Sq_* = sum_j Sq_j^* is a ring map
     with Sq_*(Q^i g) = Q^i g + (Q^(i-1) g)^2 for i >= 2, fixing g^(+-1) and
@@ -251,8 +252,7 @@ def generator_steenrod(family: Family, idx: int) -> frozenset[FamilyMonomial]:
     embedded classes hold in the family, and Sq_* of a basis monomial is the
     product of x + Sq_1^* x over its generators x.
     """
-    generator_bigrade(family, idx)  # validates the index
-    if idx < (2 if family is Family.BRAID else 1):
+    if generator_bigrade(family, idx).dim <= 1:  # validates the index
         return frozenset()
     return frozenset({FamilyMonomial(family, ((idx - 1, 2),))})
 

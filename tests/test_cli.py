@@ -404,9 +404,13 @@ def test_iso_no_on_ranks_builds_only_the_degrees_it_reads(capsys, monkeypatch):
     read, multiply_out = set(), coalgebra._multiply_out
 
     def recorded(*args):
-        for d, i, terms in multiply_out(*args):
-            read.add(d)
-            yield d, i, terms
+        expand = multiply_out(*args)
+
+        def recorded_expand(fm):
+            read.add(fm.dim)
+            return expand(fm)
+
+        return recorded_expand
 
     monkeypatch.setattr(coalgebra, "_multiply_out", recorded)
     code, data = run_json(capsys, "iso", "--a", "rat:13", "--b", "braid:26", "--steenrod")
@@ -423,6 +427,28 @@ def test_iso_steenrod_yes_builds_the_matrices_once_per_side(capsys, monkeypatch)
     assert code == 0 and data["verdict"]["kind"] == "yes"
     assert steenrod_calls == [5, 5]
     assert built == [tuple(data["dims"])] * 2
+
+
+def test_a_yes_multiplies_out_each_component_once(capsys, monkeypatch):
+    # a 'yes' reads the stable-edge degrees and then builds both coalgebras
+    # from the same coproducts; counted by the ring map multiplied out
+    images, multiply_out = [], coalgebra._multiply_out
+
+    def counted(by_dim, image, *args):
+        images.append(image.__name__)
+        return multiply_out(by_dim, image, *args)
+
+    monkeypatch.setattr(coalgebra, "_multiply_out", counted)
+    v = coalgebra.components_isomorphic(families._basis_by_dim(Family.CONF, 6),
+                                        families._basis_by_dim(Family.BRAID, 12))
+    assert v.kind == "yes" and v.tried == 20
+    assert images == ["generator_coproduct"] * 2
+    images.clear()
+    assert main(["iso", "--a", "braid:6", "--b", "rat:3", "--steenrod"]) == 0
+    capsys.readouterr()
+    assert sorted(images) == [
+        "_total_steenrod", "_total_steenrod", "generator_coproduct", "generator_coproduct",
+    ]
 
 
 def test_extract_compare_json_is_the_full_json_cut_at_degree_14(capsys):

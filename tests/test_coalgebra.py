@@ -1178,18 +1178,24 @@ def test_lemma_verdict_fails_on_a_reordered_odd_row(monkeypatch):
 
 @pytest.mark.parametrize("side", [0, 1], ids=["even", "odd"])
 def test_lemma_verdict_fails_on_one_toggled_structure_constant(monkeypatch, side):
-    degrees = coalgebra._coproduct_degrees
+    coproduct_rows = coalgebra._coproduct_rows
 
     def toggled(by_dim):
-        rows = list(degrees(by_dim))
-        if by_dim[0][0].weight % 2 == side:
-            # b_0 (x) b_0 in split 1 of element 0 of the top degree
-            top = [list(split) for split in rows[-1]]
-            top[1][0] = tuple(sorted(set(top[1][0]) ^ {0}))
-            rows[-1] = tuple(map(tuple, top))
-        return rows
+        row = coproduct_rows(by_dim)
+        if by_dim[0][0].weight % 2 != side:
+            return row
 
-    monkeypatch.setattr(coalgebra, "_coproduct_degrees", toggled)
+        def toggled_row(d):
+            if d != len(by_dim) - 1:
+                return row(d)
+            # b_0 (x) b_0 in split 1 of element 0 of the top degree
+            top = [list(split) for split in row(d)]
+            top[1][0] = tuple(sorted(set(top[1][0]) ^ {0}))
+            return tuple(map(tuple, top))
+
+        return toggled_row
+
+    monkeypatch.setattr(coalgebra, "_coproduct_rows", toggled)
     for k in (1, 4, 8):
         rep = check_lemma_braid(k)
         assert rep.bijection_ok and not rep.coproduct_ok and not rep.verified
