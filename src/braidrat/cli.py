@@ -11,7 +11,8 @@ stderr.  The three sweeps hand their per-k checks to ``_sweep``, the one
 place that turns them into statuses, a result and an exit code.
 
 Exit codes: 0 success (verification passed or a definitive verdict was
-reached), 1 falsification or inconclusive verdict, 2 usage or internal error.
+reached), 1 falsification or inconclusive verdict, 2 usage or internal error,
+or output that cannot be written to stdout or stderr.
 ``main`` returns the code; ``run``, the console script and ``python -m
 braidrat.cli``, exits with it without tearing the interpreter down.
 """
@@ -320,9 +321,12 @@ def main(argv: list[str] | None = None) -> int:
         code, body, lines = args.handler(args, config)
         if config.fmt == "json":
             body = {"schema": SCHEMA_VERSION, "command": args.command, **body}
-            print(json.dumps(body, indent=2, sort_keys=True))
+            text = json.dumps(body, indent=2, sort_keys=True)
         else:
-            print("\n".join(lines))
+            text = "\n".join(lines)
+        if sys.stdout is None:  # its descriptor was closed at start
+            raise OSError("stdout is closed")
+        sys.stdout.write(text + "\n")
     except (ValueError, SpanError) as exc:
         code, note = 2, f"error: {exc}"
     except Exception as exc:  # an internal fault: exit 2, never a falsification

@@ -27,7 +27,7 @@ from .families import (
     generator_steenrod,
     top_class,
 )
-from .operations import _MASK, _left_dims, _unpack
+from .operations import _MASK, _left_dims, _psi, _sq_half, _unpack
 
 DEFAULT_ISO_BUDGET = 10**6
 
@@ -164,6 +164,10 @@ def _multiply_out(by_dim: Sequence[Sequence[FamilyMonomial]], image, arity: int,
     of the product of the images of its generators, its place (degree,
     index) in ``by_dim``, or a pair of places when ``arity`` is 2.
 
+    The setup checks the closed forms of psi and Sq_* of every generator the
+    component holds (``_check_generator``, once per process for each), so
+    before any product is formed, whichever of the two is multiplied out.
+
     An exponent vector is one int with a field of W bits per generator,
     W = k.bit_length() for the component's top weight k, and a tuple packs
     its n-th monomial at bit n * B, with B the width of all fields.  Powers
@@ -191,7 +195,9 @@ def _multiply_out(by_dim: Sequence[Sequence[FamilyMonomial]], image, arity: int,
     where = {pack(fm): (d, i) for d, row in enumerate(by_dim) for i, fm in enumerate(row)}
     packed, bound = {}, {}
     for idx in gens:
-        closed = image(by_dim[0][0].family, idx)
+        family = by_dim[0][0].family
+        _check_generator(family, idx)
+        closed = image(family, idx)
         packed[idx] = [sum(pack(fm) << (shift * n) for n, fm in enumerate(t)) for t in closed]
         bound[idx] = max((e for t in closed for fm in t for _, e in fm.exps), default=0)
 
@@ -217,27 +223,19 @@ def _multiply_out(by_dim: Sequence[Sequence[FamilyMonomial]], image, arity: int,
 
 
 def _coproduct_rows(by_dim: Sequence[Sequence[FamilyMonomial]]):
-    """Check every generator a component given by its basis by degree holds
-    (``_check_generator``, once per process for each), then return
-    ``row(d)``: the structure constants ``delta[d]`` in the form of
-    ``GradedCoalgebra``, multiplied out the first time degree d is asked
-    for and kept.
+    """``row(d)`` for a component given by its basis by degree: the
+    structure constants ``delta[d]`` in the form of ``GradedCoalgebra``,
+    multiplied out the first time degree d is asked for and kept.
 
     psi is a ring map, so each basis element's coproduct is the product of
     its generators' coproducts (``families.generator_coproduct``), multiplied
     out by ``_multiply_out`` on pairs; a pair whose dims do not add up to
-    the element's raises ``ValueError``.  (psi (x) 1) psi and (1 (x) psi)
-    psi, and the two counit maps and the identity, are ring maps as well
-    (the counit sends g to 1 and every generator of positive dim to 0).
-    Ring maps that agree on the generators agree on every monomial, so the
-    component, closed under psi since every half was found in its basis, is
-    counital and coassociative when each of its generators is, and the
-    per-element pass of the ``GradedCoalgebra`` constructor, nine times the
-    cost of the extraction itself on rat:32, is not needed for it.
+    the element's raises ``ValueError``.  Its generator check makes the
+    component, closed under psi since every half was found in its basis,
+    counital and coassociative (``_check_generator``), so the per-element
+    pass of the ``GradedCoalgebra`` constructor, nine times the cost of the
+    extraction itself on rat:32, is not needed for it.
     """
-    family = next((fm.family for row in by_dim for fm in row), None)
-    for idx in sorted({idx for row in by_dim for fm in row for idx, _ in fm.exps}):
-        _check_generator(family, idx)
     expand = _multiply_out(by_dim, generator_coproduct, 2, "coproduct")
     dims = [len(row) for row in by_dim]
 
@@ -266,47 +264,41 @@ def component_coalgebra(by_dim: Sequence[Sequence[FamilyMonomial]]) -> GradedCoa
     return GradedCoalgebra._new([len(r) for r in by_dim], [row(d) for d in range(len(by_dim))])
 
 
-def _frobenius(fm: FamilyMonomial, b: int) -> FamilyMonomial:
-    """``fm`` to the power 2^b."""
-    return FamilyMonomial(fm.family, tuple((idx, e << b) for idx, e in fm.exps))
-
-
-def _psi_monomial(fm: FamilyMonomial) -> set[tuple[FamilyMonomial, FamilyMonomial]]:
-    """psi of a family monomial as pairs: the product of its generators'
-    closed-form coproducts, a power by Frobenius squares.  A small loop of
-    its own over ``FamilyMonomial`` products, since ``_check_generator``
-    vouches for the result of ``_multiply_out`` and so may not use it."""
-    unit = FamilyMonomial(fm.family)
-    acc = {(unit, unit)}
-    for idx, e in fm.exps:
-        for b in range(e.bit_length()):
-            if e >> b & 1:
-                power = [(_frobenius(u, b), _frobenius(v, b))
-                         for u, v in generator_coproduct(fm.family, idx)]
-                # For a fixed (x, y) the products over distinct pairs are distinct.
-                acc = xor_all({(x * u, y * v) for u, v in power} for x, y in acc)
-    return acc
-
-
 @lru_cache(maxsize=None)
 def _check_generator(family: Family, idx: int) -> None:
-    """Raise ``ValueError`` unless the closed-form coproduct of generator x
-    (``families.generator_coproduct``) is counital and coassociative: the
-    right halves of the pairs whose left half has dim 0 (a power of g, or 1)
-    sum to x, and so do the left halves of those whose right half has dim 0;
-    and (psi (x) 1) psi x = (1 (x) psi) psi x, with psi of each half by
-    ``_psi_monomial``."""
+    """Raise ``ValueError``, naming the generator x and the operation,
+    unless its closed forms agree with the ambient operations on its
+    embedding E(x) (``_embed``, as packed halves):
+
+    * psi: the XOR over the pairs (u, v) of ``generator_coproduct`` of the
+      pairs {(a, b) : a in E(u), b in E(v)} is ``operations._psi`` of E(x);
+    * Sq_*: E(x) + E(Sq_1^* x), with Sq_1^* x from ``generator_steenrod``,
+      is the XOR of ``operations._sq_half`` over E(x), so Sq_j^* x is
+      checked to vanish for j >= 2 as well.
+
+    Why this is enough.  E is a ring map, injective on each family's ring:
+    each monomial's image has a leading term of its own, the one with the
+    highest Q^i g exponents (the ambient test oracle's elimination confirms
+    this on every admitted component), so E (x) E is injective too.  psi
+    and Sq_* are ring maps, and psi is coassociative and counital.  The
+    closed forms define ring maps Delta and S on the family ring, the ones
+    ``_multiply_out`` multiplies out, so equality on the generators gives
+    (E (x) E) Delta = psi E and E S = Sq_* E on every monomial.  Hence
+    Delta is coassociative and counital, and both closed forms are the
+    right ones, not merely lawful.  The check trusts the packed kernels;
+    ``tests/test_operations.py`` checks those against the recursive
+    object-level oracles.
+    """
     gen = FamilyMonomial(family, ((idx, 1),))
-    pairs = generator_coproduct(family, idx)
-    if xor_all({v} for u, v in pairs if not u.dim) != {gen} or xor_all(
-        {u} for u, v in pairs if not v.dim
-    ) != {gen}:
-        raise ValueError(f"the closed-form coproduct of {gen} is not counital")
-    # For a fixed pair (u, v) the triples of each side are distinct.
-    left = xor_all({(x, y, v) for x, y in _psi_monomial(u)} for u, v in pairs)
-    right = xor_all({(u, x, y) for x, y in _psi_monomial(v)} for u, v in pairs)
-    if left != right:
-        raise ValueError(f"the closed-form coproduct of {gen} is not coassociative")
+    halves = _embed(gen)
+    pairs = xor_all({(a, b) for a in _embed(u) for b in _embed(v)}
+                    for u, v in generator_coproduct(family, idx))
+    if pairs != _psi(halves):
+        raise ValueError(f"the closed-form coproduct of {gen} is not psi of its embedding")
+    if xor_all(_embed(fm) for (fm,) in _total_steenrod(family, idx)) != xor_all(
+        map(_sq_half, halves)
+    ):
+        raise ValueError(f"the closed-form Sq_* of {gen} is not Sq_* of its embedding")
 
 
 def _set_bits(mask: int) -> list[int]:
@@ -525,7 +517,7 @@ def components_isomorphic(
     their coalgebras (and their Sq_1^* matrices when ``steenrod`` is true),
     built only when the stable edge leaves it open.
 
-    One ``_coproduct_rows`` per side checks its generator coproducts first.
+    One ``_coproduct_rows`` per side checks its generators first.
     The dims come from the bases, then ``_rank_mismatch`` reads the
     stable-edge degrees E and E + 1 (``_stable_edge``, the smaller of the
     two sides), where the ranks of rat:k and braid:2k first differ; a ``no``

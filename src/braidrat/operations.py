@@ -9,18 +9,20 @@ and the dual Steenrod operations Sq_j^*.
 All three run on packed ints: a monomial is one int, its half, and a
 monomial pair is a (left, right) tuple of halves, so multiplying is integer
 addition and F2 cancellation is set symmetric difference.  The family
-generators are built by the packed ``_q``.  No coalgebra verdict calls
-``_psi`` or ``_sqj``: they read the closed-form generator images of
-``families``.  ``araki_kudo_q``, ``iterated_q``, ``coproduct``, ``sq1_dual``
-and ``sqj_dual`` are views that pack their argument and unpack the result.
+generators are built by the packed ``_q``.  Coalgebra verdicts read the
+closed-form generator images of ``families``; ``_psi`` and ``_sq_half`` are
+the reference that ``coalgebra._check_generator`` compares those images
+with, on each generator's embedding, before any of them is multiplied out.
+``araki_kudo_q``, ``iterated_q``, ``coproduct``, ``sq1_dual`` and
+``sqj_dual`` are views that pack their argument and unpack the result.
 ``_left_dims`` reads the left dims of the pairs of one packed half in closed
 form, without forming a pair.
 
 The coproduct memo is the one cache, and in the package only ``coproduct``
-fills it: it maps each half to a frozenset of (left, right) tuples,
-write-once, and entries are never mutated after insertion, so concurrent
-readers are safe.  Sq_j^* is read off the closed-form terms of the total
-operation Sq_* by their dim and needs no memo.
+and the generator check fill it: it maps each half to a frozenset of (left,
+right) tuples, write-once, and entries are never mutated after insertion,
+so concurrent readers are safe.  Sq_j^* is read off the closed-form terms
+of the total operation Sq_* by their dim and needs no memo.
 """
 from __future__ import annotations
 

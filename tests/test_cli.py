@@ -337,19 +337,31 @@ def test_braid_conf_fails_fast_on_predicted_basis_size(capsys, monkeypatch):
 
 
 def _count_builds(monkeypatch):
-    """Count basis enumerations and basis embeddings."""
+    """Count basis enumerations and basis embeddings: the embeddings made
+    outside the generator checks, which embed only generators and their
+    closed-form images."""
     counts = {"enumerate": 0, "embed": 0}
+    checking = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            counts[name] += 1
+            counts[name] += not checking
             return fn(*args, **kwargs)
         return wrapper
 
+    def check(*args):
+        checking.append(args)
+        try:
+            return check_generator(*args)
+        finally:
+            checking.pop()
+
+    check_generator = coalgebra._check_generator
     monkeypatch.setattr(
         families, "_exponent_vectors", counted("enumerate", families._exponent_vectors)
     )
     monkeypatch.setattr(coalgebra, "_embed", counted("embed", coalgebra._embed))
+    monkeypatch.setattr(coalgebra, "_check_generator", check)
     return counts
 
 
@@ -368,6 +380,10 @@ def test_iso_without_steenrod_enumerates_each_component_and_embeds_nothing(capsy
 
 
 def test_lemma_braid_enumerates_each_basis_once_and_runs_no_psi(capsys, monkeypatch):
+    # psi runs only in the generator checks, once per process on each half
+    # of the embeddings of g and gamma_1..gamma_4, which braid:2..17 hold,
+    # and never on the embedding of a basis element
+    coalgebra._check_generator.cache_clear()
     psi_calls = []
     psi_half = operations._psi_half
     monkeypatch.setattr(operations, "_psi_half", lambda h: psi_calls.append(h) or psi_half(h))
@@ -375,7 +391,8 @@ def test_lemma_braid_enumerates_each_basis_once_and_runs_no_psi(capsys, monkeypa
     code, data = run_json(capsys, "lemma-braid", "--max-k", "8")
     assert code == 0 and data["all_verified"] is True
     assert counts == {"enumerate": 16, "embed": 0}
-    assert psi_calls == []
+    halves = [h for idx in range(5) for h in families._generator_halves(Family.BRAID, idx)[0]]
+    assert sorted(psi_calls) == sorted(halves)
 
 
 def _count_decision_work(monkeypatch):
@@ -698,3 +715,10 @@ def test_fresh_interpreter_prints_every_byte_and_keeps_the_exit_codes(capsys):
     proc = fresh_python("-m", "braidrat.cli", *argv, redirect="2>&-")
     code, out, _ = run(capsys, *argv)
     assert (proc.returncode, code) == (2, 0) and proc.stdout == out
+    # with stdout closed, the verdict cannot be written: exit 2, with the
+    # error on stderr
+    for argv in (("iso", "--a", "rat:3", "--b", "braid:6"),
+                 ("--format", "json", "theorem-main", "--from", "1", "--to", "3")):
+        proc = fresh_python("-m", "braidrat.cli", *argv, redirect=">&-")
+        assert proc.returncode == 2, argv
+        assert proc.stderr == "error: OSError: stdout is closed\n", argv

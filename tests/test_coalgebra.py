@@ -4,6 +4,7 @@ the verification routines."""
 import hashlib
 import json
 import random
+import re
 from itertools import permutations
 
 import pytest
@@ -170,9 +171,18 @@ def test_span_errors(monkeypatch, patch, delta_fails, steenrod_fails):
         assert main(argv) == 0
 
 
+def _warm_generator_checks(family, k):
+    """Run the generator checks of the component on the true closed forms.
+    They are cached for the process, so a closed form planted afterwards
+    reaches the guard its test names instead of the check."""
+    for idx in sorted({idx for fm in basis(family, k) for idx, _ in fm.exps}):
+        coalgebra._check_generator(family, idx)
+
+
 def test_steenrod_rejects_closed_form_image_outside_the_basis(monkeypatch, capsys):
     # g in Sq_1^* rho_1 puts g^2 into the image of g rho_1; its dim is 1 less,
     # but g^2 has weight 2, outside rat:3
+    _warm_generator_checks(Family.RAT, 3)
     g = family_monomial(Family.RAT, {-1: 1})
 
     def patched(family, idx):
@@ -216,6 +226,7 @@ def test_extraction_rejects_inhomogeneous_pairs(monkeypatch, capsys):
     with pytest.raises(ValueError, match=r"\(0, 0\) has total 0, expected 4"):
         ambient_delta(Family.RAT, 3)
     # closed forms: g (x) g in psi(rho_0) puts g^3 (x) g^3 into psi(g^2 rho_0)
+    _warm_generator_checks(Family.RAT, 3)
     g = family_monomial(Family.RAT, {-1: 1})
     _inject_closed_form_pair(monkeypatch, (g, g))
     with pytest.raises(ValueError, match=r"\(0, 0\) has total 0, expected 1"):
@@ -226,6 +237,7 @@ def test_extraction_rejects_inhomogeneous_pairs(monkeypatch, capsys):
 def test_extraction_rejects_closed_form_pair_outside_the_basis(monkeypatch, capsys):
     # 1 (x) rho_0 in psi(rho_0) puts g^2 (x) g^2 rho_0 into psi(g^2 rho_0); its
     # dims add up, but g^2 has weight 2, outside rat:3
+    _warm_generator_checks(Family.RAT, 3)
     unit = FamilyMonomial(Family.RAT, ())
     _inject_closed_form_pair(monkeypatch, (unit, family_monomial(Family.RAT, {0: 1})))
     with pytest.raises(SpanError, match="leaves the basis"):
@@ -235,6 +247,7 @@ def test_extraction_rejects_closed_form_pair_outside_the_basis(monkeypatch, caps
 
 def test_extraction_guards_the_packed_field_width(monkeypatch, capsys):
     # g^4 (x) g^4 would carry out of rat:3's 2-bit exponent fields
+    _warm_generator_checks(Family.RAT, 3)
     g4 = family_monomial(Family.RAT, {-1: 4})
     _inject_closed_form_pair(monkeypatch, (g4, g4))
     with pytest.raises(ValueError, match="packed field width 2"):
@@ -263,16 +276,16 @@ def _planted(key, change):
 
 
 # Each plant keeps the dims of every pair consistent.  rho_1 loses g^2 (x)
-# rho_1, so its counit fails (its other single-pair removals stay counital
-# and coassociative, so no check of either law can see them; the oracle
-# comparisons do); rho_2 loses g rho_0^3 (x) rho_0^4, and gamma_3 gains
-# gamma_1 gamma_2 g^2 (x) gamma_2 g^4, of dims (4, 3), and both stay
-# counital but are no longer coassociative.
+# rho_1, so its counit fails; rho_2 loses g rho_0^3 (x) rho_0^4, and gamma_3
+# gains gamma_1 gamma_2 g^2 (x) gamma_2 g^4, of dims (4, 3), and both stay
+# counital but are no longer coassociative.  The generator check compares
+# each closed form with psi of the generator's embedding, which sees all
+# three.
 PLANTS = {
     "rho_1": (
         _planted((Family.RAT, 1), lambda out, f: out - {
             (family_monomial(f, {-1: 2}), family_monomial(f, {1: 1}))}),
-        "not counital", (Family.RAT, 3), [
+        "coproduct of rho_1 is not psi of its embedding", (Family.RAT, 3), [
             ("iso", "--a", "rat:3", "--b", "braid:6"),
             ("iso", "--a", "rat:13", "--b", "braid:26"),
             ("theorem-main", "--from", "3", "--to", "3"),
@@ -280,14 +293,14 @@ PLANTS = {
     "rho_2": (
         _planted((Family.RAT, 2), lambda out, f: out - {
             (family_monomial(f, {-1: 1, 0: 3}), family_monomial(f, {0: 4}))}),
-        "not coassociative", (Family.RAT, 4), [
+        "coproduct of rho_2 is not psi of its embedding", (Family.RAT, 4), [
             ("iso", "--a", "rat:4", "--b", "braid:8"),
             ("iso", "--a", "rat:13", "--b", "braid:26"),
         ]),
     "gamma_3": (
         _planted((Family.BRAID, 3), lambda out, f: out | {
             (family_monomial(f, {0: 2, 1: 1, 2: 1}), family_monomial(f, {0: 4, 2: 1}))}),
-        "not coassociative", (Family.BRAID, 8), [
+        "coproduct of gamma_3 is not psi of its embedding", (Family.BRAID, 8), [
             ("iso", "--a", "conf:4", "--b", "braid:8"),
             ("braid-conf", "--max-k", "4"),
             ("lemma-braid", "--max-k", "4"),
@@ -303,22 +316,73 @@ def fresh_generator_checks():
     coalgebra._check_generator.cache_clear()
 
 
-@pytest.mark.parametrize("plant, law, component, argvs", PLANTS.values(), ids=PLANTS)
-def test_a_planted_generator_coproduct_is_refused_on_every_family_path(
-    monkeypatch, capsys, fresh_generator_checks, plant, law, component, argvs
-):
-    monkeypatch.setattr(coalgebra, "generator_coproduct", plant)
-    with pytest.raises(ValueError, match=law):
+def _assert_refused(capsys, component, message, argvs):
+    with pytest.raises(ValueError, match=re.escape(message)):
         extract_coalgebra(*component)
     for argv in argvs:
         assert main(list(argv)) == 2, argv
         captured = capsys.readouterr()
-        assert captured.out == "" and law in captured.err, argv
+        assert captured.out == "" and message in captured.err, argv
+
+
+@pytest.mark.parametrize("plant, message, component, argvs", PLANTS.values(), ids=PLANTS)
+def test_a_planted_generator_coproduct_is_refused_on_every_family_path(
+    monkeypatch, capsys, fresh_generator_checks, plant, message, component, argvs
+):
+    monkeypatch.setattr(coalgebra, "generator_coproduct", plant)
+    _assert_refused(capsys, component, message, argvs)
+
+
+def _no_steenrod_image(key):
+    """``generator_steenrod`` with Sq_1^* of generator ``key`` set to 0."""
+    def patched(family, idx):
+        return frozenset() if (family, idx) == key else generator_steenrod(family, idx)
+    return patched
+
+
+# Closed forms that keep every law yet are wrong.  psi(rho_1) without
+# g rho_0 (x) rho_0^2 stays counital and coassociative, and gives 'no' on
+# component_ranks for rat:3 and braid:6 if it is not refused; Sq_1^* of
+# rho_1 or gamma_2 set to 0 makes wrong Steenrod matrices.  Only the
+# comparison with the ambient operation sees them.
+LAWFUL_PLANTS = {
+    "psi-rho_1": (
+        "generator_coproduct",
+        _planted((Family.RAT, 1), lambda out, f: out - {
+            (family_monomial(f, {-1: 1, 0: 1}), family_monomial(f, {0: 2}))}),
+        "coproduct of rho_1 is not psi of its embedding", (Family.RAT, 3), [
+            ("iso", "--a", "rat:3", "--b", "braid:6"),
+            ("iso", "--a", "rat:13", "--b", "braid:26"),
+            ("theorem-main", "--from", "3", "--to", "3"),
+        ]),
+    "sq-rho_1": (
+        "generator_steenrod", _no_steenrod_image((Family.RAT, 1)),
+        "Sq_* of rho_1 is not Sq_* of its embedding", (Family.RAT, 3), [
+            ("iso", "--a", "rat:3", "--b", "braid:6", "--steenrod"),
+            ("steenrod", "--family", "rat", "--k", "3"),
+        ]),
+    "sq-gamma_2": (
+        "generator_steenrod", _no_steenrod_image((Family.BRAID, 2)),
+        "Sq_* of gamma_2 is not Sq_* of its embedding", (Family.BRAID, 6), [
+            ("iso", "--a", "braid:6", "--b", "rat:3", "--steenrod"),
+        ]),
+}
+
+
+@pytest.mark.parametrize("name, plant, message, component, argvs", LAWFUL_PLANTS.values(),
+                         ids=LAWFUL_PLANTS)
+def test_a_planted_lawful_closed_form_is_refused_on_every_family_path(
+    monkeypatch, capsys, fresh_generator_checks, name, plant, message, component, argvs
+):
+    monkeypatch.setattr(coalgebra, name, plant)
+    _assert_refused(capsys, component, message, argvs)
 
 
 def test_generator_check_accepts_every_admitted_generator(fresh_generator_checks):
     # every generator index a component admitted by BASIS_BOUND can hold
-    for family, lo, hi in ((Family.BRAID, 0, 6), (Family.RAT, -1, 5), (Family.CONF, 0, 5)):
+    # (gamma_6, rho_5, c_5), and the next five of each family, which a
+    # raised bound would admit
+    for family, lo, hi in ((Family.BRAID, 0, 11), (Family.RAT, -1, 10), (Family.CONF, 0, 10)):
         for idx in range(lo, hi + 1):
             coalgebra._check_generator(family, idx)
 
