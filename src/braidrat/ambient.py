@@ -74,10 +74,19 @@ class AmbientMonomial(NamedTuple):
         return "*".join(parts)
 
 
+def _check_ints(*values) -> None:
+    """Raise ``ValueError`` unless every generator index and exponent given is an int."""
+    for v in values:
+        if not isinstance(v, int):
+            raise ValueError(f"generator indices and exponents must be ints, got {v!r}")
+
+
 def monomial(g_exp: int = 0, q: Mapping[int, int] | None = None) -> AmbientMonomial:
     """Build a monomial from a g-exponent and a {index: exponent} map."""
+    _check_ints(g_exp)
     cleaned = {}
     for i, e in (q or {}).items():
+        _check_ints(i, e)
         if i < 1:
             raise ValueError(f"generator index must be >= 1, got {i}")
         if e < 0:

@@ -165,8 +165,10 @@ def _multiply_out(by_dim: Sequence[Sequence[FamilyMonomial]], image, arity: int,
     index) in ``by_dim``, or a pair of places when ``arity`` is 2.
 
     The setup checks the closed forms of psi and Sq_* of every generator the
-    component holds (``_check_generator``, once per process for each), so
-    before any product is formed, whichever of the two is multiplied out.
+    component holds (``_check_generator``), on every call and so before any
+    product is formed, whichever of the two is multiplied out.  Nothing
+    carries a check over from one setup to the next, so whether a closed form
+    is checked never depends on what ran earlier in the process.
 
     An exponent vector is one int with a field of W bits per generator,
     W = k.bit_length() for the component's top weight k, and a tuple packs
@@ -230,7 +232,8 @@ def _coproduct_rows(by_dim: Sequence[Sequence[FamilyMonomial]]):
     psi is a ring map, so each basis element's coproduct is the product of
     its generators' coproducts (``families.generator_coproduct``), multiplied
     out by ``_multiply_out`` on pairs; a pair whose dims do not add up to
-    the element's raises ``ValueError``.  Its generator check makes the
+    the element's raises ``ValueError``.  Its setup checks every generator
+    of the component, each time it is called, and that check makes the
     component, closed under psi since every half was found in its basis,
     counital and coassociative (``_check_generator``), so the per-element
     pass of the ``GradedCoalgebra`` constructor, nine times the cost of the
@@ -264,7 +267,6 @@ def component_coalgebra(by_dim: Sequence[Sequence[FamilyMonomial]]) -> GradedCoa
     return GradedCoalgebra._new([len(r) for r in by_dim], [row(d) for d in range(len(by_dim))])
 
 
-@lru_cache(maxsize=None)
 def _check_generator(family: Family, idx: int) -> None:
     """Raise ``ValueError``, naming the generator x and the operation,
     unless its closed forms agree with the ambient operations on its
@@ -449,7 +451,9 @@ def coalgebras_isomorphic(
     ``_sq1_columns`` before the invariants; malformed ones raise
     ``ValueError``.  A ``yes`` is returned only once ``verify_coalgebra_map``
     has passed its witness, Steenrod pair included (else ``RuntimeError``).
+    A ``budget`` that is not an int >= 0 raises ``ValueError``.
     """
+    _check_budget(budget)
     sq = _sq1_columns(a, b, steenrod)
     verdict = (_mismatch(a.dims, "dims", a.dims, b.dims)
                or _rank_mismatch(a.dims, enumerate(zip(a.delta, b.delta)))
@@ -457,6 +461,12 @@ def coalgebras_isomorphic(
     if verdict.kind == "yes" and not verify_coalgebra_map(a, b, verdict.witness, steenrod):
         raise RuntimeError("isomorphism search produced a witness that fails verification")
     return verdict
+
+
+def _check_budget(budget: int) -> None:
+    """Raise ``ValueError`` unless ``budget``, a number of search nodes, is an int >= 0."""
+    if not isinstance(budget, int) or budget < 0:
+        raise ValueError(f"the search budget must be an int >= 0, got {budget!r}")
 
 
 def _mismatch(dims, name: str, left, right) -> IsoVerdict | None:
@@ -517,14 +527,17 @@ def components_isomorphic(
     their coalgebras (and their Sq_1^* matrices when ``steenrod`` is true),
     built only when the stable edge leaves it open.
 
-    One ``_coproduct_rows`` per side checks its generators first.
+    One ``_coproduct_rows`` per side checks its generators first, on every
+    call: rat:13 against braid:26 runs ten generator checks each time.
     The dims come from the bases, then ``_rank_mismatch`` reads the
     stable-edge degrees E and E + 1 (``_stable_edge``, the smaller of the
     two sides), where the ranks of rat:k and braid:2k first differ; a ``no``
     there names that split and multiplies out no other degree.  Otherwise
     the same rows build both coalgebras, so each degree is multiplied out
-    once on each side, a ``yes`` included.
+    once on each side, a ``yes`` included.  A ``budget`` that is not an int
+    >= 0 raises ``ValueError`` before either side is multiplied out.
     """
+    _check_budget(budget)
     row_a, row_b = _coproduct_rows(by_dim_a), _coproduct_rows(by_dim_b)
     dims = tuple(map(len, by_dim_a))
     edge = min(_stable_edge(by_dim_a), _stable_edge(by_dim_b))

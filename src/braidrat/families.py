@@ -23,7 +23,7 @@ import enum
 from functools import lru_cache
 from typing import Mapping, NamedTuple
 
-from .ambient import AmbientElement, Bigrade, xor_all
+from .ambient import AmbientElement, Bigrade, _check_ints, xor_all
 from .operations import _G, _QG, _check_field_range, _half_bound, _q, _view
 
 BASIS_BOUND = 4096
@@ -112,6 +112,7 @@ def family_monomial(family: Family, exps: Mapping[int, int]) -> FamilyMonomial:
     """Build a family monomial from an {index: exponent} map."""
     cleaned = {}
     for i, e in exps.items():
+        _check_ints(i, e)
         generator_bigrade(family, i)  # validates the index
         if e < 0:
             raise ValueError(f"exponent must be >= 0, got {e}")
@@ -280,6 +281,8 @@ def _exponent_vectors(weights: tuple[int, ...], total: int,
 
 
 def _check_k(k: int) -> None:
+    if not isinstance(k, int):
+        raise ValueError(f"k must be an int, got {type(k).__name__}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
 
@@ -290,6 +293,7 @@ def check_basis_size(family: Family, k: int) -> None:
     # For k >= 2 every family has more than k/2 basis monomials (the
     # partitions of k into 1s and 2s alone number floor(k/2) + 1), so such
     # a k is refused without the O(k) count.
+    _check_k(k)
     if k >= 2 * BASIS_BOUND:
         raise ValueError(f"basis size above {k // 2} exceeds bound {BASIS_BOUND}")
     total = basis_size(family, k)

@@ -19,6 +19,7 @@ from braidrat.coalgebra import (
     _basis_by_dim,
     _search_isomorphism,
     _sq1_columns,
+    check_braid_conf,
     check_lemma_braid,
     coalgebras_isomorphic,
     component_coalgebra,
@@ -35,6 +36,9 @@ from braidrat.families import (
     FamilyMonomial,
     _embed,
     basis,
+    basis_size,
+    check_basis_size,
+    check_top_class_size,
     embed,
     family_monomial,
     generator_coproduct,
@@ -171,18 +175,17 @@ def test_span_errors(monkeypatch, patch, delta_fails, steenrod_fails):
         assert main(argv) == 0
 
 
-def _warm_generator_checks(family, k):
-    """Run the generator checks of the component on the true closed forms.
-    They are cached for the process, so a closed form planted afterwards
-    reaches the guard its test names instead of the check."""
-    for idx in sorted({idx for fm in basis(family, k) for idx, _ in fm.exps}):
-        coalgebra._check_generator(family, idx)
+def _skip_generator_checks(monkeypatch):
+    """Turn the generator checks off, so a closed form planted afterwards
+    reaches the guard its test names instead of the check, which refuses
+    every such plant first."""
+    monkeypatch.setattr(coalgebra, "_check_generator", lambda family, idx: None)
 
 
 def test_steenrod_rejects_closed_form_image_outside_the_basis(monkeypatch, capsys):
     # g in Sq_1^* rho_1 puts g^2 into the image of g rho_1; its dim is 1 less,
     # but g^2 has weight 2, outside rat:3
-    _warm_generator_checks(Family.RAT, 3)
+    _skip_generator_checks(monkeypatch)
     g = family_monomial(Family.RAT, {-1: 1})
 
     def patched(family, idx):
@@ -226,7 +229,7 @@ def test_extraction_rejects_inhomogeneous_pairs(monkeypatch, capsys):
     with pytest.raises(ValueError, match=r"\(0, 0\) has total 0, expected 4"):
         ambient_delta(Family.RAT, 3)
     # closed forms: g (x) g in psi(rho_0) puts g^3 (x) g^3 into psi(g^2 rho_0)
-    _warm_generator_checks(Family.RAT, 3)
+    _skip_generator_checks(monkeypatch)
     g = family_monomial(Family.RAT, {-1: 1})
     _inject_closed_form_pair(monkeypatch, (g, g))
     with pytest.raises(ValueError, match=r"\(0, 0\) has total 0, expected 1"):
@@ -237,7 +240,7 @@ def test_extraction_rejects_inhomogeneous_pairs(monkeypatch, capsys):
 def test_extraction_rejects_closed_form_pair_outside_the_basis(monkeypatch, capsys):
     # 1 (x) rho_0 in psi(rho_0) puts g^2 (x) g^2 rho_0 into psi(g^2 rho_0); its
     # dims add up, but g^2 has weight 2, outside rat:3
-    _warm_generator_checks(Family.RAT, 3)
+    _skip_generator_checks(monkeypatch)
     unit = FamilyMonomial(Family.RAT, ())
     _inject_closed_form_pair(monkeypatch, (unit, family_monomial(Family.RAT, {0: 1})))
     with pytest.raises(SpanError, match="leaves the basis"):
@@ -247,7 +250,7 @@ def test_extraction_rejects_closed_form_pair_outside_the_basis(monkeypatch, caps
 
 def test_extraction_guards_the_packed_field_width(monkeypatch, capsys):
     # g^4 (x) g^4 would carry out of rat:3's 2-bit exponent fields
-    _warm_generator_checks(Family.RAT, 3)
+    _skip_generator_checks(monkeypatch)
     g4 = family_monomial(Family.RAT, {-1: 4})
     _inject_closed_form_pair(monkeypatch, (g4, g4))
     with pytest.raises(ValueError, match="packed field width 2"):
@@ -308,14 +311,6 @@ PLANTS = {
 }
 
 
-@pytest.fixture
-def fresh_generator_checks():
-    # the generator checks are cached per (family, index) for the process
-    coalgebra._check_generator.cache_clear()
-    yield
-    coalgebra._check_generator.cache_clear()
-
-
 def _assert_refused(capsys, component, message, argvs):
     with pytest.raises(ValueError, match=re.escape(message)):
         extract_coalgebra(*component)
@@ -327,7 +322,7 @@ def _assert_refused(capsys, component, message, argvs):
 
 @pytest.mark.parametrize("plant, message, component, argvs", PLANTS.values(), ids=PLANTS)
 def test_a_planted_generator_coproduct_is_refused_on_every_family_path(
-    monkeypatch, capsys, fresh_generator_checks, plant, message, component, argvs
+    monkeypatch, capsys, plant, message, component, argvs
 ):
     monkeypatch.setattr(coalgebra, "generator_coproduct", plant)
     _assert_refused(capsys, component, message, argvs)
@@ -372,13 +367,13 @@ LAWFUL_PLANTS = {
 @pytest.mark.parametrize("name, plant, message, component, argvs", LAWFUL_PLANTS.values(),
                          ids=LAWFUL_PLANTS)
 def test_a_planted_lawful_closed_form_is_refused_on_every_family_path(
-    monkeypatch, capsys, fresh_generator_checks, name, plant, message, component, argvs
+    monkeypatch, capsys, name, plant, message, component, argvs
 ):
     monkeypatch.setattr(coalgebra, name, plant)
     _assert_refused(capsys, component, message, argvs)
 
 
-def test_generator_check_accepts_every_admitted_generator(fresh_generator_checks):
+def test_generator_check_accepts_every_admitted_generator():
     # every generator index a component admitted by BASIS_BOUND can hold
     # (gamma_6, rho_5, c_5), and the next five of each family, which a
     # raised bound would admit
@@ -387,12 +382,19 @@ def test_generator_check_accepts_every_admitted_generator(fresh_generator_checks
             coalgebra._check_generator(family, idx)
 
 
-def test_each_generator_is_checked_once(fresh_generator_checks):
-    # rat:13 holds g and rho_0..rho_3, braid:26 g and gamma_1..gamma_4
+def test_each_generator_is_checked_once(monkeypatch):
+    # once per call: rat:13 holds g and rho_0..rho_3, braid:26 g and
+    # gamma_1..gamma_4, and a second call checks all ten again
+    checked = []
+    check = coalgebra._check_generator
+    monkeypatch.setattr(coalgebra, "_check_generator",
+                        lambda family, idx: checked.append((family, idx)) or check(family, idx))
+    expected = {(Family.RAT, idx) for idx in range(-1, 4)} | {(Family.BRAID, idx) for idx in range(5)}
     for _ in range(2):
         v = components_isomorphic(_basis_by_dim(Family.RAT, 13), _basis_by_dim(Family.BRAID, 26))
         assert v.kind == "no"
-        assert coalgebra._check_generator.cache_info().misses == 10
+        assert len(checked) == 10 and set(checked) == expected
+        checked.clear()
 
 
 def test_family_components_skip_the_per_element_pass_and_the_constructor_keeps_it(monkeypatch):
@@ -1106,6 +1108,52 @@ def test_malformed_input_raises_value_error(call):
     phi = coalgebras_isomorphic(ca, cb, steenrod=sq).witness
     with pytest.raises(ValueError):
         call(ca, cb, sq, phi)
+
+
+def _conf3_braid6():
+    return _basis_by_dim(Family.CONF, 3), _basis_by_dim(Family.BRAID, 6)
+
+
+# A k, generator index, exponent or search budget of the wrong type or sign,
+# each refused by its own check before any enumeration, embedding or search.
+# Without those checks: a TypeError or AttributeError deep in the work (the
+# k cases, family_monomial-index-float and components-budget-str), a monomial
+# that was built (the other monomial cases), or 'inconclusive' after 0 or 2
+# search nodes (the other budget cases).
+BAD_INPUTS = {
+    "basis-k-float": (lambda: basis(Family.RAT, 3.0), "k must be an int"),
+    "basis_size-k-float": (lambda: basis_size(Family.RAT, 3.0), "k must be an int"),
+    "poincare_vector-k-str": (lambda: poincare_vector(Family.BRAID, "6"), "k must be an int"),
+    "check_basis_size-k-float": (lambda: check_basis_size(Family.CONF, 3.0), "k must be an int"),
+    "top_class-k-float": (lambda: top_class(Family.RAT, 2.0), "k must be an int"),
+    "check_top_class_size-k-float": (lambda: check_top_class_size(Family.BRAID, 2.0),
+                                     "k must be an int"),
+    "family_monomial-exponent-float": (lambda: family_monomial(Family.BRAID, {0: 1.5}),
+                                       "must be ints, got 1.5"),
+    "family_monomial-index-float": (lambda: family_monomial(Family.RAT, {0.0: 1}),
+                                    "must be ints, got 0.0"),
+    "monomial-g-exponent-float": (lambda: monomial(0.5), "must be ints, got 0.5"),
+    "monomial-exponent-float": (lambda: monomial(0, {1: 1.5}), "must be ints, got 1.5"),
+    "monomial-index-float": (lambda: monomial(0, {1.0: 1}), "must be ints, got 1.0"),
+    "coalgebras-budget-negative": (
+        lambda: coalgebras_isomorphic(*map(component_coalgebra, _conf3_braid6()), -1),
+        "budget must be an int >= 0, got -1"),
+    "coalgebras-budget-float": (
+        lambda: coalgebras_isomorphic(*map(component_coalgebra, _conf3_braid6()), 1.5),
+        "budget must be an int >= 0, got 1.5"),
+    "components-budget-negative": (lambda: components_isomorphic(*_conf3_braid6(), -1),
+                                   "budget must be an int >= 0, got -1"),
+    "components-budget-str": (lambda: components_isomorphic(*_conf3_braid6(), "10"),
+                              "budget must be an int >= 0, got '10'"),
+    "check_braid_conf-budget-negative": (lambda: check_braid_conf(3, budget=-1),
+                                         "budget must be an int >= 0, got -1"),
+}
+
+
+@pytest.mark.parametrize("call, message", BAD_INPUTS.values(), ids=BAD_INPUTS)
+def test_inputs_of_the_wrong_type_or_sign_raise_value_error(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 @pytest.mark.parametrize("seq", [tuple, list])
