@@ -74,23 +74,25 @@ class AmbientMonomial(NamedTuple):
         return "*".join(parts)
 
 
-def _check_ints(*values) -> None:
-    """Raise ``ValueError`` unless every generator index and exponent given is an int."""
-    for v in values:
-        if not isinstance(v, int):
-            raise ValueError(f"generator indices and exponents must be ints, got {v!r}")
+def _check_int(value, what: str, low: int | None = None) -> None:
+    """The one check of a count or index the caller gives the library (a k,
+    a j, a search budget, a generator index or exponent, a Q count or an
+    element power): raise ``ValueError`` naming ``what`` unless ``value`` is
+    an int, and at least ``low`` when one is given."""
+    if not isinstance(value, int):
+        raise ValueError(f"{what} must be an int, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{what} must be >= {low}, got {value}")
 
 
 def monomial(g_exp: int = 0, q: Mapping[int, int] | None = None) -> AmbientMonomial:
-    """Build a monomial from a g-exponent and a {index: exponent} map."""
-    _check_ints(g_exp)
+    """Build a monomial from a g-exponent and a {index: exponent} map of
+    indices >= 1 and exponents >= 0, all ints (``_check_int``)."""
+    _check_int(g_exp, "g exponent")
     cleaned = {}
     for i, e in (q or {}).items():
-        _check_ints(i, e)
-        if i < 1:
-            raise ValueError(f"generator index must be >= 1, got {i}")
-        if e < 0:
-            raise ValueError(f"generator exponent must be >= 0, got {e}")
+        _check_int(i, "generator index", 1)
+        _check_int(e, "generator exponent", 0)
         if e:
             cleaned[i] = e
     return AmbientMonomial(g_exp, tuple(sorted(cleaned.items())))
@@ -143,8 +145,7 @@ class AmbientElement(NamedTuple):
         return AmbientElement(frozenset(m * m for m in self.terms))
 
     def __pow__(self, n: int) -> "AmbientElement":
-        if n < 0:
-            raise ValueError("element powers must be nonnegative")
+        _check_int(n, "element power", 0)
         result = ONE
         base = self
         while n:

@@ -17,7 +17,7 @@ from itertools import chain, repeat
 from typing import Mapping, NamedTuple, Sequence
 
 from . import gf2
-from .ambient import xor_all
+from .ambient import _check_int, xor_all
 from .families import (
     Family,
     FamilyMonomial,
@@ -453,7 +453,7 @@ def coalgebras_isomorphic(
     has passed its witness, Steenrod pair included (else ``RuntimeError``).
     A ``budget`` that is not an int >= 0 raises ``ValueError``.
     """
-    _check_budget(budget)
+    _check_int(budget, "the search budget", 0)
     sq = _sq1_columns(a, b, steenrod)
     verdict = (_mismatch(a.dims, "dims", a.dims, b.dims)
                or _rank_mismatch(a.dims, enumerate(zip(a.delta, b.delta)))
@@ -461,12 +461,6 @@ def coalgebras_isomorphic(
     if verdict.kind == "yes" and not verify_coalgebra_map(a, b, verdict.witness, steenrod):
         raise RuntimeError("isomorphism search produced a witness that fails verification")
     return verdict
-
-
-def _check_budget(budget: int) -> None:
-    """Raise ``ValueError`` unless ``budget``, a number of search nodes, is an int >= 0."""
-    if not isinstance(budget, int) or budget < 0:
-        raise ValueError(f"the search budget must be an int >= 0, got {budget!r}")
 
 
 def _mismatch(dims, name: str, left, right) -> IsoVerdict | None:
@@ -537,7 +531,7 @@ def components_isomorphic(
     once on each side, a ``yes`` included.  A ``budget`` that is not an int
     >= 0 raises ``ValueError`` before either side is multiplied out.
     """
-    _check_budget(budget)
+    _check_int(budget, "the search budget", 0)
     row_a, row_b = _coproduct_rows(by_dim_a), _coproduct_rows(by_dim_b)
     dims = tuple(map(len, by_dim_a))
     edge = min(_stable_edge(by_dim_a), _stable_edge(by_dim_b))
@@ -683,10 +677,10 @@ def component_steenrod(
     sends each generator x to x + Sq_1^* x (``families.generator_steenrod``),
     so Sq_j^* of a degree-d element is the degree-(d-j) part of the product
     of those images, each multiplied out by the ``expand`` of
-    ``_multiply_out``.  Raises ``SpanError`` if a term leaves the basis.
+    ``_multiply_out``.  Raises ``SpanError`` if a term leaves the basis, and
+    ``ValueError`` unless j is an int >= 1.
     """
-    if j < 1:
-        raise ValueError(f"j must be >= 1, got {j}")
+    _check_int(j, "j", 1)
     expand = _multiply_out(by_dim, _total_steenrod, 1, "dual Steenrod image")
     out = {}
     for d in range(1, len(by_dim)):
@@ -719,6 +713,7 @@ def check_lemma_braid(k: int) -> LemmaBraidReport:
     weight 2k+1 forces an odd g exponent), and then Delta(g*b) = (g (x) g)
     Delta(b): ``row_even(d) == row_odd(d)`` of their ``_coproduct_rows``, whose
     generator checks run first, for d up to the first degree that differs."""
+    _check_int(k, "k", 1)  # before 2k, which a message would name instead
     even, odd = _basis_by_dim(Family.BRAID, 2 * k), _basis_by_dim(Family.BRAID, 2 * k + 1)
     row_even, row_odd = _coproduct_rows(even), _coproduct_rows(odd)
     g = FamilyMonomial(Family.BRAID, ((0, 1),))
@@ -782,8 +777,10 @@ def theorem_main(k: int, *, iso_budget: int = DEFAULT_ISO_BUDGET) -> TheoremRepo
     dimension 2^r - 1 (r minimal positive with bit r set and bit r-1 clear in
     k) lies in S(x) but not S(y); when k+1 is a power of two and k > 3,
     verifies 5 separates the supports while 2 lies in neither.  When the
-    supports agree, a full isomorphism check is run and reported.
+    supports agree, a full isomorphism check is run and reported.  An
+    ``iso_budget`` that is not an int >= 0 raises ``ValueError`` first.
     """
+    _check_int(iso_budget, "the search budget", 0)
     x = top_class(Family.RAT, k)
     y = top_class(Family.BRAID, k)
     sx = s_set(x)

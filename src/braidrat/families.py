@@ -23,7 +23,7 @@ import enum
 from functools import lru_cache
 from typing import Mapping, NamedTuple
 
-from .ambient import AmbientElement, Bigrade, _check_ints, xor_all
+from .ambient import AmbientElement, Bigrade, _check_int, xor_all
 from .operations import _G, _QG, _check_field_range, _half_bound, _q, _view
 
 BASIS_BOUND = 4096
@@ -36,19 +36,18 @@ class Family(enum.Enum):
     CONF = "conf"
 
 
+# The name and lowest index of each family's generators: rat's g is -1.
+_INDEX_RANGE = {f: (f"{f.value} generator index", -1 if f is Family.RAT else 0) for f in Family}
+
+
 def generator_bigrade(family: Family, idx: int) -> Bigrade:
+    """Weight and dim of one generator; the one check of a generator index,
+    an int from the family's lowest index up (``_check_int``)."""
+    _check_int(idx, *_INDEX_RANGE[family])
     if family is Family.BRAID:
-        if idx < 0:
-            raise ValueError("braid generator index must be >= 0")
         return Bigrade(1 << idx, (1 << idx) - 1)
-    if family is Family.RAT:
-        if idx == -1:
-            return Bigrade(1, 0)
-        if idx < 0:
-            raise ValueError("rat generator index must be >= -1")
-        return Bigrade(1 << idx, (2 << idx) - 1)
-    if idx < 0:
-        raise ValueError("conf generator index must be >= 0")
+    if idx == -1:
+        return Bigrade(1, 0)
     return Bigrade(1 << idx, (2 << idx) - 1)
 
 
@@ -109,13 +108,12 @@ class FamilyMonomial(NamedTuple):
 
 
 def family_monomial(family: Family, exps: Mapping[int, int]) -> FamilyMonomial:
-    """Build a family monomial from an {index: exponent} map."""
+    """Build a family monomial from an {index: exponent} map of generator
+    indices (``generator_bigrade`` checks them) and int exponents >= 0."""
     cleaned = {}
     for i, e in exps.items():
-        _check_ints(i, e)
         generator_bigrade(family, i)  # validates the index
-        if e < 0:
-            raise ValueError(f"exponent must be >= 0, got {e}")
+        _check_int(e, "generator exponent", 0)
         if e:
             cleaned[i] = e
     return FamilyMonomial(family, tuple(sorted(cleaned.items())))
@@ -176,7 +174,8 @@ def _rat_q_terms(i: int) -> frozenset[FamilyMonomial]:
     return terms
 
 
-@lru_cache(maxsize=None)
+# typed, so an index 2.0 misses the entry of 2 and is refused
+@lru_cache(maxsize=None, typed=True)
 def generator_coproduct(
     family: Family, idx: int
 ) -> frozenset[tuple[FamilyMonomial, FamilyMonomial]]:
@@ -213,7 +212,7 @@ def generator_coproduct(
     every pair of a weight-k monomial has halves in the component's basis
     and dims summing to its dim, and the component is a sub-coalgebra.
     """
-    generator_bigrade(family, idx)  # validates the index
+    weight = generator_bigrade(family, idx).weight  # validates the index
     unit = FamilyMonomial(family, ())
     gen = FamilyMonomial(family, ((idx, 1),))
     if family is Family.CONF:
@@ -221,7 +220,6 @@ def generator_coproduct(
     g_idx = 0 if family is Family.BRAID else -1
     if idx == g_idx:
         return frozenset({(gen, gen)})
-    weight = generator_bigrade(family, idx).weight
     twist = FamilyMonomial(family, ((g_idx, weight),))
     out = {(twist, gen), (gen, twist)}
     if family is Family.RAT and idx >= 1:
@@ -231,7 +229,7 @@ def generator_coproduct(
     return frozenset(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # as for generator_coproduct
 def generator_steenrod(family: Family, idx: int) -> frozenset[FamilyMonomial]:
     """Sq_1^* of one generator as family monomials, in closed form: the square
     of the generator one index down for braid gamma_i, i >= 2, and for rat
@@ -280,20 +278,14 @@ def _exponent_vectors(weights: tuple[int, ...], total: int,
     return [vec for vec, _ in level]
 
 
-def _check_k(k: int) -> None:
-    if not isinstance(k, int):
-        raise ValueError(f"k must be an int, got {type(k).__name__}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-
-
 def check_basis_size(family: Family, k: int) -> None:
     """Raise ``ValueError`` when the basis of ``family`` at k, counted
-    without enumerating it, has more than ``BASIS_BOUND`` monomials."""
+    without enumerating it, has more than ``BASIS_BOUND`` monomials, or
+    unless k is an int >= 1."""
     # For k >= 2 every family has more than k/2 basis monomials (the
     # partitions of k into 1s and 2s alone number floor(k/2) + 1), so such
     # a k is refused without the O(k) count.
-    _check_k(k)
+    _check_int(k, "k", 1)
     if k >= 2 * BASIS_BOUND:
         raise ValueError(f"basis size above {k // 2} exceeds bound {BASIS_BOUND}")
     total = basis_size(family, k)
@@ -312,8 +304,9 @@ def _top_class_cost(family: Family, k: int) -> int:
 
 
 def check_top_class_size(family: Family, k: int) -> None:
-    """Raise ``ValueError`` when the top class at k costs more than ``SUPPORT_BOUND`` bits."""
-    _check_k(k)
+    """Raise ``ValueError`` when the top class at k costs more than
+    ``SUPPORT_BOUND`` bits, or unless k is an int >= 1."""
+    _check_int(k, "k", 1)
     cost = _top_class_cost(family, k)
     if cost > SUPPORT_BOUND:
         raise ValueError(f"top-class support cost {cost} exceeds bound {SUPPORT_BOUND}")
@@ -322,8 +315,10 @@ def check_top_class_size(family: Family, k: int) -> None:
 def check_top_class_range(lo: int, hi: int) -> None:
     """Raise ``ValueError`` when the top classes of both families at k = lo..hi
     cost more than ``SUPPORT_BOUND`` bits together, which bounds the supports a
-    sweep keeps; each k adds over 2k bits, so this stops within 2^14 steps."""
-    _check_k(lo)
+    sweep keeps; each k adds over 2k bits, so this stops within 2^14 steps.
+    Both ends must be ints >= 1; hi < lo is an empty range."""
+    _check_int(lo, "k", 1)
+    _check_int(hi, "k", 1)
     total = 0
     for k in range(lo, hi + 1):
         total += _top_class_cost(Family.RAT, k) + _top_class_cost(Family.BRAID, k)
@@ -361,7 +356,7 @@ def _basis_by_dim(family: Family, k: int) -> list[list[FamilyMonomial]]:
 def basis_size(family: Family, k: int) -> int:
     """``len(basis(family, k))``, counted without enumerating: the number of
     partitions of k (of each weight <= k for ``conf``) into generator weights."""
-    _check_k(k)
+    _check_int(k, "k", 1)
     ways = [1] + [0] * k
     for idx in _generator_indices(family, k):
         w = generator_bigrade(family, idx).weight

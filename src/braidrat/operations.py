@@ -33,6 +33,7 @@ from .ambient import (
     AmbientMonomial,
     GeneratorLimitError,
     TensorElement,
+    _check_int,
     xor_all,
 )
 
@@ -131,7 +132,8 @@ def araki_kudo_q(e: AmbientElement) -> AmbientElement:
 
 
 def iterated_q(e: AmbientElement, n: int) -> AmbientElement:
-    """Q applied n times."""
+    """Q applied n times, for an int n >= 0."""
+    _check_int(n, "n", 0)
     halves = set(map(_pack, e.terms))
     for _ in range(n):
         halves = _q(halves)
@@ -218,9 +220,9 @@ def _sq_half(h: int) -> list[int]:
 
 
 def _sqj(halves: Iterable[int], j: int) -> set[int]:
-    """Sq_j^* of the F2 sum of distinct ``halves``, as packed halves."""
-    if j < 1:
-        raise ValueError(f"j must be >= 1, got {j}")
+    """Sq_j^* of the F2 sum of distinct ``halves``, as packed halves, for an
+    int j >= 1."""
+    _check_int(j, "j", 1)
     return xor_all([t for t in _sq_half(h) if t & _MASK == (h & _MASK) - j] for h in halves)
 
 
@@ -234,6 +236,7 @@ def sqj_dual(e: AmbientElement, j: int) -> AmbientElement:
     Sq_* = sum_j Sq_j^*, which fixes g^a and Qg and sends Q^i g (i >= 2) to
     Q^i g + (Q^{i-1} g)^2.
 
-    Generator values vanish for j >= 2; j = 1 is ``sq1_dual``.
+    Generator values vanish for j >= 2; j = 1 is ``sq1_dual``.  A j that
+    is not an int >= 1 raises ``ValueError``.
     """
     return _view(_sqj(map(_pack, e.terms), j))

@@ -721,3 +721,25 @@ def test_fresh_interpreter_prints_every_byte_and_keeps_the_exit_codes(capsys):
         proc = fresh_python("-m", "braidrat.cli", *argv, redirect=">&-")
         assert proc.returncode == 2, argv
         assert proc.stderr == "error: OSError: stdout is closed\n", argv
+
+
+REFUSED = {
+    "basis-k-0": (("basis", "--family", "rat", "--k", "0"), "error: k must be >= 1, got 0\n"),
+    "steenrod-j-0": (("steenrod", "--family", "rat", "--k", "3", "--j", "0"),
+                     "error: j must be >= 1, got 0\n"),
+    "lemma-braid-max-k-0": (("lemma-braid", "--max-k", "0"), "error: need --max-k >= 1\n"),
+    "iso-budget-negative": (
+        ("--iso-budget", "-1", "iso", "--a", "rat:3", "--b", "braid:6"),
+        "usage: braidrat [-h] [--format {text,json}] [--iso-budget ISO_BUDGET]\n"
+        "                {basis,s-set,theorem-main,lemma-braid,iso,steenrod,braid-conf}\n"
+        "                ...\n"
+        "braidrat: error: argument --iso-budget: must be >= 0, got -1\n"),
+}
+
+
+@pytest.mark.parametrize("argv, stderr", REFUSED.values(), ids=REFUSED)
+def test_refused_inputs_keep_their_stderr_bytes_and_exit_two(argv, stderr):
+    # the library's k and j checks and the CLI's own checks print these
+    # lines, byte for byte, with nothing on stdout
+    proc = fresh_python("-m", "braidrat.cli", *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", stderr)

@@ -23,6 +23,7 @@ from braidrat.coalgebra import (
     check_lemma_braid,
     coalgebras_isomorphic,
     component_coalgebra,
+    component_steenrod,
     components_isomorphic,
     extract_coalgebra,
     s_set,
@@ -38,15 +39,17 @@ from braidrat.families import (
     basis,
     basis_size,
     check_basis_size,
+    check_top_class_range,
     check_top_class_size,
     embed,
     family_monomial,
+    generator_bigrade,
     generator_coproduct,
     generator_steenrod,
     poincare_vector,
     top_class,
 )
-from braidrat.operations import _G, _pack, _psi, _sqj, coproduct
+from braidrat.operations import _G, _pack, _psi, _sqj, coproduct, iterated_q, sqj_dual
 
 from helpers import (
     ambient_delta,
@@ -1114,12 +1117,17 @@ def _conf3_braid6():
     return _basis_by_dim(Family.CONF, 3), _basis_by_dim(Family.BRAID, 6)
 
 
-# A k, generator index, exponent or search budget of the wrong type or sign,
-# each refused by its own check before any enumeration, embedding or search.
-# Without those checks: a TypeError or AttributeError deep in the work (the
-# k cases, family_monomial-index-float and components-budget-str), a monomial
-# that was built (the other monomial cases), or 'inconclusive' after 0 or 2
-# search nodes (the other budget cases).
+# A k, j, generator index, exponent, search budget, Q count or element power
+# of the wrong type or sign, each refused by ``ambient._check_int`` before any
+# enumeration, embedding or search, with a message naming the input.  Without
+# it: a TypeError or AttributeError deep in the work (the other k cases, the j
+# cases but sqj_dual, the generator cases, family_monomial-index-float,
+# components-budget-str and element-power-float), a monomial that was built
+# (the other monomial cases), a silent wrong answer (sqj_dual-j-float gives 0,
+# iterated_q-n-negative gives Qg), 'inconclusive' after 0 or 2 search nodes
+# (the other budget cases but theorem_main's, which conformed), or another
+# message (the negative exponent, index and power, and check_lemma_braid's k,
+# whose message named 2k).
 BAD_INPUTS = {
     "basis-k-float": (lambda: basis(Family.RAT, 3.0), "k must be an int"),
     "basis_size-k-float": (lambda: basis_size(Family.RAT, 3.0), "k must be an int"),
@@ -1128,25 +1136,56 @@ BAD_INPUTS = {
     "top_class-k-float": (lambda: top_class(Family.RAT, 2.0), "k must be an int"),
     "check_top_class_size-k-float": (lambda: check_top_class_size(Family.BRAID, 2.0),
                                      "k must be an int"),
+    "check_lemma_braid-k-str": (lambda: check_lemma_braid("3"), "k must be an int, got '3'"),
+    "check_top_class_range-hi-float": (lambda: check_top_class_range(1, 2.0),
+                                       "k must be an int, got 2.0"),
+    "sqj_dual-j-float": (lambda: sqj_dual(element(monomial(0, {2: 1})), 1.5),
+                         "j must be an int, got 1.5"),
+    "steenrod_matrix-j-float": (lambda: steenrod_matrix(Family.RAT, 3, j=1.5),
+                                "j must be an int, got 1.5"),
+    "component_steenrod-j-str": (lambda: component_steenrod(_basis_by_dim(Family.RAT, 3), "1"),
+                                 "j must be an int, got '1'"),
+    "generator_coproduct-index-float": (lambda: generator_coproduct(Family.RAT, 1.5),
+                                        "rat generator index must be an int, got 1.5"),
+    # 2.0 == 2, so an untyped cache entry of 2 would answer for it
+    "generator_steenrod-index-float": (
+        lambda: generator_steenrod(Family.BRAID, 2) and generator_steenrod(Family.BRAID, 2.0),
+        "braid generator index must be an int, got 2.0"),
+    "generator_bigrade-index-str": (lambda: generator_bigrade(Family.CONF, "1"),
+                                    "conf generator index must be an int, got '1'"),
+    "generator_bigrade-index-negative": (lambda: generator_bigrade(Family.RAT, -2),
+                                         "rat generator index must be >= -1, got -2"),
     "family_monomial-exponent-float": (lambda: family_monomial(Family.BRAID, {0: 1.5}),
-                                       "must be ints, got 1.5"),
+                                       "generator exponent must be an int, got 1.5"),
+    "family_monomial-exponent-negative": (lambda: family_monomial(Family.BRAID, {0: -1}),
+                                          "generator exponent must be >= 0, got -1"),
     "family_monomial-index-float": (lambda: family_monomial(Family.RAT, {0.0: 1}),
-                                    "must be ints, got 0.0"),
-    "monomial-g-exponent-float": (lambda: monomial(0.5), "must be ints, got 0.5"),
-    "monomial-exponent-float": (lambda: monomial(0, {1: 1.5}), "must be ints, got 1.5"),
-    "monomial-index-float": (lambda: monomial(0, {1.0: 1}), "must be ints, got 1.0"),
+                                    "rat generator index must be an int, got 0.0"),
+    "monomial-g-exponent-float": (lambda: monomial(0.5), "g exponent must be an int, got 0.5"),
+    "monomial-exponent-float": (lambda: monomial(0, {1: 1.5}),
+                                "generator exponent must be an int, got 1.5"),
+    "monomial-index-float": (lambda: monomial(0, {1.0: 1}),
+                             "generator index must be an int, got 1.0"),
+    "iterated_q-n-negative": (lambda: iterated_q(element(q_gen(1)), -1),
+                              "n must be >= 0, got -1"),
+    "element-power-float": (lambda: element(q_gen(1)) ** 1.5,
+                            "element power must be an int, got 1.5"),
+    "element-power-negative": (lambda: element(q_gen(1)) ** -1,
+                               "element power must be >= 0, got -1"),
     "coalgebras-budget-negative": (
         lambda: coalgebras_isomorphic(*map(component_coalgebra, _conf3_braid6()), -1),
-        "budget must be an int >= 0, got -1"),
+        "the search budget must be >= 0, got -1"),
     "coalgebras-budget-float": (
         lambda: coalgebras_isomorphic(*map(component_coalgebra, _conf3_braid6()), 1.5),
-        "budget must be an int >= 0, got 1.5"),
+        "the search budget must be an int, got 1.5"),
     "components-budget-negative": (lambda: components_isomorphic(*_conf3_braid6(), -1),
-                                   "budget must be an int >= 0, got -1"),
+                                   "the search budget must be >= 0, got -1"),
     "components-budget-str": (lambda: components_isomorphic(*_conf3_braid6(), "10"),
-                              "budget must be an int >= 0, got '10'"),
+                              "the search budget must be an int, got '10'"),
     "check_braid_conf-budget-negative": (lambda: check_braid_conf(3, budget=-1),
-                                         "budget must be an int >= 0, got -1"),
+                                         "the search budget must be >= 0, got -1"),
+    "theorem_main-budget-negative": (lambda: theorem_main(5, iso_budget=-1),
+                                     "the search budget must be >= 0, got -1"),
 }
 
 
