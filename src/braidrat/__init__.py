@@ -23,8 +23,6 @@ from .coalgebra import (
     check_braid_conf,
     check_lemma_braid,
     coalgebras_isomorphic,
-    component_coalgebra,
-    component_steenrod,
     components_isomorphic,
     extract_coalgebra,
     s_set,

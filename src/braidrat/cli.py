@@ -32,9 +32,9 @@ from .coalgebra import (
     DEFAULT_ISO_BUDGET,
     IsoVerdict,
     SpanError,
+    _component_steenrod,
     check_braid_conf,
     check_lemma_braid,
-    component_steenrod,
     components_isomorphic,
     s_set,
     theorem_main,
@@ -200,12 +200,8 @@ def _cmd_lemma_braid(args, config: RunConfig) -> Outcome:
 def _cmd_iso(args, config: RunConfig) -> Outcome:
     fam_a, k_a = _parse_spec(args.a)
     fam_b, k_b = _parse_spec(args.b)
-    # Each component is enumerated once, for its coalgebra and its Steenrod
-    # matrices alike.
-    verdict = components_isomorphic(
-        _basis_by_dim(fam_a, k_a), _basis_by_dim(fam_b, k_b), config.iso_budget,
-        steenrod=args.steenrod,
-    )
+    verdict = components_isomorphic((fam_a, k_a), (fam_b, k_b), config.iso_budget,
+                                    steenrod=args.steenrod)
     body = {
         "inputs": {
             "a": {"family": fam_a.value, "k": k_a},
@@ -230,7 +226,7 @@ def _cmd_iso(args, config: RunConfig) -> Outcome:
 def _cmd_steenrod(args, config: RunConfig) -> Outcome:
     family = Family(args.family)
     by_dim = _basis_by_dim(family, args.k)
-    mats = component_steenrod(by_dim, args.j)
+    mats = _component_steenrod(by_dim, args.j)
     lines = [f"steenrod {family.value} k={args.k} j={args.j}"]
     matrices = {}
     for d, mat in sorted(mats.items()):

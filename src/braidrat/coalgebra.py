@@ -149,20 +149,24 @@ class GradedCoalgebra(_Coalgebra):
 
 
 def extract_coalgebra(family: Family, k: int) -> GradedCoalgebra:
-    """Structure constants of the weight-graded component in the family basis
-    (see ``component_coalgebra``).  Raises ``ValueError``, before any
-    enumeration, if the predicted basis size is above ``BASIS_BOUND``."""
-    return component_coalgebra(_basis_by_dim(family, k))
+    """Structure constants of the weight-graded component in the family
+    basis: every degree of ``_coproduct_rows``, whose generator checks run
+    first.  Raises ``ValueError``, before any enumeration, if the predicted
+    basis size is above ``BASIS_BOUND``, or unless k is an int >= 1 and
+    ``family`` a ``Family`` member."""
+    by_dim = _basis_by_dim(family, k)
+    row = _coproduct_rows(by_dim)
+    return GradedCoalgebra._new([len(r) for r in by_dim], [row(d) for d in range(len(by_dim))])
 
 
 def _multiply_out(by_dim: Sequence[Sequence[FamilyMonomial]], image, arity: int, what: str):
     """Multiply out a ring map over a component given by its basis by degree,
-    a whole component as ``families.basis`` enumerates it, one empty of
-    classes included.  ``image(family, idx)`` is a generator's image as
-    ``arity``-tuples of family monomials, ``arity`` 1 or 2.  Does its setup
-    once and returns ``expand(fm)``: for a basis monomial fm, for each term
-    of the product of the images of its generators, its place (degree,
-    index) in ``by_dim``, or a pair of places when ``arity`` is 2.
+    a whole component as ``families.basis`` enumerates it.  ``image(family,
+    idx)`` is a generator's image as ``arity``-tuples of family monomials,
+    ``arity`` 1 or 2.  Does its setup once and returns ``expand(fm)``: for a
+    basis monomial fm, for each term of the product of the images of its
+    generators, its place (degree, index) in ``by_dim``, or a pair of places
+    when ``arity`` is 2.
 
     The setup checks the closed forms of psi and Sq_* of every generator the
     component holds (``_check_generator``), on every call and so before any
@@ -258,13 +262,6 @@ def _coproduct_rows(by_dim: Sequence[Sequence[FamilyMonomial]]):
         return tuple(map(tuple, splits))
 
     return row
-
-
-def component_coalgebra(by_dim: Sequence[Sequence[FamilyMonomial]]) -> GradedCoalgebra:
-    """Structure constants of a component given by its basis by degree:
-    every degree of ``_coproduct_rows``, whose generator checks run first."""
-    row = _coproduct_rows(by_dim)
-    return GradedCoalgebra._new([len(r) for r in by_dim], [row(d) for d in range(len(by_dim))])
 
 
 def _check_generator(family: Family, idx: int) -> None:
@@ -496,54 +493,54 @@ def _split_rank(comps: Sequence[tuple[int, ...]]) -> int:
     return gf2.rank([sum(1 << x for x in entry) for entry in comps])
 
 
-def _stable_edge(by_dim: Sequence[Sequence[FamilyMonomial]]) -> int:
-    """The lowest degree in which the weight bound of a component given by
-    its basis by degree leaves out a monomial of its family's generators of
-    positive dim: k // w + 1 for top weight k, w the weight of the one
-    generator of dim 1 (gamma_1, rho_0 or c_0), since every other one has a
-    smaller weight per dim.  That is k + 1 for rat:k and conf:k and
-    floor(m / 2) + 1 for braid:m; the top class has weight k in every family."""
-    top = next((fm for row in reversed(by_dim) for fm in row), None)
-    if top is None:
-        return len(by_dim)
-    return top.weight // (2 if top.family is Family.BRAID else 1) + 1
+def _stable_edge(family: Family, k: int) -> int:
+    """The lowest degree in which the weight bound of the component at k
+    leaves out a monomial of its family's generators of positive dim:
+    k // w + 1, w the weight of the one generator of dim 1 (gamma_1, rho_0 or
+    c_0), since every other one has a smaller weight per dim.  That is
+    k + 1 for rat:k and conf:k and floor(k / 2) + 1 for braid:k."""
+    return k // 2 + 1 if family is Family.BRAID else k + 1
 
 
 def components_isomorphic(
-    by_dim_a: Sequence[Sequence[FamilyMonomial]],
-    by_dim_b: Sequence[Sequence[FamilyMonomial]],
+    a: tuple[Family, int],
+    b: tuple[Family, int],
     budget: int = DEFAULT_ISO_BUDGET,
     *,
     steenrod: bool = False,
 ) -> IsoVerdict:
-    """Decide isomorphism of two components given by their bases by degree.
-    The verdict, evidence included, is that of ``coalgebras_isomorphic`` on
-    their coalgebras (and their Sq_1^* matrices when ``steenrod`` is true),
-    built only when the stable edge leaves it open.
+    """Decide isomorphism of the components a and b, each a ``(family, k)``
+    pair.  The verdict, evidence included, is that of
+    ``coalgebras_isomorphic`` on their coalgebras (and their Sq_1^* matrices
+    when ``steenrod`` is true), built only when the stable edge leaves it
+    open.
 
-    One ``_coproduct_rows`` per side checks its generators first, on every
+    A ``budget`` that is not an int >= 0 raises ``ValueError`` first; then
+    each basis is enumerated once (``_basis_by_dim``, a before b), so a
+    component above ``BASIS_BOUND`` is refused before any work.  One
+    ``_coproduct_rows`` per side checks its generators first, on every
     call: rat:13 against braid:26 runs ten generator checks each time.
     The dims come from the bases, then ``_rank_mismatch`` reads the
     stable-edge degrees E and E + 1 (``_stable_edge``, the smaller of the
     two sides), where the ranks of rat:k and braid:2k first differ; a ``no``
     there names that split and multiplies out no other degree.  Otherwise
     the same rows build both coalgebras, so each degree is multiplied out
-    once on each side, a ``yes`` included.  A ``budget`` that is not an int
-    >= 0 raises ``ValueError`` before either side is multiplied out.
+    once on each side, a ``yes`` included.
     """
     _check_int(budget, "the search budget", 0)
+    by_dim_a, by_dim_b = _basis_by_dim(*a), _basis_by_dim(*b)
     row_a, row_b = _coproduct_rows(by_dim_a), _coproduct_rows(by_dim_b)
     dims = tuple(map(len, by_dim_a))
-    edge = min(_stable_edge(by_dim_a), _stable_edge(by_dim_b))
+    edge = min(_stable_edge(*a), _stable_edge(*b))
     verdict = (_mismatch(dims, "dims", dims, tuple(map(len, by_dim_b)))
                or _rank_mismatch(dims, ((d, (row_a(d), row_b(d)))
                                         for d in (edge, edge + 1) if d < len(dims))))
     if verdict:
         return verdict
-    sq = (component_steenrod(by_dim_a), component_steenrod(by_dim_b)) if steenrod else None
-    a, b = (GradedCoalgebra._new(dims, [row(d) for d in range(len(dims))])
-            for row in (row_a, row_b))
-    return coalgebras_isomorphic(a, b, budget, steenrod=sq)
+    sq = (_component_steenrod(by_dim_a), _component_steenrod(by_dim_b)) if steenrod else None
+    ca, cb = (GradedCoalgebra._new(dims, [row(d) for d in range(len(dims))])
+              for row in (row_a, row_b))
+    return coalgebras_isomorphic(ca, cb, budget, steenrod=sq)
 
 
 def _bits(vec: int) -> list[int]:
@@ -654,10 +651,12 @@ def _search_isomorphism(a: GradedCoalgebra, b: GradedCoalgebra, budget: int, sq)
 
 
 def steenrod_matrix(family: Family, k: int, *, j: int = 1) -> dict[int, tuple[int, ...]]:
-    """Per-degree matrices of the dual Steenrod operation in the family basis
-    (see ``component_steenrod``).  Raises ``ValueError``, before any
-    enumeration, if the predicted basis size is above ``BASIS_BOUND``."""
-    return component_steenrod(_basis_by_dim(family, k), j)
+    """Per-degree matrices of Sq_j^* on the weight-graded component in the
+    family basis, multiplied out over one enumeration of it (see
+    ``_component_steenrod``).  Raises ``ValueError``, before any
+    enumeration, if the predicted basis size is above ``BASIS_BOUND``, or
+    unless k is an int >= 1 and ``family`` a ``Family`` member."""
+    return _component_steenrod(_basis_by_dim(family, k), j)
 
 
 def _total_steenrod(family: Family, idx: int) -> list[tuple[FamilyMonomial]]:
@@ -666,7 +665,7 @@ def _total_steenrod(family: Family, idx: int) -> list[tuple[FamilyMonomial]]:
     return [(gen,)] + [(fm,) for fm in generator_steenrod(family, idx)]
 
 
-def component_steenrod(
+def _component_steenrod(
     by_dim: Sequence[Sequence[FamilyMonomial]], j: int = 1
 ) -> dict[int, tuple[int, ...]]:
     """Per-degree matrices of Sq_j^* on a component given by its basis by degree.
@@ -737,9 +736,8 @@ class BraidConfReport(NamedTuple):
 def check_braid_conf(k: int, *, budget: int = DEFAULT_ISO_BUDGET) -> BraidConfReport:
     """Decide whether the length-k configuration component and the weight-2k
     braid component have isomorphic coalgebras."""
-    return BraidConfReport(k, components_isomorphic(
-        _basis_by_dim(Family.CONF, k), _basis_by_dim(Family.BRAID, 2 * k), budget,
-    ))
+    return BraidConfReport(
+        k, components_isomorphic((Family.CONF, k), (Family.BRAID, 2 * k), budget))
 
 
 class TheoremReport(NamedTuple):
@@ -807,9 +805,7 @@ def theorem_main(k: int, *, iso_budget: int = DEFAULT_ISO_BUDGET) -> TheoremRepo
         }
     iso = None
     if not distinct:
-        iso = components_isomorphic(
-            _basis_by_dim(Family.BRAID, 2 * k), _basis_by_dim(Family.RAT, k), iso_budget,
-        )
+        iso = components_isomorphic((Family.BRAID, 2 * k), (Family.RAT, k), iso_budget)
     return TheoremReport(
         k,
         tuple(sorted(sx)),

@@ -36,13 +36,23 @@ class Family(enum.Enum):
     CONF = "conf"
 
 
+def _check_family(family) -> None:
+    """The one check of a family the caller gives the library, beside
+    ``_check_int``: raise ``ValueError`` naming ``family`` unless it is a
+    ``Family`` member, such as the string "rat", which is not."""
+    if not isinstance(family, Family):
+        raise ValueError(f"family must be a Family member, got {family!r}")
+
+
 # The name and lowest index of each family's generators: rat's g is -1.
 _INDEX_RANGE = {f: (f"{f.value} generator index", -1 if f is Family.RAT else 0) for f in Family}
 
 
 def generator_bigrade(family: Family, idx: int) -> Bigrade:
     """Weight and dim of one generator; the one check of a generator index,
-    an int from the family's lowest index up (``_check_int``)."""
+    an int from the family's lowest index up (``_check_int``), after that of
+    its family (``_check_family``)."""
+    _check_family(family)
     _check_int(idx, *_INDEX_RANGE[family])
     if family is Family.BRAID:
         return Bigrade(1 << idx, (1 << idx) - 1)
@@ -174,8 +184,6 @@ def _rat_q_terms(i: int) -> frozenset[FamilyMonomial]:
     return terms
 
 
-# typed, so an index 2.0 misses the entry of 2 and is refused
-@lru_cache(maxsize=None, typed=True)
 def generator_coproduct(
     family: Family, idx: int
 ) -> frozenset[tuple[FamilyMonomial, FamilyMonomial]]:
@@ -229,7 +237,6 @@ def generator_coproduct(
     return frozenset(out)
 
 
-@lru_cache(maxsize=None, typed=True)  # as for generator_coproduct
 def generator_steenrod(family: Family, idx: int) -> frozenset[FamilyMonomial]:
     """Sq_1^* of one generator as family monomials, in closed form: the square
     of the generator one index down for braid gamma_i, i >= 2, and for rat
@@ -305,8 +312,10 @@ def _top_class_cost(family: Family, k: int) -> int:
 
 def check_top_class_size(family: Family, k: int) -> None:
     """Raise ``ValueError`` when the top class at k costs more than
-    ``SUPPORT_BOUND`` bits, or unless k is an int >= 1."""
+    ``SUPPORT_BOUND`` bits, or unless k is an int >= 1 and ``family`` a
+    ``Family`` member."""
     _check_int(k, "k", 1)
+    _check_family(family)
     cost = _top_class_cost(family, k)
     if cost > SUPPORT_BOUND:
         raise ValueError(f"top-class support cost {cost} exceeds bound {SUPPORT_BOUND}")

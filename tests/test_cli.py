@@ -397,7 +397,7 @@ def test_lemma_braid_enumerates_each_basis_once_and_runs_no_psi(capsys, monkeypa
 def _count_decision_work(monkeypatch):
     """Count Steenrod matrix builds, and record the dims of every coalgebra built."""
     steenrod_calls, built = [], []
-    steenrod, post_init = coalgebra.component_steenrod, coalgebra.GradedCoalgebra.__post_init__
+    steenrod, post_init = coalgebra._component_steenrod, coalgebra.GradedCoalgebra.__post_init__
 
     def counted_steenrod(by_dim, *args):
         steenrod_calls.append(len(by_dim))
@@ -407,7 +407,7 @@ def _count_decision_work(monkeypatch):
         built.append(self.dims)
         return post_init(self)
 
-    monkeypatch.setattr(coalgebra, "component_steenrod", counted_steenrod)
+    monkeypatch.setattr(coalgebra, "_component_steenrod", counted_steenrod)
     monkeypatch.setattr(coalgebra.GradedCoalgebra, "__post_init__", recorded)
     return steenrod_calls, built
 
@@ -455,8 +455,7 @@ def test_a_yes_multiplies_out_each_component_once(capsys, monkeypatch):
         return multiply_out(by_dim, image, *args)
 
     monkeypatch.setattr(coalgebra, "_multiply_out", counted)
-    v = coalgebra.components_isomorphic(families._basis_by_dim(Family.CONF, 6),
-                                        families._basis_by_dim(Family.BRAID, 12))
+    v = coalgebra.components_isomorphic((Family.CONF, 6), (Family.BRAID, 12))
     assert v.kind == "yes" and v.tried == 20
     assert images == ["generator_coproduct"] * 2
     images.clear()

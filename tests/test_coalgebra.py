@@ -10,7 +10,7 @@ from itertools import permutations
 import pytest
 
 import helpers
-from braidrat import coalgebra, gf2, operations
+from braidrat import coalgebra, families, gf2, operations
 from braidrat.cli import main
 from braidrat.coalgebra import (
     DEFAULT_ISO_BUDGET,
@@ -21,9 +21,8 @@ from braidrat.coalgebra import (
     _sq1_columns,
     check_braid_conf,
     check_lemma_braid,
+    _component_steenrod,
     coalgebras_isomorphic,
-    component_coalgebra,
-    component_steenrod,
     components_isomorphic,
     extract_coalgebra,
     s_set,
@@ -394,7 +393,7 @@ def test_each_generator_is_checked_once(monkeypatch):
                         lambda family, idx: checked.append((family, idx)) or check(family, idx))
     expected = {(Family.RAT, idx) for idx in range(-1, 4)} | {(Family.BRAID, idx) for idx in range(5)}
     for _ in range(2):
-        v = components_isomorphic(_basis_by_dim(Family.RAT, 13), _basis_by_dim(Family.BRAID, 26))
+        v = components_isomorphic((Family.RAT, 13), (Family.BRAID, 26))
         assert v.kind == "no"
         assert len(checked) == 10 and set(checked) == expected
         checked.clear()
@@ -410,8 +409,7 @@ def test_family_components_skip_the_per_element_pass_and_the_constructor_keeps_i
 
     monkeypatch.setattr(GradedCoalgebra, "_coassociative", refuse)
     assert extract_coalgebra(Family.RAT, 16) == comps[Family.RAT, 16]
-    assert components_isomorphic(_basis_by_dim(Family.CONF, 8),
-                                 _basis_by_dim(Family.BRAID, 16)).kind == "yes"
+    assert components_isomorphic((Family.CONF, 8), (Family.BRAID, 16)).kind == "yes"
     for build in (lambda c: GradedCoalgebra(c.dims, c.delta), lambda c: c._replace(dims=c.dims)):
         with pytest.raises(AssertionError, match="per-element pass"):
             build(comps[Family.RAT, 3])
@@ -711,7 +709,7 @@ def test_component_route_agrees_with_the_full_route(steenrod):
     # included: it names the one split whose ranks differ
     kinds = set()
     for a, b in _ROUTE_PAIRS:
-        got = components_isomorphic(_basis_by_dim(*a), _basis_by_dim(*b), steenrod=steenrod)
+        got = components_isomorphic(a, b, steenrod=steenrod)
         sq = (steenrod_matrix(*a), steenrod_matrix(*b)) if steenrod else None
         ca, cb = extract_coalgebra(*a), extract_coalgebra(*b)
         full = coalgebras_isomorphic(ca, cb, steenrod=sq)
@@ -725,10 +723,11 @@ def test_component_route_agrees_with_the_full_route(steenrod):
 def test_component_route_without_the_edge_read_is_the_full_walk(monkeypatch):
     # with no stable-edge degree to read, the walk of coalgebras_isomorphic
     # runs as before, evidence included
-    monkeypatch.setattr(coalgebra, "_stable_edge", lambda by_dim: len(by_dim))
+    # (every component at k has its top degree below 2k)
+    monkeypatch.setattr(coalgebra, "_stable_edge", lambda family, k: 2 * k)
     kinds = set()
     for a, b in _ROUTE_PAIRS[:21]:
-        got = components_isomorphic(_basis_by_dim(*a), _basis_by_dim(*b))
+        got = components_isomorphic(a, b)
         assert got == coalgebras_isomorphic(extract_coalgebra(*a), extract_coalgebra(*b))
         kinds.add((got.kind, got.invariant))
     assert kinds == {("yes", None), ("no", "dims"), ("no", "component_ranks")}
@@ -743,8 +742,7 @@ def test_rat_and_braid_ranks_first_differ_at_the_stable_edge():
         ca, cb = extract_coalgebra(Family.RAT, k), extract_coalgebra(Family.BRAID, 2 * k)
         first = next((x[:2] for x, y in zip(rank_triples(ca.delta), rank_triples(cb.delta))
                       if x != y), None)
-        v = components_isomorphic(_basis_by_dim(Family.RAT, k), _basis_by_dim(Family.BRAID, 2 * k),
-                                  budget=0)
+        v = components_isomorphic((Family.RAT, k), (Family.BRAID, 2 * k), budget=0)
         low = (k + 1) & -(k + 1)
         if k in (1, 3):
             assert first is None and v.kind != "no"
@@ -763,9 +761,8 @@ def test_the_edge_read_decides_rat_where_the_theorem_separates():
     for k in range(1, 40):
         distinct = theorem_main(k).distinct
         assert distinct == (k not in (1, 3)), k
-        rat = _basis_by_dim(Family.RAT, k)
         for other in ((Family.CONF, k), (Family.BRAID, 2 * k), (Family.BRAID, 2 * k + 1)):
-            v = components_isomorphic(rat, _basis_by_dim(*other), budget=0)
+            v = components_isomorphic((Family.RAT, k), other, budget=0)
             if distinct:
                 assert (v.kind, v.invariant) == ("no", "component_ranks"), (k, other)
                 assert v.left[0] in (k + 1, k + 2), (k, other)
@@ -775,9 +772,9 @@ def test_the_edge_read_decides_rat_where_the_theorem_separates():
     # the verdict of the walk over the whole coalgebras, evidence included
     # (k = 17..39 run in CI)
     for k in range(1, 17):
-        group = [_basis_by_dim(*c) for c in (
-            (Family.RAT, k), (Family.CONF, k), (Family.BRAID, 2 * k), (Family.BRAID, 2 * k + 1))]
-        whole = [component_coalgebra(by_dim) for by_dim in group]
+        group = ((Family.RAT, k), (Family.CONF, k),
+                 (Family.BRAID, 2 * k), (Family.BRAID, 2 * k + 1))
+        whole = [extract_coalgebra(*spec) for spec in group]
         for (a, ca), (b, cb) in permutations(zip(group, whole), 2):
             assert components_isomorphic(a, b, budget=0) == coalgebras_isomorphic(
                 ca, cb, budget=0), k
@@ -1055,12 +1052,13 @@ def test_iso_verifies_the_witness_the_search_returns(monkeypatch, capsys):
 
 
 def test_empty_components_are_refused_by_both_routes():
-    # the rank walk reads no degree of an empty component; the constructor
-    # refuses it as not connected, on the component route after that walk
+    # the constructor refuses an empty coalgebra as not connected; the
+    # component route names no empty component, since k = 0 is refused
+    # before any enumeration
     with pytest.raises(ValueError, match="needs connected coalgebras"):
         GradedCoalgebra((), ())
-    with pytest.raises(ValueError, match="needs connected coalgebras"):
-        components_isomorphic([], [])
+    with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+        components_isomorphic((Family.RAT, 0), (Family.BRAID, 0))
 
 
 def _rows_as_dicts(mats):
@@ -1114,7 +1112,7 @@ def test_malformed_input_raises_value_error(call):
 
 
 def _conf3_braid6():
-    return _basis_by_dim(Family.CONF, 3), _basis_by_dim(Family.BRAID, 6)
+    return (Family.CONF, 3), (Family.BRAID, 6)
 
 
 # A k, j, generator index, exponent, search budget, Q count or element power
@@ -1127,7 +1125,10 @@ def _conf3_braid6():
 # iterated_q-n-negative gives Qg), 'inconclusive' after 0 or 2 search nodes
 # (the other budget cases but theorem_main's, which conformed), or another
 # message (the negative exponent, index and power, and check_lemma_braid's k,
-# whose message named 2k).
+# whose message named 2k).  A family that is not a ``Family`` member is
+# refused by ``families._check_family`` alike; without it top_class built a
+# monomial from the string, components_isomorphic raised AttributeError and
+# the other family cases KeyError.
 BAD_INPUTS = {
     "basis-k-float": (lambda: basis(Family.RAT, 3.0), "k must be an int"),
     "basis_size-k-float": (lambda: basis_size(Family.RAT, 3.0), "k must be an int"),
@@ -1143,11 +1144,11 @@ BAD_INPUTS = {
                          "j must be an int, got 1.5"),
     "steenrod_matrix-j-float": (lambda: steenrod_matrix(Family.RAT, 3, j=1.5),
                                 "j must be an int, got 1.5"),
-    "component_steenrod-j-str": (lambda: component_steenrod(_basis_by_dim(Family.RAT, 3), "1"),
+    "component_steenrod-j-str": (lambda: _component_steenrod(_basis_by_dim(Family.RAT, 3), "1"),
                                  "j must be an int, got '1'"),
     "generator_coproduct-index-float": (lambda: generator_coproduct(Family.RAT, 1.5),
                                         "rat generator index must be an int, got 1.5"),
-    # 2.0 == 2, so an untyped cache entry of 2 would answer for it
+    # 2.0 == 2, so a cache keyed on the value would answer for it with 2's entry
     "generator_steenrod-index-float": (
         lambda: generator_steenrod(Family.BRAID, 2) and generator_steenrod(Family.BRAID, 2.0),
         "braid generator index must be an int, got 2.0"),
@@ -1173,10 +1174,10 @@ BAD_INPUTS = {
     "element-power-negative": (lambda: element(q_gen(1)) ** -1,
                                "element power must be >= 0, got -1"),
     "coalgebras-budget-negative": (
-        lambda: coalgebras_isomorphic(*map(component_coalgebra, _conf3_braid6()), -1),
+        lambda: coalgebras_isomorphic(*(extract_coalgebra(*c) for c in _conf3_braid6()), -1),
         "the search budget must be >= 0, got -1"),
     "coalgebras-budget-float": (
-        lambda: coalgebras_isomorphic(*map(component_coalgebra, _conf3_braid6()), 1.5),
+        lambda: coalgebras_isomorphic(*(extract_coalgebra(*c) for c in _conf3_braid6()), 1.5),
         "the search budget must be an int, got 1.5"),
     "components-budget-negative": (lambda: components_isomorphic(*_conf3_braid6(), -1),
                                    "the search budget must be >= 0, got -1"),
@@ -1186,6 +1187,23 @@ BAD_INPUTS = {
                                          "the search budget must be >= 0, got -1"),
     "theorem_main-budget-negative": (lambda: theorem_main(5, iso_budget=-1),
                                      "the search budget must be >= 0, got -1"),
+    "top_class-family-str": (lambda: top_class("rat", 3),
+                             "family must be a Family member, got 'rat'"),
+    "top_class-braid-family-str": (lambda: top_class("braid", 3),
+                                   "family must be a Family member, got 'braid'"),
+    "basis-family-str": (lambda: basis("rat", 3), "family must be a Family member, got 'rat'"),
+    "basis_size-family-str": (lambda: basis_size("rat", 3),
+                              "family must be a Family member, got 'rat'"),
+    "family_monomial-family-str": (lambda: family_monomial("braid", {0: 1}),
+                                   "family must be a Family member, got 'braid'"),
+    "generator_coproduct-family-str": (lambda: generator_coproduct("rat", 0),
+                                       "family must be a Family member, got 'rat'"),
+    "steenrod_matrix-family-str": (lambda: steenrod_matrix("conf", 2),
+                                   "family must be a Family member, got 'conf'"),
+    "extract_coalgebra-family-str": (lambda: extract_coalgebra("braid", 4),
+                                     "family must be a Family member, got 'braid'"),
+    "components-family-str": (lambda: components_isomorphic(("rat", 3), (Family.BRAID, 6)),
+                              "family must be a Family member, got 'rat'"),
 }
 
 
@@ -1193,6 +1211,20 @@ BAD_INPUTS = {
 def test_inputs_of_the_wrong_type_or_sign_raise_value_error(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+def test_a_negative_budget_is_refused_before_any_enumeration(monkeypatch):
+    # the budget is the first check of a decision, so a refused one costs
+    # no enumeration on any route into components_isomorphic
+    calls = []
+    vectors = families._exponent_vectors
+    monkeypatch.setattr(families, "_exponent_vectors", lambda *a: calls.append(a) or vectors(*a))
+    for call in (lambda: components_isomorphic(*_conf3_braid6(), -1),
+                 lambda: check_braid_conf(3, budget=-1),
+                 lambda: theorem_main(3, iso_budget=-1)):
+        with pytest.raises(ValueError, match="the search budget must be >= 0, got -1"):
+            call()
+    assert calls == []
 
 
 @pytest.mark.parametrize("seq", [tuple, list])
