@@ -28,11 +28,12 @@ import sys
 import time
 from typing import NamedTuple
 
+from .ambient import _check_int
 from .coalgebra import (
     DEFAULT_ISO_BUDGET,
     IsoVerdict,
     SpanError,
-    _component_steenrod,
+    _multiply_out,
     check_braid_conf,
     check_lemma_braid,
     components_isomorphic,
@@ -226,7 +227,8 @@ def _cmd_iso(args, config: RunConfig) -> Outcome:
 def _cmd_steenrod(args, config: RunConfig) -> Outcome:
     family = Family(args.family)
     by_dim = _basis_by_dim(family, args.k)
-    mats = _component_steenrod(by_dim, args.j)
+    _check_int(args.j, "j", 1)  # before the generator checks
+    mats = _multiply_out(family, args.k, by_dim)[1](args.j)
     lines = [f"steenrod {family.value} k={args.k} j={args.j}"]
     matrices = {}
     for d, mat in sorted(mats.items()):

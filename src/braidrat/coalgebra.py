@@ -11,7 +11,6 @@ the support-set comparison of top classes.
 
 from __future__ import annotations
 
-import re
 from functools import lru_cache
 from itertools import chain, repeat
 from typing import Mapping, NamedTuple, Sequence
@@ -23,6 +22,7 @@ from .families import (
     FamilyMonomial,
     _basis_by_dim,
     _embed,
+    _generator_indices,
     generator_coproduct,
     generator_steenrod,
     top_class,
@@ -86,7 +86,7 @@ class GradedCoalgebra(_Coalgebra):
     def _new(cls, dims, delta):
         """Every check of the constructor but the per-element coassociativity
         pass, for a family component whose generator coproducts
-        ``_coproduct_rows`` has checked."""
+        ``_multiply_out`` has checked."""
         delta = tuple(tuple(tuple(map(tuple, map(_level, _level(split)))) for split in _level(row))
                       for row in _level(delta))
         self = super().__new__(cls, tuple(_level(dims)), delta)
@@ -150,29 +150,46 @@ class GradedCoalgebra(_Coalgebra):
 
 def extract_coalgebra(family: Family, k: int) -> GradedCoalgebra:
     """Structure constants of the weight-graded component in the family
-    basis: every degree of ``_coproduct_rows``, whose generator checks run
-    first.  Raises ``ValueError``, before any enumeration, if the predicted
-    basis size is above ``BASIS_BOUND``, or unless k is an int >= 1 and
-    ``family`` a ``Family`` member."""
+    basis: every degree of the ``row`` of ``_multiply_out``, whose generator
+    checks run first.  Raises ``ValueError``, before any enumeration, if the
+    predicted basis size is above ``BASIS_BOUND``, or unless k is an int >= 1
+    and ``family`` a ``Family`` member."""
     by_dim = _basis_by_dim(family, k)
-    row = _coproduct_rows(by_dim)
+    row, _ = _multiply_out(family, k, by_dim)
     return GradedCoalgebra._new([len(r) for r in by_dim], [row(d) for d in range(len(by_dim))])
 
 
-def _multiply_out(by_dim: Sequence[Sequence[FamilyMonomial]], image, arity: int, what: str):
-    """Multiply out a ring map over a component given by its basis by degree,
-    a whole component as ``families.basis`` enumerates it.  ``image(family,
-    idx)`` is a generator's image as ``arity``-tuples of family monomials,
-    ``arity`` 1 or 2.  Does its setup once and returns ``expand(fm)``: for a
-    basis monomial fm, for each term of the product of the images of its
-    generators, its place (degree, index) in ``by_dim``, or a pair of places
-    when ``arity`` is 2.
+def _multiply_out(family: Family, k: int, by_dim: Sequence[Sequence[FamilyMonomial]]):
+    """Multiply out psi and Sq_* over the component ``(family, k)``, given
+    its basis by degree as ``families._basis_by_dim`` enumerates it.  Does
+    its setup once and returns ``(row, steenrod)``:
 
-    The setup checks the closed forms of psi and Sq_* of every generator the
-    component holds (``_check_generator``), on every call and so before any
-    product is formed, whichever of the two is multiplied out.  Nothing
-    carries a check over from one setup to the next, so whether a closed form
-    is checked never depends on what ran earlier in the process.
+    * ``row(d)``, the structure constants ``delta[d]`` in the form of
+      ``GradedCoalgebra``, multiplied out the first time degree d is asked
+      for and kept; a pair whose dims do not add up to the element's raises
+      ``ValueError``;
+    * ``steenrod(j)``, for an int j >= 1 the caller has checked, the
+      per-degree matrices of Sq_j^*: entry ``out[d]``, for every degree
+      d = 1..top, empty ones included, maps degree d to degree d-j; rows are
+      indexed by the target basis, with bit b set when the image of source b
+      hits that row.
+
+    psi and Sq_* are ring maps, so each basis element's image is the product
+    of its generators' images: their coproducts
+    (``families.generator_coproduct``), as pairs, and x + Sq_1^* x
+    (``families.generator_steenrod``), whose degree-(d-j) part is Sq_j^* of
+    a degree-d element.  One product loop multiplies out both.
+
+    The generators are ``families._generator_indices(family, k)``, every one
+    of which the component holds.  The setup checks the closed forms of psi
+    and Sq_* of each of them once (``_check_generator``), on every call and
+    so before any product is formed.  Nothing carries a check over from one
+    setup to the next, so whether a closed form is checked never depends on
+    what ran earlier in the process.  That check makes the component, closed
+    under psi since every half is found in its basis, counital and
+    coassociative, so the per-element pass of the ``GradedCoalgebra``
+    constructor, nine times the cost of the extraction itself on rat:32, is
+    not needed for it.
 
     An exponent vector is one int with a field of W bits per generator,
     W = k.bit_length() for the component's top weight k, and a tuple packs
@@ -186,72 +203,56 @@ def _multiply_out(by_dim: Sequence[Sequence[FamilyMonomial]], image, arity: int,
     monomial is then looked up among the packed basis monomials, and one
     outside the basis raises ``SpanError``.
     """
-    gens = sorted({idx for row in by_dim for fm in row for idx, _ in fm.exps})
-    width = max((fm.weight for row in by_dim for fm in row), default=0).bit_length()
+    gens = _generator_indices(family, k)
+    width = k.bit_length()
     slot = {idx: 1 << (width * p) for p, idx in enumerate(gens)}
     shift = width * len(gens)
     low = (1 << shift) - 1
+    dims = [len(row) for row in by_dim]
 
     def pack(fm: FamilyMonomial) -> int:
         try:
             return sum(e * slot[idx] for idx, e in fm.exps)
-        except KeyError:  # a generator no basis element holds
+        except KeyError:  # a generator the component does not hold
             raise SpanError(f"{fm} leaves the generators of the component") from None
 
     where = {pack(fm): (d, i) for d, row in enumerate(by_dim) for i, fm in enumerate(row)}
-    packed, bound = {}, {}
+    psi, sq = {}, {}  # per generator: its packed images and their largest field
     for idx in gens:
-        family = by_dim[0][0].family
         _check_generator(family, idx)
-        closed = image(family, idx)
-        packed[idx] = [sum(pack(fm) << (shift * n) for n, fm in enumerate(t)) for t in closed]
-        bound[idx] = max((e for t in closed for fm in t for _, e in fm.exps), default=0)
+        gen = FamilyMonomial(family, ((idx, 1),))
+        for table, image in ((psi, generator_coproduct(family, idx)),
+                             (sq, [(gen,), *((fm,) for fm in generator_steenrod(family, idx))])):
+            table[idx] = ([sum(pack(fm) << (shift * n) for n, fm in enumerate(t)) for t in image],
+                          max((e for t in image for fm in t for _, e in fm.exps), default=0))
 
-    def expand(fm: FamilyMonomial) -> list:
-        if sum(bound[idx] * e for idx, e in fm.exps) >> width:
+    def expand(fm: FamilyMonomial, table: dict, what: str) -> list:
+        """The places (degree, index) in ``by_dim`` of the terms of the product
+        of ``table``'s images of fm's generators, a pair of them for ``psi``."""
+        if sum(table[idx][1] * e for idx, e in fm.exps) >> width:
             raise ValueError(f"{what} of {fm} exceeds the packed field width {width}")
         acc = {0}
         for idx, e in fm.exps:
+            images = table[idx][0]
             for b in range(e.bit_length()):
                 if e >> b & 1:
-                    power = [x << b for x in packed[idx]]
+                    power = [x << b for x in images]
                     # For a fixed a the sums a + x over distinct x are distinct.
                     acc = xor_all({a + x for x in power} for a in acc)
         try:
-            return ([(where[x & low], where[x >> shift]) for x in acc] if arity == 2
+            return ([(where[x & low], where[x >> shift]) for x in acc] if table is psi
                     else [where[x] for x in acc])
         except KeyError:
             raise SpanError(
                 f"a term of the {what} of {fm} leaves the basis of the component"
             ) from None
 
-    return expand
-
-
-def _coproduct_rows(by_dim: Sequence[Sequence[FamilyMonomial]]):
-    """``row(d)`` for a component given by its basis by degree: the
-    structure constants ``delta[d]`` in the form of ``GradedCoalgebra``,
-    multiplied out the first time degree d is asked for and kept.
-
-    psi is a ring map, so each basis element's coproduct is the product of
-    its generators' coproducts (``families.generator_coproduct``), multiplied
-    out by ``_multiply_out`` on pairs; a pair whose dims do not add up to
-    the element's raises ``ValueError``.  Its setup checks every generator
-    of the component, each time it is called, and that check makes the
-    component, closed under psi since every half was found in its basis,
-    counital and coassociative (``_check_generator``), so the per-element
-    pass of the ``GradedCoalgebra`` constructor, nine times the cost of the
-    extraction itself on rat:32, is not needed for it.
-    """
-    expand = _multiply_out(by_dim, generator_coproduct, 2, "coproduct")
-    dims = [len(row) for row in by_dim]
-
     @lru_cache(maxsize=None)
     def row(d: int) -> tuple:
         splits: list[list] = [[] for _ in range(d + 1)]
         for fm in by_dim[d]:
             parts: list[list] = [[] for _ in range(d + 1)]
-            for (s, i), (t, j) in expand(fm):
+            for (s, i), (t, j) in expand(fm, psi, "coproduct"):
                 if s + t != d:
                     raise ValueError(
                         f"coproduct pair of dimensions ({s}, {t}) has total {s + t}, expected {d}"
@@ -261,13 +262,25 @@ def _coproduct_rows(by_dim: Sequence[Sequence[FamilyMonomial]]):
                 splits[s].append(tuple(sorted(xs)))
         return tuple(map(tuple, splits))
 
-    return row
+    def steenrod(j: int) -> dict[int, tuple[int, ...]]:
+        out = {}
+        for d in range(1, len(by_dim)):
+            matrix = [0] * (dims[d - j] if d >= j else 0)
+            for col, fm in enumerate(by_dim[d]):
+                for s, t in expand(fm, sq, "dual Steenrod image"):
+                    if s == d - j:
+                        matrix[t] |= 1 << col
+            out[d] = tuple(matrix)
+        return out
+
+    return row, steenrod
 
 
 def _check_generator(family: Family, idx: int) -> None:
     """Raise ``ValueError``, naming the generator x and the operation,
-    unless its closed forms agree with the ambient operations on its
-    embedding E(x) (``_embed``, as packed halves):
+    unless both its closed forms, the ones ``_multiply_out`` multiplies out,
+    agree with the ambient operations on its embedding E(x) (``_embed``, as
+    packed halves), so one call per generator covers both maps:
 
     * psi: the XOR over the pairs (u, v) of ``generator_coproduct`` of the
       pairs {(a, b) : a in E(u), b in E(v)} is ``operations._psi`` of E(x);
@@ -294,17 +307,16 @@ def _check_generator(family: Family, idx: int) -> None:
                     for u, v in generator_coproduct(family, idx))
     if pairs != _psi(halves):
         raise ValueError(f"the closed-form coproduct of {gen} is not psi of its embedding")
-    if xor_all(_embed(fm) for (fm,) in _total_steenrod(family, idx)) != xor_all(
+    if halves ^ xor_all(map(_embed, generator_steenrod(family, idx))) != xor_all(
         map(_sq_half, halves)
     ):
         raise ValueError(f"the closed-form Sq_* of {gen} is not Sq_* of its embedding")
 
 
-def _set_bits(mask: int) -> list[int]:
+def _bits(mask: int) -> list[int]:
     """The set bits of ``mask``, ascending: the places of the 1s in its binary
-    digits, least significant first.  Unlike ``_bits`` it takes time linear
-    in the width, not in the width times the number of set bits."""
-    return [m.start() for m in re.finditer("1", bin(mask)[:1:-1])]
+    digits, least significant first, in time linear in the width."""
+    return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
 
 
 def s_set(fm: FamilyMonomial) -> frozenset[int]:
@@ -328,7 +340,7 @@ def s_set(fm: FamilyMonomial) -> frozenset[int]:
                 f"embedded monomial {_unpack(h)} has dimension {h & _MASK}, expected {d}"
             )
         mask |= _left_dims(h)
-    return frozenset(_set_bits(mask))
+    return frozenset(_bits(mask))
 
 
 SteenrodPair = tuple[Mapping[int, Sequence[int]], Mapping[int, Sequence[int]]]
@@ -515,21 +527,26 @@ def components_isomorphic(
     when ``steenrod`` is true), built only when the stable edge leaves it
     open.
 
-    A ``budget`` that is not an int >= 0 raises ``ValueError`` first; then
-    each basis is enumerated once (``_basis_by_dim``, a before b), so a
-    component above ``BASIS_BOUND`` is refused before any work.  One
-    ``_coproduct_rows`` per side checks its generators first, on every
-    call: rat:13 against braid:26 runs ten generator checks each time.
-    The dims come from the bases, then ``_rank_mismatch`` reads the
-    stable-edge degrees E and E + 1 (``_stable_edge``, the smaller of the
-    two sides), where the ranks of rat:k and braid:2k first differ; a ``no``
-    there names that split and multiplies out no other degree.  Otherwise
-    the same rows build both coalgebras, so each degree is multiplied out
-    once on each side, a ``yes`` included.
+    A ``budget`` that is not an int >= 0 raises ``ValueError`` first, then a
+    spec that is not a ``(family, k)`` tuple, naming it; then each basis is
+    enumerated once (``_basis_by_dim``, a before b), so a component above
+    ``BASIS_BOUND`` is refused before any work.  One ``_multiply_out`` per
+    side checks each of its generators once first, on every call: rat:13
+    against braid:26 runs ten generator checks each time, braid:6 against
+    rat:3 with ``steenrod`` six.  The dims come from the bases, then
+    ``_rank_mismatch`` reads the stable-edge degrees E and E + 1
+    (``_stable_edge``, the smaller of the two sides), where the ranks of
+    rat:k and braid:2k first differ; a ``no`` there names that split and
+    multiplies out no other degree.  Otherwise the same ``row`` builds each
+    coalgebra, so each degree is multiplied out once on each side, a ``yes``
+    included, and the same build gives its ``steenrod(1)``.
     """
     _check_int(budget, "the search budget", 0)
+    for spec in (a, b):
+        if not isinstance(spec, tuple) or len(spec) != 2:
+            raise ValueError(f"a component must be a (Family, k) pair, got {spec!r}")
     by_dim_a, by_dim_b = _basis_by_dim(*a), _basis_by_dim(*b)
-    row_a, row_b = _coproduct_rows(by_dim_a), _coproduct_rows(by_dim_b)
+    (row_a, sq_a), (row_b, sq_b) = _multiply_out(*a, by_dim_a), _multiply_out(*b, by_dim_b)
     dims = tuple(map(len, by_dim_a))
     edge = min(_stable_edge(*a), _stable_edge(*b))
     verdict = (_mismatch(dims, "dims", dims, tuple(map(len, by_dim_b)))
@@ -537,19 +554,10 @@ def components_isomorphic(
                                         for d in (edge, edge + 1) if d < len(dims))))
     if verdict:
         return verdict
-    sq = (_component_steenrod(by_dim_a), _component_steenrod(by_dim_b)) if steenrod else None
+    sq = (sq_a(1), sq_b(1)) if steenrod else None
     ca, cb = (GradedCoalgebra._new(dims, [row(d) for d in range(len(dims))])
               for row in (row_a, row_b))
     return coalgebras_isomorphic(ca, cb, budget, steenrod=sq)
-
-
-def _bits(vec: int) -> list[int]:
-    out = []
-    while vec:
-        low = vec & -vec
-        out.append(low.bit_length() - 1)
-        vec ^= low
-    return out
 
 
 def _equation(c: GradedCoalgebra, sq, d: int, src: int, col) -> int:
@@ -652,44 +660,14 @@ def _search_isomorphism(a: GradedCoalgebra, b: GradedCoalgebra, budget: int, sq)
 
 def steenrod_matrix(family: Family, k: int, *, j: int = 1) -> dict[int, tuple[int, ...]]:
     """Per-degree matrices of Sq_j^* on the weight-graded component in the
-    family basis, multiplied out over one enumeration of it (see
-    ``_component_steenrod``).  Raises ``ValueError``, before any
-    enumeration, if the predicted basis size is above ``BASIS_BOUND``, or
-    unless k is an int >= 1 and ``family`` a ``Family`` member."""
-    return _component_steenrod(_basis_by_dim(family, k), j)
-
-
-def _total_steenrod(family: Family, idx: int) -> list[tuple[FamilyMonomial]]:
-    """Sq_* = sum_j Sq_j^* of one generator x: x + Sq_1^* x."""
-    gen = FamilyMonomial(family, ((idx, 1),))
-    return [(gen,)] + [(fm,) for fm in generator_steenrod(family, idx)]
-
-
-def _component_steenrod(
-    by_dim: Sequence[Sequence[FamilyMonomial]], j: int = 1
-) -> dict[int, tuple[int, ...]]:
-    """Per-degree matrices of Sq_j^* on a component given by its basis by degree.
-
-    Entry ``out[d]``, for every degree d = 1..top, empty ones included, maps
-    degree d to degree d-j; rows are indexed by the target basis, with bit b
-    set when the image of source b hits that row.  Sq_* is a ring map that
-    sends each generator x to x + Sq_1^* x (``families.generator_steenrod``),
-    so Sq_j^* of a degree-d element is the degree-(d-j) part of the product
-    of those images, each multiplied out by the ``expand`` of
-    ``_multiply_out``.  Raises ``SpanError`` if a term leaves the basis, and
-    ``ValueError`` unless j is an int >= 1.
-    """
+    family basis, the ``steenrod(j)`` of ``_multiply_out`` over one
+    enumeration of it.  Raises ``ValueError``, before any enumeration, if the
+    predicted basis size is above ``BASIS_BOUND``, or unless k is an int >= 1
+    and ``family`` a ``Family`` member; then, before any generator check,
+    unless j is an int >= 1; and ``SpanError`` if a term leaves the basis."""
+    by_dim = _basis_by_dim(family, k)
     _check_int(j, "j", 1)
-    expand = _multiply_out(by_dim, _total_steenrod, 1, "dual Steenrod image")
-    out = {}
-    for d in range(1, len(by_dim)):
-        matrix = [0] * (len(by_dim[d - j]) if d >= j else 0)
-        for col, fm in enumerate(by_dim[d]):
-            for s, t in expand(fm):
-                if s == d - j:
-                    matrix[t] |= 1 << col
-        out[d] = tuple(matrix)
-    return out
+    return _multiply_out(family, k, by_dim)[1](j)
 
 
 class LemmaBraidReport(NamedTuple):
@@ -710,11 +688,13 @@ def check_lemma_braid(k: int) -> LemmaBraidReport:
     """Check b -> g*b maps the weight-2k basis onto the weight-2k+1 one row by
     row, index for index (g, of dim 0, leads the lexicographic order, and
     weight 2k+1 forces an odd g exponent), and then Delta(g*b) = (g (x) g)
-    Delta(b): ``row_even(d) == row_odd(d)`` of their ``_coproduct_rows``, whose
-    generator checks run first, for d up to the first degree that differs."""
+    Delta(b): ``row_even(d) == row_odd(d)``, the ``row`` of one
+    ``_multiply_out`` per side, whose generator checks run first, for d up
+    to the first degree that differs."""
     _check_int(k, "k", 1)  # before 2k, which a message would name instead
     even, odd = _basis_by_dim(Family.BRAID, 2 * k), _basis_by_dim(Family.BRAID, 2 * k + 1)
-    row_even, row_odd = _coproduct_rows(even), _coproduct_rows(odd)
+    (row_even, _), (row_odd, _) = (_multiply_out(Family.BRAID, 2 * k, even),
+                                   _multiply_out(Family.BRAID, 2 * k + 1, odd))
     g = FamilyMonomial(Family.BRAID, ((0, 1),))
     bijection_ok = [[fm * g for fm in row] for row in even] == odd
     coproduct_ok = bijection_ok and all(row_even(d) == row_odd(d) for d in range(len(even)))

@@ -395,75 +395,85 @@ def test_lemma_braid_enumerates_each_basis_once_and_runs_no_psi(capsys, monkeypa
 
 
 def _count_decision_work(monkeypatch):
-    """Count Steenrod matrix builds, and record the dims of every coalgebra built."""
-    steenrod_calls, built = [], []
-    steenrod, post_init = coalgebra._component_steenrod, coalgebra.GradedCoalgebra.__post_init__
+    """Record the component of every build (``_multiply_out``), every degree
+    its ``row`` is asked for, the j of every Steenrod matrix build, and the
+    dims of every coalgebra built."""
+    builds, read, steenrod_calls, built = [], set(), [], []
+    multiply_out, post_init = coalgebra._multiply_out, coalgebra.GradedCoalgebra.__post_init__
 
-    def counted_steenrod(by_dim, *args):
-        steenrod_calls.append(len(by_dim))
-        return steenrod(by_dim, *args)
+    def counted(family, k, by_dim):
+        builds.append((family, k))
+        row, steenrod = multiply_out(family, k, by_dim)
+
+        def recorded_row(d):
+            read.add(d)
+            return row(d)
+
+        def counted_steenrod(j):
+            steenrod_calls.append(j)
+            return steenrod(j)
+
+        return recorded_row, counted_steenrod
 
     def recorded(self):
         built.append(self.dims)
         return post_init(self)
 
-    monkeypatch.setattr(coalgebra, "_component_steenrod", counted_steenrod)
+    monkeypatch.setattr(coalgebra, "_multiply_out", counted)
     monkeypatch.setattr(coalgebra.GradedCoalgebra, "__post_init__", recorded)
-    return steenrod_calls, built
+    return builds, read, steenrod_calls, built
 
 
 def test_iso_no_on_ranks_builds_only_the_degrees_it_reads(capsys, monkeypatch):
     # rat:13 and braid:26 have degrees 0-23; their ranks first differ at the
     # stable edge, degree 14, which is the only degree multiplied out, and a
-    # 'no' read there builds no coalgebra
-    steenrod_calls, built = _count_decision_work(monkeypatch)
-    read, multiply_out = set(), coalgebra._multiply_out
-
-    def recorded(*args):
-        expand = multiply_out(*args)
-
-        def recorded_expand(fm):
-            read.add(fm.dim)
-            return expand(fm)
-
-        return recorded_expand
-
-    monkeypatch.setattr(coalgebra, "_multiply_out", recorded)
+    # 'no' read there builds no coalgebra and no Steenrod matrix
+    builds, read, steenrod_calls, built = _count_decision_work(monkeypatch)
     code, data = run_json(capsys, "iso", "--a", "rat:13", "--b", "braid:26", "--steenrod")
     assert code == 0 and data["verdict"]["invariant"] == "component_ranks"
     assert len(data["dims"]) == 24
+    assert builds == [(Family.RAT, 13), (Family.BRAID, 26)]
     assert steenrod_calls == []
     assert built == []
     assert read == {14}
 
 
 def test_iso_steenrod_yes_builds_the_matrices_once_per_side(capsys, monkeypatch):
-    steenrod_calls, built = _count_decision_work(monkeypatch)
+    builds, read, steenrod_calls, built = _count_decision_work(monkeypatch)
     code, data = run_json(capsys, "iso", "--a", "braid:6", "--b", "rat:3", "--steenrod")
     assert code == 0 and data["verdict"]["kind"] == "yes"
-    assert steenrod_calls == [5, 5]
+    assert steenrod_calls == [1, 1]
     assert built == [tuple(data["dims"])] * 2
 
 
 def test_a_yes_multiplies_out_each_component_once(capsys, monkeypatch):
-    # a 'yes' reads the stable-edge degrees and then builds both coalgebras
-    # from the same coproducts; counted by the ring map multiplied out
-    images, multiply_out = [], coalgebra._multiply_out
-
-    def counted(by_dim, image, *args):
-        images.append(image.__name__)
-        return multiply_out(by_dim, image, *args)
-
-    monkeypatch.setattr(coalgebra, "_multiply_out", counted)
+    # a 'yes' reads the stable-edge degrees and then builds both coalgebras,
+    # and with --steenrod their Sq_1^* matrices, from one build per side
+    builds, read, steenrod_calls, built = _count_decision_work(monkeypatch)
     v = coalgebra.components_isomorphic((Family.CONF, 6), (Family.BRAID, 12))
     assert v.kind == "yes" and v.tried == 20
-    assert images == ["generator_coproduct"] * 2
-    images.clear()
+    assert builds == [(Family.CONF, 6), (Family.BRAID, 12)]
+    assert steenrod_calls == []
+    builds.clear()
     assert main(["iso", "--a", "braid:6", "--b", "rat:3", "--steenrod"]) == 0
     capsys.readouterr()
-    assert sorted(images) == [
-        "_total_steenrod", "_total_steenrod", "generator_coproduct", "generator_coproduct",
-    ]
+    assert builds == [(Family.BRAID, 6), (Family.RAT, 3)]
+    assert steenrod_calls == [1, 1]
+
+
+@pytest.mark.parametrize("a, b, checks", [("braid:6", "rat:3", 6), ("conf:32", "braid:64", 13)])
+def test_a_steenrod_yes_checks_each_generator_once(capsys, monkeypatch, a, b, checks):
+    # braid:6 and rat:3 hold three generators each, conf:32 c_0..c_5 and
+    # braid:64 g and gamma_1..gamma_6; the coalgebras and their Sq_1^*
+    # matrices come from one build per side, which checks both closed forms
+    # of each generator in one call
+    checked = []
+    check = coalgebra._check_generator
+    monkeypatch.setattr(coalgebra, "_check_generator",
+                        lambda family, idx: checked.append((family, idx)) or check(family, idx))
+    code, data = run_json(capsys, "iso", "--a", a, "--b", b, "--steenrod")
+    assert code == 0 and data["verdict"]["kind"] == "yes"
+    assert len(checked) == len(set(checked)) == checks
 
 
 def test_extract_compare_json_is_the_full_json_cut_at_degree_14(capsys):

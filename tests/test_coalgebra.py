@@ -21,7 +21,6 @@ from braidrat.coalgebra import (
     _sq1_columns,
     check_braid_conf,
     check_lemma_braid,
-    _component_steenrod,
     coalgebras_isomorphic,
     components_isomorphic,
     extract_coalgebra,
@@ -397,6 +396,16 @@ def test_each_generator_is_checked_once(monkeypatch):
         assert v.kind == "no"
         assert len(checked) == 10 and set(checked) == expected
         checked.clear()
+
+
+def test_a_bad_j_is_refused_before_any_generator_check(monkeypatch, capsys):
+    checked = []
+    monkeypatch.setattr(coalgebra, "_check_generator", lambda *args: checked.append(args))
+    with pytest.raises(ValueError, match="j must be >= 1, got 0"):
+        steenrod_matrix(Family.RAT, 3, j=0)
+    assert main(["steenrod", "--family", "rat", "--k", "3", "--j", "0"]) == 2
+    assert capsys.readouterr().err == "error: j must be >= 1, got 0\n"
+    assert checked == []
 
 
 def test_family_components_skip_the_per_element_pass_and_the_constructor_keeps_it(monkeypatch):
@@ -1128,7 +1137,11 @@ def _conf3_braid6():
 # whose message named 2k).  A family that is not a ``Family`` member is
 # refused by ``families._check_family`` alike; without it top_class built a
 # monomial from the string, components_isomorphic raised AttributeError and
-# the other family cases KeyError.
+# the other family cases KeyError.  A bool is not taken for an int: without
+# that, basis gave rat:1's basis, components_isomorphic ran a search of one
+# node to 'inconclusive', and steenrod_matrix took j = 1.  A component spec
+# that is not a (Family, k) pair is refused by components_isomorphic before
+# any enumeration; without that, each spec case raised TypeError.
 BAD_INPUTS = {
     "basis-k-float": (lambda: basis(Family.RAT, 3.0), "k must be an int"),
     "basis_size-k-float": (lambda: basis_size(Family.RAT, 3.0), "k must be an int"),
@@ -1144,8 +1157,8 @@ BAD_INPUTS = {
                          "j must be an int, got 1.5"),
     "steenrod_matrix-j-float": (lambda: steenrod_matrix(Family.RAT, 3, j=1.5),
                                 "j must be an int, got 1.5"),
-    "component_steenrod-j-str": (lambda: _component_steenrod(_basis_by_dim(Family.RAT, 3), "1"),
-                                 "j must be an int, got '1'"),
+    "steenrod_matrix-j-str": (lambda: steenrod_matrix(Family.RAT, 3, j="1"),
+                              "j must be an int, got '1'"),
     "generator_coproduct-index-float": (lambda: generator_coproduct(Family.RAT, 1.5),
                                         "rat generator index must be an int, got 1.5"),
     # 2.0 == 2, so a cache keyed on the value would answer for it with 2's entry
@@ -1204,6 +1217,19 @@ BAD_INPUTS = {
                                      "family must be a Family member, got 'braid'"),
     "components-family-str": (lambda: components_isomorphic(("rat", 3), (Family.BRAID, 6)),
                               "family must be a Family member, got 'rat'"),
+    "basis-k-bool": (lambda: basis(Family.RAT, True), "k must be an int, got True"),
+    "components-budget-bool": (lambda: components_isomorphic(*_conf3_braid6(), True),
+                               "the search budget must be an int, got True"),
+    "steenrod_matrix-j-bool": (lambda: steenrod_matrix(Family.RAT, 3, j=True),
+                               "j must be an int, got True"),
+    "components-spec-family": (lambda: components_isomorphic(Family.RAT, (Family.BRAID, 6)),
+                               "a component must be a (Family, k) pair, got <Family.RAT: 'rat'>"),
+    "components-spec-str": (lambda: components_isomorphic("rat:3", (Family.BRAID, 6)),
+                            "a component must be a (Family, k) pair, got 'rat:3'"),
+    "components-spec-triple": (lambda: components_isomorphic((Family.CONF, 3),
+                                                             (Family.BRAID, 6, 1)),
+                               "a component must be a (Family, k) pair,"
+                               " got (<Family.BRAID: 'braid'>, 6, 1)"),
 }
 
 
@@ -1361,12 +1387,12 @@ def test_lemma_verdict_fails_on_a_reordered_odd_row(monkeypatch):
 
 @pytest.mark.parametrize("side", [0, 1], ids=["even", "odd"])
 def test_lemma_verdict_fails_on_one_toggled_structure_constant(monkeypatch, side):
-    coproduct_rows = coalgebra._coproduct_rows
+    multiply_out = coalgebra._multiply_out
 
-    def toggled(by_dim):
-        row = coproduct_rows(by_dim)
-        if by_dim[0][0].weight % 2 != side:
-            return row
+    def toggled(family, k, by_dim):
+        row, steenrod = multiply_out(family, k, by_dim)
+        if k % 2 != side:
+            return row, steenrod
 
         def toggled_row(d):
             if d != len(by_dim) - 1:
@@ -1376,9 +1402,9 @@ def test_lemma_verdict_fails_on_one_toggled_structure_constant(monkeypatch, side
             top[1][0] = tuple(sorted(set(top[1][0]) ^ {0}))
             return tuple(map(tuple, top))
 
-        return toggled_row
+        return toggled_row, steenrod
 
-    monkeypatch.setattr(coalgebra, "_coproduct_rows", toggled)
+    monkeypatch.setattr(coalgebra, "_multiply_out", toggled)
     for k in (1, 4, 8):
         rep = check_lemma_braid(k)
         assert rep.bijection_ok and not rep.coproduct_ok and not rep.verified

@@ -315,7 +315,7 @@ def test_generator_coproducts_match_the_ambient_route():
 def test_generator_steenrod_images_match_the_ambient_route():
     # Sq_1^* as in closed form, and Sq_2^*, Sq_3^* zero on every generator;
     # the oracle shares no code with the closed forms
-    used = {"generator_steenrod", "_component_steenrod", "steenrod_matrix"} & vars(helpers).keys()
+    used = {"generator_steenrod", "_multiply_out", "steenrod_matrix"} & vars(helpers).keys()
     assert not used
     seen = set()
     for family, idx in _admitted_generators():
