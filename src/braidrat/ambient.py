@@ -78,8 +78,9 @@ def _check_int(value, what: str, low: int | None = None) -> None:
     """The one check of a count or index the caller gives the library (a k,
     a j, a search budget, a generator index or exponent, a Q count or an
     element power): raise ``ValueError`` naming ``what`` unless ``value`` is
-    an int, not a bool, and at least ``low`` when one is given."""
-    if not isinstance(value, int) or isinstance(value, bool):
+    an int by ``type(value) is int``, the library's one integer test (a bool
+    or an ``IntEnum`` is not), and at least ``low`` when one is given."""
+    if type(value) is not int:
         raise ValueError(f"{what} must be an int, got {value!r}")
     if low is not None and value < low:
         raise ValueError(f"{what} must be >= {low}, got {value}")

@@ -26,7 +26,6 @@ import json
 import os
 import sys
 import time
-from typing import NamedTuple
 
 from .ambient import _check_int
 from .coalgebra import (
@@ -48,11 +47,6 @@ SCHEMA_VERSION = 2
 
 # A command's outcome: exit code, JSON body without the header, text lines.
 Outcome = tuple[int, dict, list[str]]
-
-
-class RunConfig(NamedTuple):
-    iso_budget: int = DEFAULT_ISO_BUDGET
-    fmt: str = "text"
 
 
 def _matrix_json(rows: tuple[int, ...], ncols: int) -> list[list[int]]:
@@ -102,7 +96,7 @@ def _sweep(inputs: dict, all_key: str, rows) -> Outcome:
     return int(result != "pass"), body, lines
 
 
-def _cmd_basis(args, config: RunConfig) -> Outcome:
+def _cmd_basis(args) -> Outcome:
     family = Family(args.family)
     rows = []
     lines = [f"basis {family.value} k={args.k}"]
@@ -121,7 +115,7 @@ def _cmd_basis(args, config: RunConfig) -> Outcome:
     return 0, {"inputs": {"family": family.value, "k": args.k}, "classes": rows}, lines
 
 
-def _cmd_s_set(args, config: RunConfig) -> Outcome:
+def _cmd_s_set(args) -> Outcome:
     family = Family(args.family)
     fm = top_class(family, args.k)
     support = sorted(s_set(fm))
@@ -137,14 +131,14 @@ def _cmd_s_set(args, config: RunConfig) -> Outcome:
     ]
 
 
-def _cmd_theorem_main(args, config: RunConfig) -> Outcome:
+def _cmd_theorem_main(args) -> Outcome:
     if not 1 <= args.from_k <= args.to_k:
         raise ValueError("need 1 <= --from <= --to")
     check_top_class_range(args.from_k, args.to_k)
 
     def rows():
         for k in range(args.from_k, args.to_k + 1):
-            rep = theorem_main(k, iso_budget=config.iso_budget)
+            rep = theorem_main(k, iso_budget=args.iso_budget)
             entry = {
                 "k": k,
                 "branch": rep.branch,
@@ -184,7 +178,7 @@ def _check_max_k(max_k: int) -> None:
         raise ValueError("need --max-k >= 1")
 
 
-def _cmd_lemma_braid(args, config: RunConfig) -> Outcome:
+def _cmd_lemma_braid(args) -> Outcome:
     _check_max_k(args.max_k)
     # Braid basis sizes grow with the weight, so the largest one, checked
     # first, bounds every basis the loop enumerates.
@@ -198,16 +192,16 @@ def _cmd_lemma_braid(args, config: RunConfig) -> Outcome:
     ))
 
 
-def _cmd_iso(args, config: RunConfig) -> Outcome:
+def _cmd_iso(args) -> Outcome:
     fam_a, k_a = _parse_spec(args.a)
     fam_b, k_b = _parse_spec(args.b)
-    verdict = components_isomorphic((fam_a, k_a), (fam_b, k_b), config.iso_budget,
+    verdict = components_isomorphic((fam_a, k_a), (fam_b, k_b), args.iso_budget,
                                     steenrod=args.steenrod)
     body = {
         "inputs": {
             "a": {"family": fam_a.value, "k": k_a},
             "b": {"family": fam_b.value, "k": k_b},
-            "steenrod_constrained": bool(args.steenrod),
+            "steenrod_constrained": args.steenrod,
         },
         "dims": verdict.dims,
         "verdict": _verdict_json(verdict),
@@ -224,7 +218,7 @@ def _cmd_iso(args, config: RunConfig) -> Outcome:
     return int(verdict.kind not in ("yes", "no")), body, lines
 
 
-def _cmd_steenrod(args, config: RunConfig) -> Outcome:
+def _cmd_steenrod(args) -> Outcome:
     family = Family(args.family)
     by_dim = _basis_by_dim(family, args.k)
     _check_int(args.j, "j", 1)  # before the generator checks
@@ -238,13 +232,13 @@ def _cmd_steenrod(args, config: RunConfig) -> Outcome:
     return 0, body, lines
 
 
-def _cmd_braid_conf(args, config: RunConfig) -> Outcome:
+def _cmd_braid_conf(args) -> Outcome:
     _check_max_k(args.max_k)
     # Both basis sizes grow with k, so the largest ones, checked first, bound
     # every basis the loop enumerates.
     check_basis_size(Family.CONF, args.max_k)
     check_basis_size(Family.BRAID, 2 * args.max_k)
-    reps = (check_braid_conf(k, budget=config.iso_budget) for k in range(1, args.max_k + 1))
+    reps = (check_braid_conf(k, budget=args.iso_budget) for k in range(1, args.max_k + 1))
     return _sweep({"max_k": args.max_k}, "all_isomorphic", (
         (rep.isomorphic, rep.verdict.kind == "inconclusive",
          {"k": rep.k, "verdict": _verdict_json(rep.verdict)},
@@ -256,7 +250,8 @@ def _cmd_braid_conf(args, config: RunConfig) -> Outcome:
 def build_parser() -> argparse.ArgumentParser:
     # Global flags are accepted before or after the subcommand.  They have no
     # parser defaults, so a flag given in one position is not reset by the
-    # other; RunConfig supplies the value of a flag given in neither.
+    # other; the Namespace that ``main`` passes in supplies the value of a
+    # flag given in neither.
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--format", dest="fmt", choices=("text", "json"))
     common.add_argument("--iso-budget", type=int,
@@ -310,14 +305,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    config = RunConfig(**{f: getattr(args, f) for f in RunConfig._fields if hasattr(args, f)})
-    if config.iso_budget < 0:
-        parser.error(f"argument --iso-budget: must be >= 0, got {config.iso_budget}")
+    args = parser.parse_args(argv, argparse.Namespace(fmt="text", iso_budget=DEFAULT_ISO_BUDGET))
+    if args.iso_budget < 0:
+        parser.error(f"argument --iso-budget: must be >= 0, got {args.iso_budget}")
     start = time.perf_counter()
     try:
-        code, body, lines = args.handler(args, config)
-        if config.fmt == "json":
+        code, body, lines = args.handler(args)
+        if args.fmt == "json":
             body = {"schema": SCHEMA_VERSION, "command": args.command, **body}
             text = json.dumps(body, indent=2, sort_keys=True)
         else:

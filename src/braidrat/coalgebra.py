@@ -12,7 +12,7 @@ the support-set comparison of top classes.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain
 from typing import Mapping, NamedTuple, Sequence
 
 from . import gf2
@@ -97,7 +97,7 @@ class GradedCoalgebra(_Coalgebra):
 
     def __post_init__(self) -> None:
         dims, delta = self.dims, self.delta
-        if not all(map(isinstance, dims, repeat(int))) or dims[:1] != (1,):
+        if {*map(type, dims)} - {int} or dims[:1] != (1,):
             raise ValueError(f"needs connected coalgebras with int dims, dims[0] = 1; got {dims}")
         if len(delta) != len(dims) or any(len(row) != d + 1 for d, row in enumerate(delta)):
             raise ValueError("structure constants need the splits s = 0..d of each degree d")
@@ -106,8 +106,7 @@ class GradedCoalgebra(_Coalgebra):
                 size = dims[s] * dims[d - s]
                 # each entry must be ints that rise strictly from -1 to size:
                 # sorted, distinct and in range
-                ints = all(map(isinstance, chain(*comps), repeat(int)))
-                if not ints or len(comps) != dims[d] or not all(
+                if {*map(type, chain(*comps))} - {int} or len(comps) != dims[d] or not all(
                     x < y for pairs in comps for x, y in zip((-1, *pairs), (*pairs, size))
                 ):
                     raise ValueError(f"malformed structure constants at {(d, s)}")
@@ -329,9 +328,12 @@ def s_set(fm: FamilyMonomial) -> frozenset[int]:
     from distinct monomials differ, and within psi(m) distinct submask tuples
     give distinct pairs.
 
-    Raises ``ValueError`` if a monomial's dimension is not ``fm.dim``, which
-    signals a non-homogeneous embedding.
+    Raises ``ValueError`` unless ``fm`` is a ``FamilyMonomial``, or if a
+    monomial's dimension is not ``fm.dim``, which signals a non-homogeneous
+    embedding.
     """
+    if not isinstance(fm, FamilyMonomial):
+        raise ValueError(f"fm must be a FamilyMonomial, got {type(fm).__name__}")
     d = fm.dim
     mask = 0
     for h in _embed(fm):
@@ -343,6 +345,14 @@ def s_set(fm: FamilyMonomial) -> frozenset[int]:
     return frozenset(_bits(mask))
 
 
+def _check_coalgebras(a, b) -> None:
+    """Raise ``ValueError`` naming ``a`` or ``b`` unless both are
+    ``GradedCoalgebra``s."""
+    for name, c in (("a", a), ("b", b)):
+        if not isinstance(c, GradedCoalgebra):
+            raise ValueError(f"{name} must be a GradedCoalgebra, got {type(c).__name__}")
+
+
 SteenrodPair = tuple[Mapping[int, Sequence[int]], Mapping[int, Sequence[int]]]
 
 
@@ -352,7 +362,7 @@ def _read_columns(rows: Sequence[int], n: int, m: int, what: str, use: str) -> l
     The one check of a matrix row: raises ``ValueError`` unless ``rows`` is
     a sequence (not a mapping or set) of exactly n ints in 0..2^m - 1."""
     got = len(rows) if isinstance(rows, Sequence) else type(rows).__name__
-    if got != n or not all(isinstance(row, int) and 0 <= row < 1 << m for row in rows):
+    if got != n or not all(type(row) is int and 0 <= row < 1 << m for row in rows):
         raise ValueError(f"{what} has {got} rows, expected {n} for {use},"
                          f" each an int in 0..2^{m} - 1")
     return [[t for t, row in enumerate(rows) if row >> c & 1] for c in range(m)]
@@ -392,8 +402,10 @@ def verify_coalgebra_map(
     invertible graded map with delta_b(phi(x)) = (phi (x) phi)(delta_a(x)),
     and, given the Sq_1^* pair of ``coalgebras_isomorphic``, with
     S_b phi_d = phi_{d-1} S_a in every degree (``_sq1_columns`` reads it).
-    Raises ``ValueError`` unless phi has one matrix per degree of a, each of
-    dims[d] rows as ``_read_columns`` reads them."""
+    Raises ``ValueError`` unless a and b are ``GradedCoalgebra``s and phi
+    has one matrix per degree of a, each of dims[d] rows as
+    ``_read_columns`` reads them."""
+    _check_coalgebras(a, b)
     sq_a, sq_b = _sq1_columns(a, b, steenrod)
     dims = a.dims
     got = len(phi) if isinstance(phi, Sequence) else type(phi).__name__
@@ -460,9 +472,11 @@ def coalgebras_isomorphic(
     ``_sq1_columns`` before the invariants; malformed ones raise
     ``ValueError``.  A ``yes`` is returned only once ``verify_coalgebra_map``
     has passed its witness, Steenrod pair included (else ``RuntimeError``).
-    A ``budget`` that is not an int >= 0 raises ``ValueError``.
+    A ``budget`` that is not an int >= 0 raises ``ValueError``, and then an
+    a or b that is not a ``GradedCoalgebra``.
     """
     _check_int(budget, "the search budget", 0)
+    _check_coalgebras(a, b)
     sq = _sq1_columns(a, b, steenrod)
     verdict = (_mismatch(a.dims, "dims", a.dims, b.dims)
                or _rank_mismatch(a.dims, enumerate(zip(a.delta, b.delta)))
@@ -528,9 +542,10 @@ def components_isomorphic(
     open.
 
     A ``budget`` that is not an int >= 0 raises ``ValueError`` first, then a
-    spec that is not a ``(family, k)`` tuple, naming it; then each basis is
-    enumerated once (``_basis_by_dim``, a before b), so a component above
-    ``BASIS_BOUND`` is refused before any work.  One ``_multiply_out`` per
+    ``steenrod`` that is not a bool, then a spec that is not a ``(family,
+    k)`` tuple, naming it; then each basis is enumerated once
+    (``_basis_by_dim``, a before b), so a component above ``BASIS_BOUND`` is
+    refused before any work.  One ``_multiply_out`` per
     side checks each of its generators once first, on every call: rat:13
     against braid:26 runs ten generator checks each time, braid:6 against
     rat:3 with ``steenrod`` six.  The dims come from the bases, then
@@ -542,6 +557,8 @@ def components_isomorphic(
     included, and the same build gives its ``steenrod(1)``.
     """
     _check_int(budget, "the search budget", 0)
+    if type(steenrod) is not bool:
+        raise ValueError(f"steenrod must be a bool, got {steenrod!r}")
     for spec in (a, b):
         if not isinstance(spec, tuple) or len(spec) != 2:
             raise ValueError(f"a component must be a (Family, k) pair, got {spec!r}")

@@ -201,7 +201,7 @@ def test_sweep_falsified(capsys, monkeypatch, argv, key, patch):
 
 
 def test_internal_error_exits_two(capsys, monkeypatch):
-    def broken(args, config):
+    def broken(args):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(cli, "_cmd_basis", broken)

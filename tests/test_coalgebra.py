@@ -5,6 +5,7 @@ import hashlib
 import json
 import random
 import re
+from enum import IntEnum
 from itertools import permutations
 
 import pytest
@@ -1124,6 +1125,14 @@ def _conf3_braid6():
     return (Family.CONF, 3), (Family.BRAID, 6)
 
 
+def _rat1():
+    return extract_coalgebra(Family.RAT, 1)  # dims (1, 1)
+
+
+class _K(IntEnum):
+    THREE = 3
+
+
 # A k, j, generator index, exponent, search budget, Q count or element power
 # of the wrong type or sign, each refused by ``ambient._check_int`` before any
 # enumeration, embedding or search, with a message naming the input.  Without
@@ -1141,7 +1150,16 @@ def _conf3_braid6():
 # that, basis gave rat:1's basis, components_isomorphic ran a search of one
 # node to 'inconclusive', and steenrod_matrix took j = 1.  A component spec
 # that is not a (Family, k) pair is refused by components_isomorphic before
-# any enumeration; without that, each spec case raised TypeError.
+# any enumeration; without that, each spec case raised TypeError.  An int is
+# an object of type int, by ``type(x) is int``, in GradedCoalgebra's dims and
+# structure constants, in phi and Sq_1^* rows and for every count; without
+# that, the bool dims and the bool structure constant built a coalgebra,
+# verify_coalgebra_map read the bool phi rows and answered True, the bool Sq_1^*
+# rows ran a search to 'yes', and basis took the IntEnum k.  A ``steenrod``
+# flag of components_isomorphic that is not a bool is refused before any
+# enumeration; without that, 'no' and 1 ran the Steenrod-constrained search.
+# An a or b that is not a GradedCoalgebra and an fm that is not a
+# FamilyMonomial are refused by name; without that, each raised AttributeError.
 BAD_INPUTS = {
     "basis-k-float": (lambda: basis(Family.RAT, 3.0), "k must be an int"),
     "basis_size-k-float": (lambda: basis_size(Family.RAT, 3.0), "k must be an int"),
@@ -1230,6 +1248,31 @@ BAD_INPUTS = {
                                                              (Family.BRAID, 6, 1)),
                                "a component must be a (Family, k) pair,"
                                " got (<Family.BRAID: 'braid'>, 6, 1)"),
+    "coalgebra-dims-bool": (lambda: GradedCoalgebra((True, 1), _rat1().delta),
+                            "needs connected coalgebras with int dims"),
+    "coalgebra-constant-bool": (
+        lambda: GradedCoalgebra(_rat1().dims, ((((False,),),), (((False,),), ((False,),)))),
+        "malformed structure constants at (0, 0)"),
+    "verify_map-phi-bool": (lambda: verify_coalgebra_map(_rat1(), _rat1(), [(True,), (True,)]),
+                            "phi of degree 0 has 1 rows, expected 1 for a's basis"),
+    "coalgebras-steenrod-bool": (
+        lambda: coalgebras_isomorphic(_rat1(), _rat1(),
+                                      steenrod=({1: (False,)}, {1: (False,)})),
+        "Steenrod matrix of degree 1 has 1 rows, expected 1 for Sq_1^*"),
+    "components-steenrod-str": (
+        lambda: components_isomorphic((Family.BRAID, 6), (Family.RAT, 3), steenrod="no"),
+        "steenrod must be a bool, got 'no'"),
+    "components-steenrod-int": (
+        lambda: components_isomorphic((Family.BRAID, 6), (Family.RAT, 3), steenrod=1),
+        "steenrod must be a bool, got 1"),
+    "basis-k-intenum": (lambda: basis(Family.RAT, _K.THREE), "k must be an int, got <_K.THREE: 3>"),
+    "coalgebras-a-int": (lambda: coalgebras_isomorphic(1, 2),
+                         "a must be a GradedCoalgebra, got int"),
+    "verify_map-a-none": (lambda: verify_coalgebra_map(None, None, []),
+                          "a must be a GradedCoalgebra, got NoneType"),
+    "verify_map-b-int": (lambda: verify_coalgebra_map(_rat1(), 2, [(1,), (1,)]),
+                         "b must be a GradedCoalgebra, got int"),
+    "s_set-fm-str": (lambda: s_set("rat"), "fm must be a FamilyMonomial, got str"),
 }
 
 
